@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
 
 class IPosetError(ValueError):
@@ -174,12 +174,58 @@ class IPoset:
         return f"<{label}: {n} elements>"
 
 
-def _index_of(elements: Sequence, x: Any) -> int:
-    """Index of ``x`` under structural equality, or -1."""
-    for i, e in enumerate(elements):
-        if e == x:
-            return i
-    return -1
+class ElementIndex:
+    """A growing list of values with first-position lookup under ``==``.
+
+    ``index(x)`` answers exactly like a linear scan for the first ``i``
+    with ``values[i] == x`` (or -1), so no hashing contract is imposed on
+    elements.  Hashable values are found through a dict keyed on their
+    first position; unhashable ones (sets, dicts, lists, ...) sit in a
+    side list that every lookup scans, which keeps cross-type equalities
+    such as ``{1} == frozenset({1})`` and ``1 == True`` answered in list
+    order.  An unhashable query falls back to scanning all values.  As in
+    Python's own containers, equality is assumed to be reflexive.
+    """
+
+    __slots__ = ("values", "_first", "_unhashable")
+
+    def __init__(self, values: Iterable = ()):
+        self.values: list = []
+        self._first: dict = {}
+        self._unhashable: list[tuple[int, Any]] = []
+        for v in values:
+            self.append(v)
+
+    def append(self, v: Any) -> int:
+        """Add ``v`` at the end, even when an equal value is present."""
+        i = len(self.values)
+        self.values.append(v)
+        try:
+            self._first.setdefault(v, i)
+        except TypeError:
+            self._unhashable.append((i, v))
+        return i
+
+    def index(self, x: Any) -> int:
+        """First position of a value equal to ``x``, or -1."""
+        try:
+            i = self._first.get(x, -1)
+        except TypeError:
+            for i, v in enumerate(self.values):
+                if v == x:
+                    return i
+            return -1
+        for j, v in self._unhashable:
+            if 0 <= i < j:
+                break
+            if v == x:
+                return j
+        return i
+
+    def intern(self, x: Any) -> int:
+        """Position of ``x``, appending it when no equal value is present."""
+        i = self.index(x)
+        return i if i >= 0 else self.append(x)
 
 
 class FiniteIPoset(IPoset):
@@ -200,11 +246,13 @@ class FiniteIPoset(IPoset):
         name: str = "",
         validate: bool = True,
     ):
-        self._elements = list(elements)
-        self.name = name
-        for i, e in enumerate(self._elements):
-            if _index_of(self._elements[:i], e) >= 0:
+        self._index = ElementIndex()
+        for e in elements:
+            if self._index.index(e) >= 0:
                 raise IPosetError(f"duplicate element {e!r}")
+            self._index.append(e)
+        self._elements = self._index.values
+        self.name = name
         self._le = {self._pair(a, b) for a, b in le}
         self._id = {self._pair(a, b) for a, b in id_rel}
         self._merge: Optional[dict] = None
@@ -224,7 +272,7 @@ class FiniteIPoset(IPoset):
                 raise IPosetError(str(report))
 
     def _idx(self, x: Any) -> int:
-        i = _index_of(self._elements, x)
+        i = self._index.index(x)
         if i < 0:
             raise IPosetError(f"{x!r} is not a carrier element of {self!r}")
         return i
@@ -256,7 +304,7 @@ class FiniteIPoset(IPoset):
         return UNDEFINED if r is None else self._elements[r]
 
     def contains(self, x: Any) -> bool:
-        return _index_of(self._elements, x) >= 0
+        return self._index.index(x) >= 0
 
     def le_pairs(self) -> list[tuple]:
         e = self._elements
@@ -388,11 +436,12 @@ def materialize(p: IPoset, elements: Iterable, name: str = "", on_escape: str = 
     merge = None
     if p.has_merge:
         merge = []
+        carrier = ElementIndex(els)
         for a, b in itertools.product(els, repeat=2):
             r = p.merge(a, b)
             if r is UNDEFINED:
                 continue
-            if _index_of(els, r) < 0:
+            if carrier.index(r) < 0:
                 if on_escape == "drop":
                     continue
                 raise InvalidArgsError(f"merge result {r!r} escapes the sub-carrier")
@@ -424,7 +473,7 @@ def lift_omega(p: IPoset, bottom: Any = OMEGA, name: str = "") -> FiniteIPoset:
     element.
     """
     els = _require_enumerable(p)
-    if _index_of(els, bottom) >= 0:
+    if ElementIndex(els).index(bottom) >= 0:
         raise InvalidArgsError(f"bottom {bottom!r} already in carrier")
     new_els = [bottom] + list(els)
     le = [(bottom, e) for e in new_els]
@@ -634,9 +683,10 @@ def restrict_iposet(p: IPoset, pred: Callable[[Any], bool], name: str = "") -> I
     merge = None
     if p.has_merge:
         merge = []
+        carrier = ElementIndex(sub)
         for a, b in itertools.product(sub, repeat=2):
             r = p.merge(a, b)
-            if r is not UNDEFINED and _index_of(sub, r) >= 0:
+            if r is not UNDEFINED and carrier.index(r) >= 0:
                 merge.append((a, b, r))
     return FiniteIPoset(sub, le, idr, merge, name=name or (p.name + "_restricted" if p.name else ""))
 

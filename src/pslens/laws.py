@@ -18,17 +18,14 @@ primitives together with three deliberately deviant lenses:
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from typing import Any, Callable, Optional
 
 from .iposet import (
-    UNDEFINED,
+    ElementIndex,
     FiniteIPoset,
-    InL,
-    InR,
     IPoset,
     discrete,
     lift_omega,
@@ -37,7 +34,6 @@ from .iposet import (
 )
 from .lens import (
     PSLens,
-    PutFailure,
     compose,
     constant_lens,
     dup_lens,
@@ -106,22 +102,19 @@ class _Space:
 
     Values computed during checking (get/put results) are appended past
     the quantifier range ``n`` so relations involving them memoize too.
-    Elements are located by structural equality only.
+    Elements are located at their first structurally equal position.
     """
 
     def __init__(self, domain: IPoset, values: list):
         self.domain = domain
-        self.values = list(values)
-        self.n = len(values)
+        self._index = ElementIndex(values)
+        self.values = self._index.values
+        self.n = len(self.values)
         self._le: dict[tuple[int, int], bool] = {}
         self._id: dict[tuple[int, int], bool] = {}
 
     def locate(self, v: Any) -> int:
-        for i, x in enumerate(self.values):
-            if x == v:
-                return i
-        self.values.append(v)
-        return len(self.values) - 1
+        return self._index.intern(v)
 
     def le(self, i: int, j: int) -> bool:
         key = (i, j)
@@ -409,17 +402,7 @@ def check_law(
     check is exhaustive; otherwise it quantifies over the samples only
     and the report is marked ``sampled``.
     """
-    src, vw, exhaustive = _universe_for(lens, source, view)
-    ctx = _Ctx(lens, src, vw, exhaustive)
-    if law in _COMPOSITES:
-        for part in _COMPOSITES[law]:
-            witness = _SCANNERS[part](ctx)
-            if witness is not None:
-                witness = {"_law": part.value, **witness}
-                return LawReport(law, False, witness, ctx.universe)
-        return LawReport(law, True, None, ctx.universe)
-    witness = _SCANNERS[law](ctx)
-    return LawReport(law, witness is None, witness, ctx.universe)
+    return check_laws(lens, [law], source, view)[0]
 
 
 def check_laws(
@@ -428,8 +411,36 @@ def check_laws(
     source: Optional[list] = None,
     view: Optional[list] = None,
 ) -> list[LawReport]:
-    """Convenience: evaluate several laws over the same universe."""
-    return [check_law(lens, law, source, view) for law in laws or list(LawId)]
+    """Evaluate several laws (all of them by default) over one universe.
+
+    All requested laws share one memoized context for the lens and
+    universe: each ``get``, each ``put`` and each order or identical-update
+    query is evaluated at most once, and each law's scanner runs at most
+    once, so ``weak-wb`` and ``wb`` reuse the witnesses of their
+    conjuncts.  Values are located in the universe through a hash where
+    they are hashable and by structural equality otherwise, so domains
+    need no hashing contract.  The reports are the ones :func:`check_law`
+    gives law by law, each with its own counterexample dict.
+    """
+    src, vw, exhaustive = _universe_for(lens, source, view)
+    ctx = _Ctx(lens, src, vw, exhaustive)
+    witnesses: dict[LawId, Optional[dict]] = {}
+
+    def scan(law: LawId) -> Optional[dict]:
+        if law not in witnesses:
+            witnesses[law] = _SCANNERS[law](ctx)
+        return witnesses[law]
+
+    reports = []
+    for law in laws or list(LawId):
+        if law in _COMPOSITES:
+            failed = next((part for part in _COMPOSITES[law] if scan(part) is not None), None)
+            witness = None if failed is None else {"_law": failed.value, **scan(failed)}
+        else:
+            witness = scan(law)
+            witness = None if witness is None else dict(witness)
+        reports.append(LawReport(law, witness is None, witness, ctx.universe))
+    return reports
 
 
 def recheck_counterexample(
@@ -722,8 +733,8 @@ def run_fixture_suite(names: Optional[list[str]] = None) -> tuple[list[str], boo
     all_ok = True
     for name in picked:
         fixture = catalog[name]
-        for law, expected in fixture.expect.items():
-            report = check_law(fixture.lens, law)
+        reports = check_laws(fixture.lens, list(fixture.expect))
+        for expected, report in zip(fixture.expect.values(), reports):
             ok = report.holds == expected
             all_ok = all_ok and ok
             status = "ok" if ok else "UNEXPECTED"

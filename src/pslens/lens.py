@@ -11,9 +11,8 @@ bugs.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Callable
 
 from .iposet import (
     UNDEFINED,
@@ -22,7 +21,6 @@ from .iposet import (
     InvalidArgsError,
     IPoset,
     MissingMergeError,
-    NonMonotonePredicateError,
     ValidationReport,
     check_duplicable,
     product_iposet,

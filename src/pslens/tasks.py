@@ -26,7 +26,7 @@ from __future__ import annotations
 import datetime
 import itertools
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
 from .iposet import UNDEFINED, IPoset
@@ -654,8 +654,12 @@ def load_delta(text: str, shape: str = "plain") -> Any:
     adds: dict = {}
     third: dict = {}
     deletes: set = set()
+    parts = {"upsert": adds, "delete": deletes, "complete": third, "postpone": third}
     for lineno, tokens in _tokenize(text):
         tag, args = tokens[0], tokens[1:]
+        part = parts.get(tag)
+        if part is not None and args and args[0] in part:
+            raise ParseError(f"line {lineno}: duplicate {tag} clause for task id {args[0]!r}")
         if tag == "upsert" and len(args) == 4:
             adds[args[0]] = _parse_record(args[1:], lineno)
         elif tag == "delete" and len(args) == 1:

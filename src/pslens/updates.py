@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from .iposet import (
     UNDEFINED,
+    ElementIndex,
     FiniteIPoset,
     IPosetError,
     ValidationReport,
@@ -64,6 +65,7 @@ class UpdateSpaceError(ValueError):
 
 
 def _index(seq, x) -> int:
+    """Position of ``x`` in a freshly computed list, by structural equality."""
     for i, e in enumerate(seq):
         if e == x:
             return i
@@ -90,6 +92,8 @@ class UpdateSpace:
     name: str = ""
 
     def __post_init__(self):
+        self._update_index = ElementIndex(self.updates)
+        self._state_index = ElementIndex(self.states)
         self._le = set()
         for a, b in self.u_le:
             self._le.add((self._u(a), self._u(b)))
@@ -128,13 +132,13 @@ class UpdateSpace:
                 )
 
     def _u(self, u) -> int:
-        i = _index(self.updates, u)
+        i = self._update_index.index(u)
         if i < 0:
             raise UpdateSpaceError(f"unknown update {u!r}")
         return i
 
     def _s(self, s) -> int:
-        i = _index(self.states, s)
+        i = self._state_index.index(s)
         if i < 0:
             raise UpdateSpaceError(f"unknown state {s!r}")
         return i

@@ -6,38 +6,22 @@ byte equality) and, where bounded, its runtime.
 """
 
 import itertools
+import os
 import shutil
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-import pytest
-
 from pslens.iposet import (
-    OMEGA,
     UNDEFINED,
-    FiniteIPoset,
     check_duplicable,
-    discrete,
     join,
-    lift_omega,
     materialize,
-    powerset_iposet,
-    product_iposet,
-    structurally_equal,
     verify_iposet,
 )
 from pslens.laws import LawId, check_law, fixture_lenses
-from pslens.lens import (
-    compose,
-    constant_lens,
-    dup_lens,
-    identity_lens,
-    is_failure,
-    product_lens,
-    untag_s,
-)
+from pslens.lens import is_failure
 from pslens.tasks import (
     Delta,
     DeltaDT,
@@ -161,86 +145,8 @@ def test_criterion_3_counterexample_suite():
 
 # ---------------------------------------------------------------------------
 # 4 and 5. law closure and derived lemmas over a generated family
+# (the ``closure_pool`` fixture, built in conftest.py)
 # ---------------------------------------------------------------------------
-
-
-def _chain(n, name):
-    els = list(range(n))
-    le = [(a, b) for a in els for b in els if a <= b]
-    merge = [(a, b, max(a, b)) for a in els for b in els]
-    return FiniteIPoset(els, le, le, merge, name=name)
-
-
-def _diamond():
-    els = ["bot", "a", "b", "top"]
-    lt = {("bot", "a"), ("bot", "b"), ("bot", "top"), ("a", "top"), ("b", "top")}
-    le = list(lt) + [(e, e) for e in els]
-    p = FiniteIPoset(els, le, le, None, name="diamond", validate=False)
-    merge = []
-    for a in els:
-        for b in els:
-            j = join(p, a, b)
-            if j is not UNDEFINED:
-                merge.append((a, b, j))
-    return FiniteIPoset(els, le, le, merge, name="diamond")
-
-
-def generated_iposets():
-    """The finite domains the closure criterion quantifies over (<= 5
-    elements each, lower-bounded and duplicable wherever the respective
-    lenses require it)."""
-    return [
-        discrete([0], name="point"),
-        discrete([0, 1], name="two-points"),
-        discrete([0, 1, 2], name="three-points"),
-        lift_omega(discrete([1]), name="one-omega"),
-        lift_omega(discrete([1, 2]), name="two-omega"),
-        lift_omega(discrete([1, 2, 3, 4]), name="four-omega"),
-        _chain(3, "chain-3"),
-        _diamond(),
-        powerset_iposet({"a", "b"}, name="powerset-ab"),
-        product_iposet(lift_omega(discrete([1])), lift_omega(discrete([2])), name="pair-omega"),
-    ]
-
-
-def _primitive_lenses(posets):
-    target = lift_omega(discrete([1]), name="one-omega")
-    out = []
-    for p in posets:
-        out.append((f"identity[{p.name}]", identity_lens(p, name=f"identity[{p.name}]")))
-        if p.least is not None:
-            out.append(
-                (f"constant[{p.name}]", constant_lens(p, target, 1, name=f"constant[{p.name}]"))
-            )
-        if p.has_merge and check_duplicable(p).ok:
-            out.append((f"dup[{p.name}]", dup_lens(p, name=f"dup[{p.name}]", check=False)))
-        out.append((f"untag[{p.name}]", untag_s(p, name=f"untag[{p.name}]")))
-    return out
-
-
-@pytest.fixture(scope="module")
-def closure_pool():
-    """Primitive lenses over every generated domain, plus all pairwise
-    products and all type-correct pairwise compositions over the small
-    subfamily."""
-    all_posets = generated_iposets()
-    singles = _primitive_lenses(all_posets)
-
-    small = [p for p in all_posets if len(p.elements) <= 3]
-    small_primitives = _primitive_lenses(small)
-    products = [
-        (f"({n1} x {n2})", product_lens(l1, l2))
-        for (n1, l1), (n2, l2) in itertools.product(small_primitives, repeat=2)
-    ]
-    candidates = small_primitives + products
-    compositions = [
-        (f"({n1} ; {n2})", compose(l1, l2))
-        for (n1, l1), (n2, l2) in itertools.product(candidates, repeat=2)
-        if structurally_equal(l1.view, l2.source)
-    ]
-    pool = singles + products + compositions
-    assert len(pool) > 100
-    return pool
 
 
 def test_criterion_4_law_closure(closure_pool):
@@ -338,8 +244,11 @@ def test_criterion_7_dt_duplicability_desk_scale():
 
 
 def _run_cli(args, cwd):
+    # the child runs in a temporary directory, so a relative PYTHONPATH
+    # entry such as ``src`` would not resolve there
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-m", "pslens.cli", *args], cwd=cwd, capture_output=True, text=True
+        [sys.executable, "-m", "pslens.cli", *args], cwd=cwd, env=env, capture_output=True, text=True
     )
 
 

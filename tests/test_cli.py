@@ -1,5 +1,6 @@
 """Command front end: sessions, batch determinism, exit codes."""
 
+import os
 import shutil
 import subprocess
 import sys
@@ -23,9 +24,13 @@ def workdir(tmp_path):
 
 
 def run_cli(args, cwd):
+    # the child runs in a temporary directory, so a relative PYTHONPATH
+    # entry such as ``src`` would not resolve there
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
     return subprocess.run(
         [sys.executable, "-m", "pslens.cli", *args],
         cwd=cwd,
+        env=env,
         capture_output=True,
         text=True,
     )

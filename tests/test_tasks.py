@@ -467,3 +467,18 @@ def test_delta_shape_mismatch_is_parse_error():
         load_delta(dump_delta(og), "plain")
     with pytest.raises(ParseError):
         load_delta("upsert a false \"x\" 2025-01-01\ndelete a\n", "plain")
+
+
+@pytest.mark.parametrize(
+    "shape, text",
+    [
+        ("plain", 'upsert a false "x" 2025-04-01\nupsert a false "y" 2025-04-01\n'),
+        ("plain", "delete a\n# twice\ndelete a\n"),
+        ("ongoing", 'complete a "x" 2025-04-01\ncomplete a "y" 2025-04-01\n'),
+        ("today", 'postpone a false "x" 2025-04-02\npostpone a false "y" 2025-04-03\n'),
+    ],
+)
+def test_delta_repeated_id_is_parse_error(shape, text):
+    last = len(text.splitlines())
+    with pytest.raises(ParseError, match=f"^line {last}: duplicate"):
+        load_delta(text, shape)
