@@ -23,10 +23,8 @@ from .iposet import (
     IPoset,
     IPosetError,
     ValidationReport,
-    build_standard,
     check_duplicable,
     discrete,
-    is_defined,
     join,
     lift_omega,
     powerset_iposet,
@@ -62,13 +60,13 @@ from .laws import (
 )
 from .tasks import (
     Delta,
-    DeltaDT,
-    DeltaOG,
+    FilterDomain,
     TaskRecord,
     apply_dt,
     dt_domain,
     dtdt_domain,
     dtog_domain,
+    filter_lens,
     filter_ongoing,
     filter_today,
     init_tasks,

@@ -33,8 +33,6 @@ from .laws import run_fixture_suite
 from .lens import PSLens, is_failure
 from .tasks import (
     Delta,
-    DeltaDT,
-    DeltaOG,
     ParseError,
     TaskRecord,
     dt_domain,
@@ -85,18 +83,10 @@ def _pipeline(variant: str, today: str) -> PSLens:
     return _PIPELINES[key]
 
 
-def _empty_og(variant):
-    return Delta() if variant == "plain" else DeltaOG()
-
-
-def _empty_dt(variant):
-    return Delta() if variant == "plain" else DeltaDT()
-
-
 def new_session(variant: str, today: str, source: Optional[dict] = None) -> Session:
     source = {} if source is None else source
     views = _pipeline(variant, today).get(source)
-    return Session(variant, today, source, views, _empty_og(variant), _empty_dt(variant))
+    return Session(variant, today, source, views, Delta(), Delta())
 
 
 def _render_tasks(t: dict, indent: str = "  ") -> list[str]:
@@ -110,40 +100,9 @@ def _side_domains(session: Session):
     return dtog_domain(), dtdt_domain(session.today)
 
 
-def _merge_staged(session: Session, side: str, incoming):
-    """Fold a new clause or delta file into the staged delta for a side."""
-    current = session.staged_og if side == "og" else session.staged_dt
-    try:
-        if isinstance(current, Delta):
-            merged = dt_domain().merge(current, incoming)
-            if merged is UNDEFINED:
-                raise CommandError(f"conflicting edits staged for the {side} view")
-            return merged
-        if isinstance(current, DeltaOG):
-            return DeltaOG(
-                _united(current.adds, incoming.adds, side),
-                _united(current.completes, incoming.completes, side),
-                current.deletes | incoming.deletes,
-            )
-        return DeltaDT(
-            _united(current.adds, incoming.adds, side),
-            _united(current.postpones, incoming.postpones, side),
-            current.deletes | incoming.deletes,
-        )
-    except ValueError as exc:
-        raise CommandError(f"conflicting edits staged for the {side} view: {exc}") from None
-
-
-def _united(a: dict, b: dict, side: str) -> dict:
-    out = dict(a)
-    for k, r in b.items():
-        if out.get(k, r) != r:
-            raise CommandError(f"conflicting edits staged for the {side} view on id {k!r}")
-        out[k] = r
-    return out
-
-
 def _parse_edit(session: Session, args: list[str]):
+    """The side and the delta of one ``edit`` command; raises ``ValueError``
+    for a bad id, name or date."""
     if len(args) < 2 or args[0] not in ("og", "dt"):
         raise CommandError("usage: edit og|dt add|del|complete|postpone|file ...")
     side, action, rest = args[0], args[1], args[2:]
@@ -154,27 +113,14 @@ def _parse_edit(session: Session, args: list[str]):
         if len(rest) != 3:
             raise CommandError("usage: edit og|dt add <id> <name> <due>")
         key, name, due = rest
-        try:
-            record = TaskRecord(False, name, due)
-        except ValueError as exc:
-            raise CommandError(str(exc)) from None
+        record = TaskRecord(False, name, due)
         if side == "dt" and due != session.today:
             raise CommandError(f"tasks added to the today view must be due {session.today}")
-        if not elaborated:
-            incoming = Delta({key: record})
-        elif side == "og":
-            incoming = DeltaOG({key: record})
-        else:
-            incoming = DeltaDT({key: record})
+        incoming = Delta({key: record})
     elif action == "del":
         if len(rest) != 1:
             raise CommandError("usage: edit og|dt del <id>")
-        if not elaborated:
-            incoming = Delta({}, {rest[0]})
-        elif side == "og":
-            incoming = DeltaOG(deletes={rest[0]})
-        else:
-            incoming = DeltaDT(deletes={rest[0]})
+        incoming = Delta({}, {rest[0]})
     elif action == "complete":
         if not (elaborated and side == "og"):
             raise CommandError("complete needs the elaborated pipeline and the og view")
@@ -183,7 +129,7 @@ def _parse_edit(session: Session, args: list[str]):
         key = rest[0]
         if key not in og_view:
             raise CommandError(f"no task {key!r} in the ongoing view")
-        incoming = DeltaOG(completes={key: replace(og_view[key], done=True)})
+        incoming = Delta(moves={key: replace(og_view[key], done=True)})
     elif action == "postpone":
         if not (elaborated and side == "dt"):
             raise CommandError("postpone needs the elaborated pipeline and the dt view")
@@ -194,10 +140,7 @@ def _parse_edit(session: Session, args: list[str]):
             raise CommandError(f"no task {key!r} in the today view")
         if due == session.today:
             raise CommandError("postponing needs a different due date")
-        try:
-            incoming = DeltaDT(postpones={key: replace(dt_view[key], due=due)})
-        except ValueError as exc:
-            raise CommandError(str(exc)) from None
+        incoming = Delta(moves={key: replace(dt_view[key], due=due)})
     elif action == "file":
         if len(rest) != 1:
             raise CommandError("usage: edit og|dt file <path>")
@@ -242,11 +185,17 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         return session, out
 
     if cmd == "edit":
-        side, incoming = _parse_edit(session, args)
-        merged = _merge_staged(session, side, incoming)
+        try:
+            side, incoming = _parse_edit(session, args)
+        except ValueError as exc:
+            raise CommandError(str(exc)) from None
+        i = ("og", "dt").index(side)
+        merged = _side_domains(session)[i].merge((session.staged_og, session.staged_dt)[i], incoming)
+        if merged is UNDEFINED:
+            raise CommandError(f"conflicting edits staged for the {side} view")
         if side == "og":
-            return replace(session, staged_og=merged), [f"staged for og view"]
-        return replace(session, staged_dt=merged), [f"staged for dt view"]
+            return replace(session, staged_og=merged), ["staged for og view"]
+        return replace(session, staged_dt=merged), ["staged for dt view"]
 
     if cmd == "put":
         if args:
@@ -269,7 +218,7 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
 
     if cmd == "reset":
         return (
-            replace(session, staged_og=_empty_og(session.variant), staged_dt=_empty_dt(session.variant)),
+            replace(session, staged_og=Delta(), staged_dt=Delta()),
             ["staged deltas dropped"],
         )
 
@@ -305,7 +254,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="pslens",
         description="Synchronize a to-do table with its ongoing and due-today views.",
     )
-    parser.add_argument("--today", default="2025-04-01", help="the due-today view's date (ISO)")
+    parser.add_argument("--today", default="2025-04-01", help="the due-today view's date (YYYY-MM-DD)")
     parser.add_argument("--variant", choices=["plain", "elaborated"], default="plain")
     parser.add_argument("--script", help="batch command file (default: interactive)")
     parser.add_argument("--laws", action="store_true", help="run the law suite and exit")

@@ -57,10 +57,6 @@ class _Undefined:
 UNDEFINED = _Undefined()
 
 
-def is_defined(x: Any) -> bool:
-    return x is not UNDEFINED
-
-
 class _Omega:
     """Fresh least element introduced by :func:`lift_omega`."""
 
@@ -689,28 +685,6 @@ def restrict_iposet(p: IPoset, pred: Callable[[Any], bool], name: str = "") -> I
             if r is not UNDEFINED and carrier.index(r) >= 0:
                 merge.append((a, b, r))
     return FiniteIPoset(sub, le, idr, merge, name=name or (p.name + "_restricted" if p.name else ""))
-
-
-_STANDARD_KINDS: dict[str, Callable] = {
-    "discrete": discrete,
-    "lift_omega": lift_omega,
-    "product": product_iposet,
-    "sum": sum_iposet,
-    "powerset": powerset_iposet,
-    "restrict": restrict_iposet,
-}
-
-
-def build_standard(kind: str, *args: Any, **kwargs: Any) -> IPoset:
-    """Dispatch to one of the standard domain constructions by name."""
-    try:
-        ctor = _STANDARD_KINDS[kind]
-    except KeyError:
-        raise InvalidArgsError(f"unknown construction {kind!r}; choose from {sorted(_STANDARD_KINDS)}")
-    try:
-        return ctor(*args, **kwargs)
-    except TypeError as exc:
-        raise InvalidArgsError(f"bad arguments for {kind!r}: {exc}") from exc
 
 
 def structurally_equal(p: IPoset, q: IPoset) -> bool:

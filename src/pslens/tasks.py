@@ -1,33 +1,43 @@
 """To-do task tables synchronized across two filtered views.
 
-A task source is a finite mapping from opaque ids to records
-``(done, name, due)``.  Two views show the ongoing tasks and the tasks
-due on a given day.  Updates to the views travel back as *deltas*:
+A task source is a finite mapping from ids to records ``(done, name,
+due)``.  Ids are bare tokens (see :func:`is_task_id`); due dates are
+canonical ``YYYY-MM-DD`` text compared by equality only, and "today" is
+always an explicit parameter, never ambient clock state.
 
-* the plain delta ``Delta(adds, deletes)`` upserts the ``adds`` table
-  and removes the ``deletes`` ids (a two-phase-set shape: the two parts
-  must be disjoint, conflicting instructions are rejected outright);
-* the elaborated per-view deltas carry a third table for requests that
-  are invisible in the view itself: completions in the ongoing view
-  (``DeltaOG``) and postponements in the due-today view (``DeltaDT``).
+Both views are one construction, the ``filter`` lens of Foster et al.
+(TOPLAS 2007): keep the records a predicate accepts.  A
+:class:`FilterDomain` holds the tables its filter keeps whole together
+with the update intentions over them, the deltas
+``Delta(adds, deletes, moves)``:
 
-Deltas are ordered by component-wise inclusion, sit below every proper
-table that realizes them, and merge by union when the union is still a
-valid delta.  A delta with nothing to delete (or complete or postpone)
-and whose adds are already present is an identical update for the
-table.
+* ``adds`` are upserted records the view keeps;
+* ``deletes`` are ids to remove;
+* ``moves`` are upserted records the edit moves *out of* the view:
+  completions in the ongoing view, postponements in the due-today view.
 
-Dates are ISO-8601 text compared by equality only; "today" is always an
-explicit parameter, never ambient clock state.
+The three id groups are pairwise disjoint; conflicting instructions are
+rejected outright.  Deltas are ordered by component-wise inclusion, sit
+below every table that realizes them, and merge by union when the union
+is still a delta.  A delta with nothing to delete or move and whose adds
+are already present is an identical update for the table.  The source
+domain is the filter that keeps every record, so its deltas never move.
+
+:func:`filter_lens` builds every view lens from its domain.  The plain
+variant shows deltas in the source domain, so records the filter
+rejects are dropped by ``get`` and refused by ``put``; the elaborated
+variant shows them in the view domain, so ``get`` turns them into moves
+and ``put`` upserts the moves back.
 """
 
 from __future__ import annotations
 
 import datetime
 import itertools
+import re
 import shlex
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from .iposet import UNDEFINED, IPoset
 from .lens import (
@@ -45,6 +55,30 @@ class ParseError(ValueError):
     """A task or delta file (or inline clause) failed to parse."""
 
 
+# ``shlex`` ends a word at whitespace, reads ``'`` and ``"`` as quotes,
+# ``\`` as an escape and ``#`` as the start of a comment, so an id holding
+# any of them would not load back from the text it dumps to.
+_BARE_TOKEN = re.compile(r"[^\s\"'\\#]+")
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def is_task_id(key: Any) -> bool:
+    """Whether ``key`` is a bare token: a nonempty string without
+    whitespace, quotes, backslashes or ``#``."""
+    return isinstance(key, str) and _BARE_TOKEN.fullmatch(key) is not None
+
+
+def check_date(text: Any) -> str:
+    """``text`` itself if it is a canonical ``YYYY-MM-DD`` calendar date."""
+    try:
+        if _DATE.fullmatch(text):
+            datetime.date.fromisoformat(text)
+            return text
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"date {text!r} is not a YYYY-MM-DD date")
+
+
 @dataclass(frozen=True)
 class TaskRecord:
     """One to-do entry: completion flag, display name, due date."""
@@ -56,103 +90,51 @@ class TaskRecord:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("task name must be nonempty")
-        try:
-            datetime.date.fromisoformat(self.due)
-        except (TypeError, ValueError):
-            raise ValueError(f"due date {self.due!r} is not an ISO date") from None
-
-
-#: A task table is a plain mapping id -> record; treat as immutable.
-Tasks = dict
+        check_date(self.due)
 
 
 def valid_tasks(t: Any) -> bool:
-    return isinstance(t, dict) and all(
-        isinstance(k, str) and k and isinstance(v, TaskRecord) for k, v in t.items()
-    )
+    return isinstance(t, dict) and all(is_task_id(k) and isinstance(v, TaskRecord) for k, v in t.items())
 
 
-def _freeze_ids(ids: Iterable) -> frozenset:
-    ids = frozenset(ids)
-    if not all(isinstance(k, str) and k for k in ids):
-        raise ValueError("task ids must be nonempty strings")
-    return ids
+def _check_ids(ids: Iterable) -> None:
+    for k in ids:
+        if not is_task_id(k):
+            raise ValueError(f"task id {k!r} is not a bare token")
 
 
 def _check_table(table: Mapping, label: str) -> dict:
     table = dict(table)
-    if not valid_tasks(table):
+    _check_ids(table)
+    if not all(isinstance(r, TaskRecord) for r in table.values()):
         raise ValueError(f"{label} is not a valid task table")
     return table
 
 
 @dataclass(frozen=True)
 class Delta:
-    """Upsert-and-delete update intention over a task table.
+    """Update intention over a task table: upserts, deletions, moves.
 
-    ``adds`` must be present in any realizing table, ``deletes`` must be
-    absent; the two parts are disjoint by construction (rejected, not
-    normalized, so no instruction silently wins).
+    ``adds`` must be present in any realizing table and ``deletes``
+    absent.  ``moves`` are upserts that leave the view the delta lives
+    in, so a realizing view lacks them.  The three id groups are
+    pairwise disjoint by construction (rejected, not normalized, so no
+    instruction silently wins).
     """
 
     adds: dict
     deletes: frozenset
+    moves: dict
 
-    def __init__(self, adds: Mapping = (), deletes: Iterable = ()):
-        object.__setattr__(self, "adds", _check_table(adds, "adds"))
-        object.__setattr__(self, "deletes", _freeze_ids(deletes))
-        if self.deletes & set(self.adds):
-            raise ValueError("delta adds and deletes overlap")
-
-
-@dataclass(frozen=True)
-class DeltaOG:
-    """Ongoing-view update intention: adds, completions, deletes.
-
-    Adds are ongoing records, completions are completed records; the
-    three id sets are pairwise disjoint.
-    """
-
-    adds: dict
-    completes: dict
-    deletes: frozenset
-
-    def __init__(self, adds: Mapping = (), completes: Mapping = (), deletes: Iterable = ()):
-        adds = _check_table(adds, "adds")
-        completes = _check_table(completes, "completes")
-        if any(r.done for r in adds.values()):
-            raise ValueError("ongoing-view adds must be ongoing records")
-        if any(not r.done for r in completes.values()):
-            raise ValueError("completion requests must be completed records")
+    def __init__(self, adds: Mapping = (), deletes: Iterable = (), moves: Mapping = ()):
+        adds, moves = _check_table(adds, "adds"), _check_table(moves, "moves")
+        deletes = frozenset(deletes)
+        _check_ids(deletes)
+        if not (deletes.isdisjoint(adds) and deletes.isdisjoint(moves) and adds.keys().isdisjoint(moves)):
+            raise ValueError("delta id groups overlap")
         object.__setattr__(self, "adds", adds)
-        object.__setattr__(self, "completes", completes)
-        object.__setattr__(self, "deletes", _freeze_ids(deletes))
-        groups = [set(adds), set(completes), set(self.deletes)]
-        for g1, g2 in itertools.combinations(groups, 2):
-            if g1 & g2:
-                raise ValueError("delta id groups overlap")
-
-
-@dataclass(frozen=True)
-class DeltaDT:
-    """Due-today-view update intention: adds, postponements, deletes.
-
-    Date constraints (adds due today, postponements due elsewhere) are
-    relative to the view's day and are checked by the domain, not here.
-    """
-
-    adds: dict
-    postpones: dict
-    deletes: frozenset
-
-    def __init__(self, adds: Mapping = (), postpones: Mapping = (), deletes: Iterable = ()):
-        object.__setattr__(self, "adds", _check_table(adds, "adds"))
-        object.__setattr__(self, "postpones", _check_table(postpones, "postpones"))
-        object.__setattr__(self, "deletes", _freeze_ids(deletes))
-        groups = [set(self.adds), set(self.postpones), set(self.deletes)]
-        for g1, g2 in itertools.combinations(groups, 2):
-            if g1 & g2:
-                raise ValueError("delta id groups overlap")
+        object.__setattr__(self, "deletes", deletes)
+        object.__setattr__(self, "moves", moves)
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +151,15 @@ def table_subset(a: Mapping, b: Mapping) -> bool:
     return all(k in b and b[k] == r for k, r in a.items())
 
 
-def restrict_ongoing(t: Mapping) -> dict:
-    return {k: r for k, r in t.items() if not r.done}
-
-
-def restrict_completed(t: Mapping) -> dict:
-    return {k: r for k, r in t.items() if r.done}
-
-
-def restrict_due(t: Mapping, today: str) -> dict:
-    return {k: r for k, r in t.items() if r.due == today}
-
-
-def restrict_not_due(t: Mapping, today: str) -> dict:
-    return {k: r for k, r in t.items() if r.due != today}
+def _union(a: dict, b: dict) -> Optional[dict]:
+    """Both tables at once, or ``None`` when they disagree on an id."""
+    if any(k in a and a[k] != r for k, r in b.items()):
+        return None
+    return {**a, **b}
 
 
 def apply_dt(v: Any, t: Mapping) -> dict:
-    """Apply a task-domain element as an update to a proper table.
+    """Apply a source-domain element as an update to a proper table.
 
     A proper view replaces the table; a delta upserts its adds and then
     removes its deletes (order immaterial thanks to disjointness).
@@ -219,36 +192,47 @@ class TasksDomain(IPoset):
         return valid_tasks(x)
 
 
-class DTDomain(IPoset):
-    """Task tables together with plain deltas.
+class FilterDomain(IPoset):
+    """The tables a filter keeps whole, with the deltas over them.
 
-    Deltas order by component-wise inclusion and sit below the tables
-    realizing them; only a delete-free delta counts as an identical
-    update for a table.  Merge is union of deltas (failing on invalid
-    unions) or absorption into a compatible table.
+    ``select`` restricts a table to the records the filter keeps, in one
+    pass over the table; the rest of a table is its complement by id.
+    A delta belongs here when the filter keeps all of its adds and none
+    of its moves.  Deltas order by component-wise inclusion and sit
+    below the tables realizing them: adds present, deletes and moves
+    absent (the order cannot tell a move from a deletion, yet the deltas
+    stay distinct elements).  Only a delta with nothing to delete or move
+    counts as an identical update for a table.  Merge is union of deltas
+    (failing on invalid unions) or absorption into a compatible table.
     """
 
-    name = "tasks+deltas"
     has_merge = True
 
-    def __init__(self):
+    def __init__(self, name: str, select: Callable[[Mapping], dict]):
+        self.name = name
+        self.select = select
         self.least = Delta()
 
+    def split(self, t: Mapping) -> tuple[dict, dict]:
+        """The records of ``t`` the filter keeps, and the rest."""
+        kept = self.select(t)
+        return kept, {k: r for k, r in t.items() if k not in kept}
+
     def contains(self, x):
-        return valid_tasks(x) or isinstance(x, Delta)
+        if isinstance(x, Delta):
+            return len(self.select(x.adds)) == len(x.adds) and not self.select(x.moves)
+        return valid_tasks(x) and len(self.select(x)) == len(x)
 
     def le(self, a, b):
         if isinstance(a, Delta) and isinstance(b, Delta):
-            return table_subset(a.adds, b.adds) and a.deletes <= b.deletes
+            return table_subset(a.adds, b.adds) and table_subset(a.moves, b.moves) and a.deletes <= b.deletes
         if isinstance(a, Delta) and isinstance(b, dict):
-            return table_subset(a.adds, b) and not (a.deletes & set(b))
-        if isinstance(a, dict) and isinstance(b, dict):
-            return a == b
-        return False
+            return table_subset(a.adds, b) and not any(k in b for k in (*a.deletes, *a.moves))
+        return isinstance(a, dict) and isinstance(b, dict) and a == b
 
     def ident(self, a, b):
         if isinstance(a, Delta) and isinstance(b, dict):
-            return not a.deletes and table_subset(a.adds, b)
+            return not a.deletes and not a.moves and table_subset(a.adds, b)
         return self.le(a, b)
 
     def merge(self, a, b):
@@ -258,118 +242,42 @@ class DTDomain(IPoset):
             return b if self.le(a, b) else UNDEFINED
         if isinstance(a, dict) and isinstance(b, Delta):
             return a if self.le(b, a) else UNDEFINED
-        adds = dict(a.adds)
-        for k, r in b.adds.items():
-            if adds.get(k, r) != r:
-                return UNDEFINED  # same id upserted with different records
-        adds.update(b.adds)
-        deletes = a.deletes | b.deletes
-        if deletes & set(adds):
-            return UNDEFINED
-        return Delta(adds, deletes)
-
-
-class DTOGDomain(IPoset):
-    """Ongoing-view domain: all-ongoing tables plus elaborated deltas.
-
-    Completion and deletion requests both demand absence from any
-    realizing table (the proper order cannot tell them apart), yet the
-    deltas remain distinct elements, which is the point of carrying the
-    completes table separately.  No merge operator is attached: this
-    domain is never duplicated.
-    """
-
-    name = "ongoing-view"
-
-    def __init__(self):
-        self.least = DeltaOG()
-
-    def contains(self, x):
-        if isinstance(x, DeltaOG):
-            return True
-        return valid_tasks(x) and all(not r.done for r in x.values())
-
-    def le(self, a, b):
-        if isinstance(a, DeltaOG) and isinstance(b, DeltaOG):
-            return (
-                table_subset(a.adds, b.adds)
-                and table_subset(a.completes, b.completes)
-                and a.deletes <= b.deletes
-            )
-        if isinstance(a, DeltaOG) and isinstance(b, dict):
-            hidden = set(a.completes) | a.deletes
-            return table_subset(a.adds, b) and not (hidden & set(b))
-        if isinstance(a, dict) and isinstance(b, dict):
-            return a == b
-        return False
-
-    def ident(self, a, b):
-        if isinstance(a, DeltaOG) and isinstance(b, dict):
-            return not a.completes and not a.deletes and table_subset(a.adds, b)
-        return self.le(a, b)
-
-
-class DTDTDomain(IPoset):
-    """Due-today-view domain for a fixed day, mirror of the ongoing one.
-
-    Adds are due today; postponement requests carry the task with its
-    new (different) due date.  No merge operator is attached.
-    """
-
-    def __init__(self, today: str):
-        datetime.date.fromisoformat(today)
-        self.today = today
-        self.name = f"due-{today}-view"
-        self.least = DeltaDT()
-
-    def contains(self, x):
-        if isinstance(x, DeltaDT):
-            return all(r.due == self.today for r in x.adds.values()) and all(
-                r.due != self.today for r in x.postpones.values()
-            )
-        return valid_tasks(x) and all(r.due == self.today for r in x.values())
-
-    def le(self, a, b):
-        if isinstance(a, DeltaDT) and isinstance(b, DeltaDT):
-            return (
-                table_subset(a.adds, b.adds)
-                and table_subset(a.postpones, b.postpones)
-                and a.deletes <= b.deletes
-            )
-        if isinstance(a, DeltaDT) and isinstance(b, dict):
-            hidden = set(a.postpones) | a.deletes
-            return table_subset(a.adds, b) and not (hidden & set(b))
-        if isinstance(a, dict) and isinstance(b, dict):
-            return a == b
-        return False
-
-    def ident(self, a, b):
-        if isinstance(a, DeltaDT) and isinstance(b, dict):
-            return not a.postpones and not a.deletes and table_subset(a.adds, b)
-        return self.le(a, b)
+        adds, moves = _union(a.adds, b.adds), _union(a.moves, b.moves)
+        if adds is None or moves is None:
+            return UNDEFINED  # same id upserted with different records
+        try:
+            return Delta(adds, a.deletes | b.deletes, moves)
+        except ValueError:
+            return UNDEFINED  # the union's id groups overlap
 
 
 _TASKS = TasksDomain()
-_DT = DTDomain()
-_DTOG = DTOGDomain()
-_DTDT_CACHE: dict[str, DTDTDomain] = {}
+_DT = FilterDomain("tasks+deltas", dict)
+_DTOG = FilterDomain("ongoing-view", lambda t: {k: r for k, r in t.items() if not r.done})
+_DTDT_CACHE: dict[str, FilterDomain] = {}
 
 
 def tasks_domain() -> TasksDomain:
     return _TASKS
 
 
-def dt_domain() -> DTDomain:
+def dt_domain() -> FilterDomain:
+    """The source's delta domain: the filter that keeps every record."""
     return _DT
 
 
-def dtog_domain() -> DTOGDomain:
+def dtog_domain() -> FilterDomain:
+    """The ongoing view's domain: the filter that keeps unfinished tasks."""
     return _DTOG
 
 
-def dtdt_domain(today: str) -> DTDTDomain:
+def dtdt_domain(today: str) -> FilterDomain:
+    """The due-today view's domain for a fixed day."""
     if today not in _DTDT_CACHE:
-        _DTDT_CACHE[today] = DTDTDomain(today)
+        check_date(today)
+        _DTDT_CACHE[today] = FilterDomain(
+            f"due-{today}-view", lambda t: {k: r for k, r in t.items() if r.due == today}
+        )
     return _DTDT_CACHE[today]
 
 
@@ -383,107 +291,48 @@ def init_tasks() -> PSLens:
     return initiator(tasks_domain(), dt_domain(), apply_dt, name="init-tasks")
 
 
-def filter_ongoing(variant: str = "plain") -> PSLens:
-    """The ongoing-tasks view lens.
+def filter_lens(view: FilterDomain, variant: str, name: str) -> PSLens:
+    """The view lens showing the records ``view`` keeps.
 
-    Plain: both sides live in the delta domain; ``get`` restricts, and
-    ``put`` hands deltas back unchanged (their adds must be ongoing)
-    while a proper updated view is upserted over the filtered-out rest.
-    Elaborated: the view's delta splits its adds by completion flag into
-    separate add and complete requests, and ``put`` reunites them.
+    ``get`` restricts a table, and splits a delta's adds into the kept
+    ones and the rest; plain drops the rest, elaborated keeps them as
+    moves.  ``put`` upserts a proper view over the filtered-out rest of
+    a proper source, and hands a delta back with its moves upserted.
+    Plain deltas live in the source domain, so a plain ``put`` refuses
+    adds the filter rejects with ``GuardFailed``; elaborated deltas live
+    in ``view`` and out-of-view values are ``OutOfDomain``.
     """
-    if variant == "plain":
+    if variant not in ("plain", "elaborated"):
+        raise ValueError(f"unknown variant {variant!r}")
+    elaborated = variant == "elaborated"
+    side = view if elaborated else _DT
 
-        def get(s):
-            if isinstance(s, dict):
-                return restrict_ongoing(s)
-            return Delta(restrict_ongoing(s.adds), s.deletes)
+    def get(s):
+        if isinstance(s, dict):
+            return view.select(s)
+        kept, rest = view.split(s.adds)
+        return Delta(kept, s.deletes, rest if elaborated else ())
 
-        def put(s, v):
-            if not _DT.contains(v):
-                return PutFailure(Reason.OUT_OF_DOMAIN, (s, v), ("filter-ongoing",))
-            if isinstance(v, dict):
-                if any(r.done for r in v.values()) or not isinstance(s, dict):
-                    return PutFailure(Reason.GUARD_FAILED, (s, v), ("filter-ongoing",))
-                return upsert(restrict_completed(s), v)
-            if any(r.done for r in v.adds.values()):
-                return PutFailure(Reason.GUARD_FAILED, (s, v), ("filter-ongoing",))
-            return v
+    def put(s, v):
+        if not side.contains(v):
+            return PutFailure(Reason.OUT_OF_DOMAIN, (s, v), (name,))
+        if not view.contains(v) or (isinstance(v, dict) and not isinstance(s, dict)):
+            return PutFailure(Reason.GUARD_FAILED, (s, v), (name,))
+        if isinstance(v, dict):
+            return upsert(view.split(s)[1], v)
+        return Delta(upsert(v.adds, v.moves), v.deletes)
 
-        return PSLens(_DT, _DT, get=get, put=put, name="filter-ongoing")
+    return PSLens(_DT, side, get=get, put=put, name=name)
 
-    if variant == "elaborated":
 
-        def get(s):
-            if isinstance(s, dict):
-                return restrict_ongoing(s)
-            return DeltaOG(restrict_ongoing(s.adds), restrict_completed(s.adds), s.deletes)
-
-        def put(s, v):
-            if not _DTOG.contains(v):
-                return PutFailure(Reason.OUT_OF_DOMAIN, (s, v), ("filter-ongoing",))
-            if isinstance(v, dict):
-                if not isinstance(s, dict):
-                    return PutFailure(Reason.GUARD_FAILED, (s, v), ("filter-ongoing",))
-                return upsert(restrict_completed(s), v)
-            return Delta(upsert(v.adds, v.completes), v.deletes)
-
-        return PSLens(_DT, _DTOG, get=get, put=put, name="filter-ongoing")
-
-    raise ValueError(f"unknown variant {variant!r}")
+def filter_ongoing(variant: str = "plain") -> PSLens:
+    """The ongoing-tasks view lens; elaborated moves are completions."""
+    return filter_lens(dtog_domain(), variant, "filter-ongoing")
 
 
 def filter_today(variant: str = "plain", today: str = "") -> PSLens:
-    """The due-today view lens; mirror of :func:`filter_ongoing`.
-
-    The elaborated variant splits a delta's adds by due date into add
-    and postpone requests; putting a postponement back upserts the task
-    with its new date.
-    """
-    if not today:
-        raise ValueError("filter_today needs an explicit day")
-    datetime.date.fromisoformat(today)
-    name = f"filter-due-{today}"
-    if variant == "plain":
-
-        def get(s):
-            if isinstance(s, dict):
-                return restrict_due(s, today)
-            return Delta(restrict_due(s.adds, today), s.deletes)
-
-        def put(s, v):
-            if not _DT.contains(v):
-                return PutFailure(Reason.OUT_OF_DOMAIN, (s, v), (name,))
-            if isinstance(v, dict):
-                if any(r.due != today for r in v.values()) or not isinstance(s, dict):
-                    return PutFailure(Reason.GUARD_FAILED, (s, v), (name,))
-                return upsert(restrict_not_due(s, today), v)
-            if any(r.due != today for r in v.adds.values()):
-                return PutFailure(Reason.GUARD_FAILED, (s, v), (name,))
-            return v
-
-        return PSLens(_DT, _DT, get=get, put=put, name=name)
-
-    if variant == "elaborated":
-        view = dtdt_domain(today)
-
-        def get(s):
-            if isinstance(s, dict):
-                return restrict_due(s, today)
-            return DeltaDT(restrict_due(s.adds, today), restrict_not_due(s.adds, today), s.deletes)
-
-        def put(s, v):
-            if not view.contains(v):
-                return PutFailure(Reason.OUT_OF_DOMAIN, (s, v), (name,))
-            if isinstance(v, dict):
-                if not isinstance(s, dict):
-                    return PutFailure(Reason.GUARD_FAILED, (s, v), (name,))
-                return upsert(restrict_not_due(s, today), v)
-            return Delta(upsert(v.adds, v.postpones), v.deletes)
-
-        return PSLens(_DT, view, get=get, put=put, name=name)
-
-    raise ValueError(f"unknown variant {variant!r}")
+    """The due-today view lens; elaborated moves are postponements."""
+    return filter_lens(dtdt_domain(today), variant, f"filter-due-{today}")
 
 
 def task_pipeline(variant: str = "plain", today: str = "") -> PSLens:
@@ -515,58 +364,46 @@ def enumerate_tables(ids: list[str], records: list[TaskRecord]) -> list[dict]:
     return out
 
 
-def enumerate_deltas(ids: list[str], records: list[TaskRecord]) -> list[Delta]:
-    """All plain deltas over the given ids and record values."""
+def enumerate_deltas(ids: list[str], records: list[TaskRecord], moved: list[TaskRecord] = ()) -> list[Delta]:
+    """All deltas over the given ids: each id is left out, added with one
+    of ``records``, moved with one of ``moved``, or deleted."""
     out = []
-    options: list = [("skip", None)] + [("add", r) for r in records] + [("del", None)]
+    options: list = [("skip", None)] + [("adds", r) for r in records] + [("moves", r) for r in moved]
+    options.append(("deletes", None))
     for combo in itertools.product(options, repeat=len(ids)):
-        adds = {k: r for k, (kind, r) in zip(ids, combo) if kind == "add"}
-        deletes = {k for k, (kind, _) in zip(ids, combo) if kind == "del"}
-        out.append(Delta(adds, deletes))
+        parts: dict = {"adds": {}, "deletes": {}, "moves": {}}
+        for k, (part, r) in zip(ids, combo):
+            if part != "skip":
+                parts[part][k] = r
+        out.append(Delta(**parts))
     return out
+
+
+def enumerate_view_universe(view: FilterDomain, ids: list[str], records: list[TaskRecord]) -> list:
+    """The elements of ``view`` over the given ids and record values:
+    first the tables, then the deltas."""
+    kept, moved = (list(t.values()) for t in view.split(dict(enumerate(records))))
+    return enumerate_tables(ids, kept) + enumerate_deltas(ids, kept, moved)
 
 
 def enumerate_dt_universe(ids: list[str], records: list[TaskRecord]) -> list:
-    return enumerate_tables(ids, records) + enumerate_deltas(ids, records)
+    return enumerate_view_universe(dt_domain(), ids, records)
 
 
 def enumerate_og_universe(ids: list[str], records: list[TaskRecord]) -> list:
-    """Ongoing-view elements over the given ids and record values."""
-    ongoing = [r for r in records if not r.done]
-    completed = [r for r in records if r.done]
-    out: list = [t for t in enumerate_tables(ids, ongoing)]
-    options: list = [("skip", None)]
-    options += [("add", r) for r in ongoing]
-    options += [("complete", r) for r in completed]
-    options += [("del", None)]
-    for combo in itertools.product(options, repeat=len(ids)):
-        adds = {k: r for k, (kind, r) in zip(ids, combo) if kind == "add"}
-        completes = {k: r for k, (kind, r) in zip(ids, combo) if kind == "complete"}
-        deletes = {k for k, (kind, _) in zip(ids, combo) if kind == "del"}
-        out.append(DeltaOG(adds, completes, deletes))
-    return out
+    return enumerate_view_universe(dtog_domain(), ids, records)
 
 
 def enumerate_dtdt_universe(ids: list[str], records: list[TaskRecord], today: str) -> list:
-    """Due-today-view elements over the given ids and record values."""
-    due = [r for r in records if r.due == today]
-    elsewhere = [r for r in records if r.due != today]
-    out: list = [t for t in enumerate_tables(ids, due)]
-    options: list = [("skip", None)]
-    options += [("add", r) for r in due]
-    options += [("postpone", r) for r in elsewhere]
-    options += [("del", None)]
-    for combo in itertools.product(options, repeat=len(ids)):
-        adds = {k: r for k, (kind, r) in zip(ids, combo) if kind == "add"}
-        postpones = {k: r for k, (kind, r) in zip(ids, combo) if kind == "postpone"}
-        deletes = {k for k, (kind, _) in zip(ids, combo) if kind == "del"}
-        out.append(DeltaDT(adds, postpones, deletes))
-    return out
+    return enumerate_view_universe(dtdt_domain(today), ids, records)
 
 
 # ---------------------------------------------------------------------------
 # Text formats
 # ---------------------------------------------------------------------------
+
+#: The clause that carries a delta's moves, per delta shape.
+_MOVE_CLAUSE = {"plain": None, "ongoing": "complete", "today": "postpone"}
 
 
 def _quote(name: str) -> str:
@@ -580,6 +417,12 @@ def _record_fields(r: TaskRecord) -> str:
 def dump_tasks(t: Mapping) -> str:
     """Canonical task-table text: one line per task, sorted by id."""
     return "".join(f"task {k} {_record_fields(t[k])}\n" for k in sorted(t))
+
+
+def _parse_id(key: str, lineno: int) -> str:
+    if not is_task_id(key):
+        raise ParseError(f"line {lineno}: task id {key!r} is not a bare token")
+    return key
 
 
 def _parse_record(args: list[str], lineno: int, done: Optional[bool] = None) -> TaskRecord:
@@ -615,66 +458,68 @@ def load_tasks(text: str) -> dict:
     for lineno, tokens in _tokenize(text):
         if tokens[0] != "task" or len(tokens) != 5:
             raise ParseError(f"line {lineno}: expected 'task <id> <done> <name> <due>'")
-        key = tokens[1]
+        key = _parse_id(tokens[1], lineno)
         if key in out:
             raise ParseError(f"line {lineno}: duplicate task id {key!r}")
         out[key] = _parse_record(tokens[2:], lineno)
     return out
 
 
-def dump_delta(d: Any) -> str:
-    """Canonical delta text for any of the three delta shapes."""
-    lines = []
-    if isinstance(d, Delta):
-        adds, third, kind = d.adds, {}, ""
-    elif isinstance(d, DeltaOG):
-        adds, third, kind = d.adds, d.completes, "complete"
-    elif isinstance(d, DeltaDT):
-        adds, third, kind = d.adds, d.postpones, "postpone"
-    else:
-        raise TypeError(f"not a delta: {d!r}")
-    lines += [f"upsert {k} {_record_fields(adds[k])}" for k in sorted(adds)]
-    if kind == "complete":
-        # completions are completed by definition; the flag is implied
-        lines += [f"complete {k} {_quote(third[k].name)} {third[k].due}" for k in sorted(third)]
-    else:
-        lines += [f"{kind} {k} {_record_fields(third[k])}" for k in sorted(third)]
+def dump_delta(d: Delta, shape: str = "plain") -> str:
+    """Canonical delta text in the given shape (see :func:`load_delta`).
+
+    Moves are written as ``complete`` clauses in the ``ongoing`` shape
+    and as ``postpone`` clauses in the ``today`` shape; a ``plain``
+    delta has no clause for them.
+    """
+    clause = _MOVE_CLAUSE[shape]
+    lines = [f"upsert {k} {_record_fields(d.adds[k])}" for k in sorted(d.adds)]
+    for k in sorted(d.moves):
+        r = d.moves[k]
+        if clause == "complete" and r.done:
+            # completions are completed by definition; the flag is implied
+            lines.append(f"complete {k} {_quote(r.name)} {r.due}")
+        elif clause == "postpone":
+            lines.append(f"postpone {k} {_record_fields(r)}")
+        else:
+            raise ValueError(f"the move of {k!r} has no clause in a {shape} delta")
     lines += [f"delete {k}" for k in sorted(d.deletes)]
     return "".join(line + "\n" for line in lines)
 
 
-def load_delta(text: str, shape: str = "plain") -> Any:
-    """Parse a delta file into the requested shape.
+def load_delta(text: str, shape: str = "plain") -> Delta:
+    """Parse a delta file of the given shape.
 
     ``shape`` is ``plain`` (upsert/delete), ``ongoing``
-    (upsert/complete/delete) or ``today`` (upsert/postpone/delete).
+    (upsert/complete/delete, moves are completions and upserts must be
+    ongoing) or ``today`` (upsert/postpone/delete, moves are
+    postponements).
     """
-    if shape not in ("plain", "ongoing", "today"):
+    if shape not in _MOVE_CLAUSE:
         raise ValueError(f"unknown delta shape {shape!r}")
     adds: dict = {}
-    third: dict = {}
+    moves: dict = {}
     deletes: set = set()
-    parts = {"upsert": adds, "delete": deletes, "complete": third, "postpone": third}
+    parts = {"upsert": adds, "delete": deletes, _MOVE_CLAUSE[shape]: moves}
     for lineno, tokens in _tokenize(text):
         tag, args = tokens[0], tokens[1:]
         part = parts.get(tag)
         if part is not None and args and args[0] in part:
             raise ParseError(f"line {lineno}: duplicate {tag} clause for task id {args[0]!r}")
         if tag == "upsert" and len(args) == 4:
-            adds[args[0]] = _parse_record(args[1:], lineno)
+            adds[_parse_id(args[0], lineno)] = _parse_record(args[1:], lineno)
         elif tag == "delete" and len(args) == 1:
-            deletes.add(args[0])
-        elif tag == "complete" and len(args) == 3 and shape == "ongoing":
-            third[args[0]] = _parse_record(args[1:], lineno, done=True)
-        elif tag == "postpone" and len(args) == 4 and shape == "today":
-            third[args[0]] = _parse_record(args[1:], lineno)
+            deletes.add(_parse_id(args[0], lineno))
+        elif tag == "complete" and len(args) == 3 and part is moves:
+            moves[_parse_id(args[0], lineno)] = _parse_record(args[1:], lineno, done=True)
+        elif tag == "postpone" and len(args) == 4 and part is moves:
+            moves[_parse_id(args[0], lineno)] = _parse_record(args[1:], lineno)
         else:
             raise ParseError(f"line {lineno}: cannot parse {tag!r} clause for {shape} delta")
     try:
-        if shape == "plain":
-            return Delta(adds, deletes)
-        if shape == "ongoing":
-            return DeltaOG(adds, third, deletes)
-        return DeltaDT(adds, third, deletes)
+        delta = Delta(adds, deletes, moves)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    if shape == "ongoing" and not dtog_domain().contains(delta):
+        raise ParseError("ongoing-view upserts must be ongoing records")
+    return delta

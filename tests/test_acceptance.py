@@ -24,7 +24,6 @@ from pslens.laws import LawId, check_law, fixture_lenses
 from pslens.lens import is_failure
 from pslens.tasks import (
     Delta,
-    DeltaDT,
     TaskRecord,
     dump_tasks,
     enumerate_dt_universe,
@@ -105,7 +104,7 @@ def test_criterion_2_elaborated_scenario():
     lens = task_pipeline("elaborated", TODAY)
     source = load_tasks(golden_text("source_initial.tasks"))
     og_delta = load_delta(golden_text("delta_complete_and_delete.ogdelta"), "ongoing")
-    out = lens.put(source, (og_delta, DeltaDT()))
+    out = lens.put(source, (og_delta, Delta()))
     ok = not is_failure(out)
     ok &= out == load_tasks(golden_text("source_after_complete_delete.tasks"))
     ok &= dump_tasks(out).encode() == golden_bytes("source_after_complete_delete.tasks")

@@ -84,10 +84,25 @@ def test_failed_put_reports_and_leaves_session_unchanged():
 
 
 def test_conflicting_edits_rejected_at_staging():
-    session = load_initial(new_session("plain", TODAY))
-    session, _ = run_command(session, 'edit og add 005 "Paint" 2025-04-03')
-    with pytest.raises(CommandError):
-        run_command(session, "edit og del 005")
+    for variant, first, second in [
+        ("plain", 'edit og add 005 "Paint" 2025-04-03', "edit og del 005"),
+        ("elaborated", 'edit og add 005 "Paint" 2025-04-03', "edit og del 005"),
+        ("elaborated", "edit og complete 003", "edit og del 003"),
+    ]:
+        session = load_initial(new_session(variant, TODAY))
+        session, _ = run_command(session, first)
+        with pytest.raises(CommandError, match="^conflicting edits staged for the og view$"):
+            run_command(session, second)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['edit og add "" "x" 2025-04-01', 'edit dt add "a b" "x" 2025-04-01', "edit og del '#a'", 'edit dt del ""'],
+)
+def test_bad_id_is_command_error(line):
+    session = load_initial(new_session("elaborated", TODAY))
+    with pytest.raises(CommandError, match="is not a bare token"):
+        run_command(session, line)
 
 
 def test_dt_add_must_be_due_today():
@@ -193,6 +208,10 @@ def test_batch_command_error_exits_1(workdir):
     result = run_cli(["--script", str(script)], workdir)
     assert result.returncode == 1
     assert "error:" in result.stderr
+    script.write_text('edit og add "" "x" 2025-04-01\n')
+    result = run_cli(["--script", str(script)], workdir)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:") and "Traceback" not in result.stderr
 
 
 def test_laws_flag_exits_zero_when_suite_passes(workdir):

@@ -19,7 +19,6 @@ from pslens.iposet import (
     IPosetError,
     MissingMergeError,
     NonMonotonePredicateError,
-    build_standard,
     check_duplicable,
     discrete,
     dump_iposet,
@@ -434,14 +433,6 @@ def test_restrict_checks_monotonicity():
     assert sub.least == 0
     with pytest.raises(NonMonotonePredicateError):
         restrict_iposet(p, lambda x: x >= 1)
-
-
-def test_build_standard_dispatch_and_errors():
-    assert build_standard("discrete", [1, 2]).elements == [1, 2]
-    with pytest.raises(InvalidArgsError):
-        build_standard("no-such-kind", 1)
-    with pytest.raises(InvalidArgsError):
-        build_standard("product", discrete([1]))  # missing second argument
 
 
 def test_structural_equality_for_composition_matching():

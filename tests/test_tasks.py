@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pslens.cli import main
 from pslens.iposet import UNDEFINED, check_duplicable, join, materialize
 from pslens.laws import LawId, check_law
 from pslens.lens import check_u_acceptability, check_u_consistency, is_failure, Reason
 from pslens.tasks import (
     Delta,
-    DeltaDT,
-    DeltaOG,
     ParseError,
     TaskRecord,
     apply_dt,
@@ -26,12 +25,13 @@ from pslens.tasks import (
     enumerate_dtdt_universe,
     enumerate_og_universe,
     enumerate_tables,
+    enumerate_view_universe,
     filter_ongoing,
     filter_today,
     init_tasks,
+    is_task_id,
     load_delta,
     load_tasks,
-    restrict_ongoing,
     task_pipeline,
     tasks_domain,
     upsert,
@@ -82,9 +82,39 @@ def test_delta_rejects_overlapping_instructions():
     with pytest.raises(ValueError):
         Delta({"a": EGG}, {"a"})
     with pytest.raises(ValueError):
-        DeltaOG({"a": EGG}, {}, {"a"})
+        Delta({"a": EGG}, {"a"}, {})
+    assert not dtog_domain().contains(Delta({}, set(), {"a": EGG}))  # completion request must be completed
     with pytest.raises(ValueError):
-        DeltaOG({}, {"a": EGG}, set())  # completion request must be completed
+        Delta({}, {"a"}, {"a": EGG})
+    with pytest.raises(ValueError):
+        Delta({"a": EGG}, set(), {"a": STRETCH})
+
+
+@pytest.mark.parametrize(
+    "day", ["20250401", "2025-W14-2", "2025-4-1", "2025-04-31", "2025-04-01T00:00", "２０２５-04-01", ""]
+)
+def test_dates_must_be_canonical(day):
+    with pytest.raises(ValueError):
+        TaskRecord(False, "x", day)
+    with pytest.raises(ValueError):
+        dtdt_domain(day)
+    with pytest.raises(ValueError):
+        filter_today("plain", day)
+    with pytest.raises(ParseError, match="^line 1: "):
+        load_tasks(f'task a false "x" {day}\n')
+    assert main(["--today", day]) == 1
+
+
+BAD_IDS = ["", "a b", "a\tb", "a\u00a0b", 'a"b', "a'b", "a\\b", "#a", "a#b", 7]
+
+
+@pytest.mark.parametrize("key", BAD_IDS)
+def test_ids_must_be_bare_tokens(key):
+    assert not is_task_id(key)
+    for parts in [{"adds": {key: EGG}}, {"deletes": {key}}, {"moves": {key: EGG}}]:
+        with pytest.raises(ValueError):
+            Delta(**parts)
+    assert not dt_domain().contains({key: EGG})
 
 
 def test_upsert_semantics():
@@ -300,30 +330,80 @@ def test_elaborated_get_splits_delta_adds():
     f_og = filter_ongoing("elaborated")
     done = rec(True, "done thing", TODAY)
     d = Delta({"a": done, "b": EGG}, {"c"})
-    assert f_og.get(d) == DeltaOG({"b": EGG}, {"a": done}, {"c"})
+    assert f_og.get(d) == Delta({"b": EGG}, {"c"}, {"a": done})
     assert f_og.get(S_TL) == V_OG
 
     f_dt = filter_today("elaborated", TODAY)
     later = rec(False, "later", APR2)
     d2 = Delta({"a": later, "b": EGG}, {"c"})
-    assert f_dt.get(d2) == DeltaDT({"b": EGG}, {"a": later}, {"c"})
+    assert f_dt.get(d2) == Delta({"b": EGG}, {"c"}, {"a": later})
 
 
 def test_elaborated_put_reunites_requests():
     f_og = filter_ongoing("elaborated")
     jog_done = rec(True, "Jog", TODAY)
-    v = DeltaOG({}, {"003": jog_done}, {"001"})
+    v = Delta({}, {"001"}, {"003": jog_done})
     assert f_og.put(S_TL, v) == Delta({"003": jog_done}, {"001"})
 
     f_dt = filter_today("elaborated", TODAY)
     moved = rec(False, "Buy milk", APR2)
-    assert f_dt.put(S_TL, DeltaDT({}, {"001": moved}, set())) == Delta({"001": moved}, set())
+    assert f_dt.put(S_TL, Delta({}, set(), {"001": moved})) == Delta({"001": moved}, set())
 
 
 def test_elaborated_put_out_of_domain_values():
     f_dt = filter_today("elaborated", TODAY)
-    r = f_dt.put(S_TL, DeltaDT({"a": rec(False, "later", APR2)}, {}, set()))
+    r = f_dt.put(S_TL, Delta({"a": rec(False, "later", APR2)}, set(), {}))
     assert is_failure(r) and r.reason is Reason.OUT_OF_DOMAIN  # adds must be due today
+
+
+def test_source_domain_deltas_carry_no_moves():
+    moved = Delta(moves={"a": rec(True, "done", TODAY)})
+    assert dtog_domain().contains(moved)
+    assert not dt_domain().contains(moved)
+    r = filter_ongoing("plain").put(S_TL, moved)
+    assert is_failure(r) and r.reason is Reason.OUT_OF_DOMAIN
+
+
+ONGOING = [rec(False, "n", TODAY), rec(False, "o", APR2)]
+DONE = [rec(True, "m", APR2), rec(True, "p", TODAY)]
+
+
+@st.composite
+def og_deltas(draw):
+    kinds = draw(st.dictionaries(st.sampled_from(["a", "b", "c"]), st.sampled_from(["adds", "deletes", "moves"])))
+    parts: dict = {"adds": {}, "deletes": set(), "moves": {}}
+    for k, kind in kinds.items():
+        if kind == "deletes":
+            parts["deletes"].add(k)
+        else:
+            parts[kind][k] = draw(st.sampled_from(ONGOING if kind == "adds" else DONE))
+    return Delta(**parts)
+
+
+@given(og_deltas(), og_deltas())
+def test_view_merge_is_componentwise_union(d1, d2):
+    merged = dtog_domain().merge(d1, d2)
+    adds, moves, deletes = {**d1.adds, **d2.adds}, {**d1.moves, **d2.moves}, d1.deletes | d2.deletes
+    agree = all(d1.adds.get(k, r) == r for k, r in d2.adds.items())
+    agree &= all(d1.moves.get(k, r) == r for k, r in d2.moves.items())
+    disjoint = not (adds.keys() & moves.keys() or deletes & (adds.keys() | moves.keys()))
+    if agree and disjoint:
+        assert merged == Delta(adds, deletes, moves) and dtog_domain().contains(merged)
+    else:
+        assert merged is UNDEFINED
+
+
+@pytest.mark.parametrize("view", [dtog_domain(), dtdt_domain(TODAY)], ids=lambda v: v.name)
+def test_view_merge_is_sound_at_small_scale(view):
+    """Where a view merge is defined it is the join.  It may be undefined
+    where a join exists: a move and a deletion of one id both leave the
+    id out of a view table, yet they are conflicting edits."""
+    universe = enumerate_view_universe(view, ["a", "b"], RECORDS)
+    p = materialize(view, universe, name=f"{view.name}@small")
+    assert check_duplicable(p).ok
+    for a, b in itertools.product(universe, repeat=2):
+        m = view.merge(a, b)
+        assert m is UNDEFINED or join(p, a, b) == m
 
 
 def test_elaborated_filters_pass_ps_laws_on_bounded_samples():
@@ -344,8 +424,8 @@ def test_fine_intent_distinction_in_ongoing_view():
     proper table can tell them apart."""
     dom = dtog_domain()
     done = rec(True, "done thing", TODAY)
-    complete_k = DeltaOG({}, {"k": done}, set())
-    delete_k = DeltaOG({}, {}, {"k"})
+    complete_k = Delta({}, set(), {"k": done})
+    delete_k = Delta({}, {"k"}, {})
     assert complete_k != delete_k
     tables = enumerate_tables(["k", "j"], [r for r in RECORDS if not r.done])
     for t in tables:
@@ -390,11 +470,11 @@ def test_pipeline_merge_conflict_surfaces_from_dup():
 def test_pipeline_elaborated_complete_and_delete():
     lens = task_pipeline("elaborated", TODAY)
     jog_done = rec(True, "Jog", TODAY)
-    out = lens.put(S_TL, (DeltaOG({}, {"003": jog_done}, {"001"}), DeltaDT()))
+    out = lens.put(S_TL, (Delta({}, {"001"}, {"003": jog_done}), Delta()))
     assert out == {"002": S_TL["002"], "003": jog_done}
     # the completion intention is preserved in the refreshed ongoing view
     v_og2, _ = lens.get(out)
-    assert dtog_domain().le(DeltaOG({}, {"003": jog_done}, {"001"}), v_og2)
+    assert dtog_domain().le(Delta({}, {"001"}, {"003": jog_done}), v_og2)
 
 
 def test_pipeline_preserves_updates_end_to_end_on_samples():
@@ -452,19 +532,52 @@ def test_tasks_parse_errors():
         load_tasks("wibble\n")
 
 
+task_ids = st.text(min_size=1, max_size=6).filter(is_task_id)
+names = st.text(min_size=1, max_size=10).filter(lambda n: n.splitlines() == [n])  # one-line names
+records = st.builds(TaskRecord, st.booleans(), names, st.sampled_from([TODAY, APR2]))
+
+
+@given(st.dictionaries(task_ids, records, max_size=4))
+def test_tasks_round_trip_over_accepted_ids(t):
+    assert load_tasks(dump_tasks(t)) == t
+
+
+@pytest.mark.parametrize(
+    "shape, clause",
+    [
+        ("tasks", 'task "a b" false "x" 2025-04-01'),
+        ("tasks", 'task "" false "x" 2025-04-01'),
+        ("tasks", 'task "a#b" false "x" 2025-04-01'),
+        ("plain", 'upsert "a\\\\b" false "x" 2025-04-01'),
+        ("plain", 'delete "it\'s"'),
+        ("ongoing", 'complete "#a" "x" 2025-04-01'),
+        ("today", 'postpone "a b" false "x" 2025-04-02'),
+    ],
+)
+def test_bad_ids_are_parse_errors_with_line_numbers(shape, clause):
+    first = 'task ok false "x" 2025-04-01' if shape == "tasks" else "delete ok"
+    text = f"# a comment\n{first}\n{clause}\n"
+    with pytest.raises(ParseError, match="^line 3: task id"):
+        load_tasks(text) if shape == "tasks" else load_delta(text, shape)
+
+
 def test_delta_round_trips_all_shapes():
     d = Delta({"004": EGG}, {"002"})
     assert load_delta(dump_delta(d), "plain") == d
-    og = DeltaOG({"004": EGG}, {"003": rec(True, "Jog", TODAY)}, {"001"})
-    assert load_delta(dump_delta(og), "ongoing") == og
-    dt = DeltaDT({"004": EGG}, {"001": rec(False, "Buy milk", APR2)}, {"002"})
-    assert load_delta(dump_delta(dt), "today") == dt
+    og = Delta({"004": EGG}, {"001"}, {"003": rec(True, "Jog", TODAY)})
+    assert load_delta(dump_delta(og, "ongoing"), "ongoing") == og
+    dt = Delta({"004": EGG}, {"002"}, {"001": rec(False, "Buy milk", APR2)})
+    assert load_delta(dump_delta(dt, "today"), "today") == dt
 
 
 def test_delta_shape_mismatch_is_parse_error():
-    og = DeltaOG({}, {"003": rec(True, "Jog", TODAY)}, set())
+    og = Delta({}, set(), {"003": rec(True, "Jog", TODAY)})
     with pytest.raises(ParseError):
-        load_delta(dump_delta(og), "plain")
+        load_delta(dump_delta(og, "ongoing"), "plain")
+    with pytest.raises(ValueError):
+        dump_delta(og, "plain")
+    with pytest.raises(ParseError):
+        load_delta('upsert a true "x" 2025-01-01\n', "ongoing")  # ongoing-view upserts are ongoing
     with pytest.raises(ParseError):
         load_delta("upsert a false \"x\" 2025-01-01\ndelete a\n", "plain")
 
