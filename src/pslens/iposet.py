@@ -380,14 +380,19 @@ def verify_iposet(p: IPoset) -> ValidationReport:
             if not p.ident(omega, b):
                 rep.add("least-is-identical-update", (omega, b))
     if p.has_merge:
-        for a, b in itertools.product(els, repeat=2):
-            r = p.merge(a, b)
-            if r is UNDEFINED:
-                continue
-            j = join(p, a, b)
-            if j is UNDEFINED or not (j == r):
-                rep.add("merge-sound", (a, b, r), f"join is {j!r}")
+        _check_merge_sound(p, els, rep)
     return rep
+
+
+def _check_merge_sound(p: IPoset, els: list, rep: ValidationReport) -> None:
+    """Report every defined merge that differs from the brute-force join."""
+    for a, b in itertools.product(els, repeat=2):
+        r = p.merge(a, b)
+        if r is UNDEFINED:
+            continue
+        j = join(p, a, b)
+        if j is UNDEFINED or not (j == r):
+            rep.add("merge-sound", (a, b, r), f"join is {j!r}")
 
 
 def check_duplicable(p: IPoset) -> ValidationReport:
@@ -402,13 +407,7 @@ def check_duplicable(p: IPoset) -> ValidationReport:
     if not p.has_merge:
         raise MissingMergeError(f"{p!r} has no merge operator")
     rep = ValidationReport(subject=f"duplicability of {p!r}")
-    for a, b in itertools.product(els, repeat=2):
-        r = p.merge(a, b)
-        if r is UNDEFINED:
-            continue
-        j = join(p, a, b)
-        if j is UNDEFINED or not (j == r):
-            rep.add("merge-sound", (a, b, r), f"join is {j!r}")
+    _check_merge_sound(p, els, rep)
     for z in els:
         ids = [x for x in els if p.ident(x, z)]
         for x, y in itertools.product(ids, repeat=2):
@@ -674,17 +673,7 @@ def restrict_iposet(p: IPoset, pred: Callable[[Any], bool], name: str = "") -> I
         if p.le(a, b) and pred(b) and not pred(a):
             raise NonMonotonePredicateError(f"predicate not monotone at {(a, b)!r}")
     sub = [e for e in els if pred(e)]
-    le = [(a, b) for a, b in itertools.product(sub, repeat=2) if p.le(a, b)]
-    idr = [(a, b) for a, b in itertools.product(sub, repeat=2) if p.ident(a, b)]
-    merge = None
-    if p.has_merge:
-        merge = []
-        carrier = ElementIndex(sub)
-        for a, b in itertools.product(sub, repeat=2):
-            r = p.merge(a, b)
-            if r is not UNDEFINED and carrier.index(r) >= 0:
-                merge.append((a, b, r))
-    return FiniteIPoset(sub, le, idr, merge, name=name or (p.name + "_restricted" if p.name else ""))
+    return materialize(p, sub, name=name or (p.name + "_restricted" if p.name else ""), on_escape="drop")
 
 
 def structurally_equal(p: IPoset, q: IPoset) -> bool:
@@ -725,11 +714,17 @@ def structurally_equal(p: IPoset, q: IPoset) -> bool:
 # '#' starts a comment; blank lines are ignored.
 
 
+def _is_bare_token(x: Any) -> bool:
+    """Whether ``x`` is a string the line formats read back as one token:
+    non-empty, without whitespace and without a comment-starting '#'."""
+    return isinstance(x, str) and bool(x) and "#" not in x and not any(ch.isspace() for ch in x)
+
+
 def dump_iposet(p: IPoset) -> str:
     """Render an enumerable domain with string elements to text."""
     els = _require_enumerable(p)
     for e in els:
-        if not isinstance(e, str) or not e or any(ch.isspace() for ch in e) or e.startswith("#"):
+        if not _is_bare_token(e):
             raise InvalidArgsError(f"element {e!r} is not a bare token")
     lines = [f"elem {e}" for e in els]
     lines += sorted(
@@ -762,20 +757,17 @@ def load_iposet(text: str, name: str = "") -> FiniteIPoset:
             continue
         tokens = line.split()
         tag, args = tokens[0], tokens[1:]
-        try:
-            if tag == "elem" and len(args) == 1:
-                els.append(args[0])
-            elif tag == "le" and len(args) == 2:
-                le.append((args[0], args[1]))
-            elif tag == "id" and len(args) == 2:
-                idr.append((args[0], args[1]))
-            elif tag == "merge" and len(args) == 3:
-                merge.append((args[0], args[1], args[2]))
-                saw_merge = True
-            else:
-                raise IPosetError(f"line {lineno}: cannot parse {raw!r}")
-        except IPosetError:
-            raise
+        if tag == "elem" and len(args) == 1:
+            els.append(args[0])
+        elif tag == "le" and len(args) == 2:
+            le.append((args[0], args[1]))
+        elif tag == "id" and len(args) == 2:
+            idr.append((args[0], args[1]))
+        elif tag == "merge" and len(args) == 3:
+            merge.append((args[0], args[1], args[2]))
+            saw_merge = True
+        else:
+            raise IPosetError(f"line {lineno}: cannot parse {raw!r}")
     le += [(e, e) for e in els]
     idr += [(e, e) for e in els]
     return FiniteIPoset(els, le, idr, merge if saw_merge else None, name=name)

@@ -6,7 +6,10 @@ The construction takes a set of proper states ``S`` and a finite poset
 ``S + (S x U)``: an update paired with its origin state *is* a
 partially specified state, ordered below every proper state it can
 reach.  ``ran(s, u)`` is that reachability set: results of any
-refinement of ``u`` applied to ``s``.
+refinement of ``u`` applied to ``s``.  The update poset is an ordinary
+domain, ``us.order`` (a :class:`~pslens.iposet.FiniteIPoset` whose
+identical updates are its order), validated by
+:func:`~pslens.iposet.verify_iposet` when the space is built.
 
 Duplicability of the generated domain reduces to three conditions on
 the update structure (checked by :func:`check_condition`):
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator
 
 from .iposet import (
     UNDEFINED,
@@ -32,6 +35,7 @@ from .iposet import (
     FiniteIPoset,
     IPosetError,
     ValidationReport,
+    _is_bare_token,
     discrete,
     verify_iposet,
 )
@@ -64,14 +68,6 @@ class UpdateSpaceError(ValueError):
     """An update space failed its construction-time checks."""
 
 
-def _index(seq, x) -> int:
-    """Position of ``x`` in a freshly computed list, by structural equality."""
-    for i, e in enumerate(seq):
-        if e == x:
-            return i
-    return -1
-
-
 @dataclass
 class UpdateSpace:
     """Finite states plus a finite poset of updates with semantics.
@@ -79,9 +75,11 @@ class UpdateSpace:
     ``u_le`` lists the non-strict order pairs on updates (reflexive
     pairs may be omitted), ``u_merge`` lists ``(u1, u2, u)`` triples of
     the partial merge, and ``interp`` lists ``(u, s, s')`` triples of
-    the partial application semantics.  Construction validates that the
-    order is a partial order and that merge soundly implements its
-    join.
+    the partial application semantics.  The update poset is
+    ``us.order``, a :class:`~pslens.iposet.FiniteIPoset` whose identical
+    updates are its order; construction validates it with
+    :func:`~pslens.iposet.verify_iposet` (a partial order whose merge
+    soundly implements its join) and rejects duplicate states.
     """
 
     states: list
@@ -92,29 +90,16 @@ class UpdateSpace:
     name: str = ""
 
     def __post_init__(self):
-        self._update_index = ElementIndex(self.updates)
         self._state_index = ElementIndex(self.states)
-        self._le = set()
-        for a, b in self.u_le:
-            self._le.add((self._u(a), self._u(b)))
-        for i in range(len(self.updates)):
-            self._le.add((i, i))
-        n = len(self.updates)
-        for i, j in itertools.product(range(n), repeat=2):
-            if i != j and (i, j) in self._le and (j, i) in self._le:
-                raise UpdateSpaceError(f"update order not antisymmetric at {(self.updates[i], self.updates[j])!r}")
-            for k in range(n):
-                if (i, j) in self._le and (j, k) in self._le and (i, k) not in self._le:
-                    raise UpdateSpaceError(
-                        f"update order not transitive at {(self.updates[i], self.updates[j], self.updates[k])!r}"
-                    )
-        self._merge = {}
-        for a, b, r in self.u_merge:
-            key = (self._u(a), self._u(b))
-            ri = self._u(r)
-            if self._merge.get(key, ri) != ri:
-                raise UpdateSpaceError(f"update merge not functional at {(a, b)!r}")
-            self._merge[key] = ri
+        for i, s in enumerate(self.states):
+            if self._state_index.index(s) != i:
+                raise UpdateSpaceError(f"duplicate state {s!r}")
+        le = list(self.u_le) + [(u, u) for u in self.updates]
+        name = (self.name or "update space") + "-updates"
+        try:  # an empty carrier has nothing to validate (and verify_iposet refuses it)
+            self.order = FiniteIPoset(self.updates, le, le, self.u_merge, name=name, validate=bool(self.updates))
+        except IPosetError as e:
+            raise UpdateSpaceError(str(e)) from e
         self._interp = {}
         for u, s, s2 in self.interp:
             key = (self._u(u), self._s(s))
@@ -122,17 +107,9 @@ class UpdateSpace:
             if self._interp.get(key, s2i) != s2i:
                 raise UpdateSpaceError(f"interpretation not functional at {(u, s)!r}")
             self._interp[key] = s2i
-        for (i, j), r in self._merge.items():
-            jn = self._join(i, j)
-            if jn != r:
-                raise UpdateSpaceError(
-                    f"update merge unsound at {(self.updates[i], self.updates[j])!r}: "
-                    f"gives {self.updates[r]!r}, join is "
-                    f"{self.updates[jn] if jn is not None else UNDEFINED!r}"
-                )
 
     def _u(self, u) -> int:
-        i = self._update_index.index(u)
+        i = self.order._index.index(u)
         if i < 0:
             raise UpdateSpaceError(f"unknown update {u!r}")
         return i
@@ -142,22 +119,6 @@ class UpdateSpace:
         if i < 0:
             raise UpdateSpaceError(f"unknown state {s!r}")
         return i
-
-    def _join(self, i: int, j: int) -> Optional[int]:
-        ubs = [k for k in range(len(self.updates)) if (i, k) in self._le and (j, k) in self._le]
-        for k in ubs:
-            if all((k, m) in self._le for m in ubs):
-                return k
-        return None
-
-    # element-level views of the internal tables
-
-    def le_u(self, u1, u2) -> bool:
-        return (self._u(u1), self._u(u2)) in self._le
-
-    def merge_u(self, u1, u2) -> Any:
-        r = self._merge.get((self._u(u1), self._u(u2)))
-        return UNDEFINED if r is None else self.updates[r]
 
     def apply_interp(self, u, s) -> Any:
         r = self._interp.get((self._u(u), self._s(s)))
@@ -169,10 +130,10 @@ def ran(us: UpdateSpace, s: Any, u: Any) -> list:
     refinement ``u' >= u`` whose semantics is defined at ``s``."""
     out = []
     for u2 in us.updates:
-        if not us.le_u(u, u2):
+        if not us.order.le(u, u2):
             continue
         r = us.apply_interp(u2, s)
-        if r is not UNDEFINED and _index(out, r) < 0:
+        if r is not UNDEFINED and r not in out:
             out.append(r)
     return out
 
@@ -182,7 +143,7 @@ def erased_ran(us: UpdateSpace, u: Any) -> list:
     out = []
     for s in us.states:
         for r in ran(us, s, u):
-            if _index(out, r) < 0:
+            if r not in out:
                 out.append(r)
     return out
 
@@ -198,13 +159,13 @@ def merge_su(us: UpdateSpace, a: Any, b: Any) -> Any:
     if isinstance(a, Proper) and isinstance(b, Proper):
         return a if a.state == b.state else UNDEFINED
     if isinstance(a, Pair) and isinstance(b, Proper):
-        return b if _index(ran(us, a.state, a.update), b.state) >= 0 else UNDEFINED
+        return b if b.state in ran(us, a.state, a.update) else UNDEFINED
     if isinstance(a, Proper) and isinstance(b, Pair):
-        return a if _index(ran(us, b.state, b.update), a.state) >= 0 else UNDEFINED
+        return a if a.state in ran(us, b.state, b.update) else UNDEFINED
     if isinstance(a, Pair) and isinstance(b, Pair):
         if not (a.state == b.state):
             return UNDEFINED
-        m = us.merge_u(a.update, b.update)
+        m = us.order.merge(a.update, b.update)
         return UNDEFINED if m is UNDEFINED else Pair(a.state, m)
     raise UpdateSpaceError(f"not generated-domain elements: {(a, b)!r}")
 
@@ -224,6 +185,25 @@ def apply_su(us: UpdateSpace, v: Any, s: Any) -> Any:
     raise UpdateSpaceError(f"not a generated-domain element: {v!r}")
 
 
+def _carrier(us: UpdateSpace) -> list:
+    """The generated carrier: proper states, then every update at every origin."""
+    return [Proper(s) for s in us.states] + [Pair(s, u) for s in us.states for u in us.updates]
+
+
+def _tabulate(carrier: list, le, ident, merge, name: str) -> FiniteIPoset:
+    """Table ``le``, ``ident`` and ``merge`` over ``carrier``; the caller
+    decides which axioms to verify."""
+    pairs = list(itertools.product(carrier, repeat=2))
+    return FiniteIPoset(
+        carrier,
+        [(a, b) for a, b in pairs if le(a, b)],
+        [(a, b) for a, b in pairs if ident(a, b)],
+        [(a, b, r) for a, b in pairs for r in [merge(a, b)] if r is not UNDEFINED],
+        name=name,
+        validate=False,
+    )
+
+
 def gen_iposet(us: UpdateSpace) -> FiniteIPoset:
     """The generated state domain over ``Proper(s)`` and ``Pair(s, u)``.
 
@@ -241,16 +221,13 @@ def gen_iposet(us: UpdateSpace) -> FiniteIPoset:
     update below everything that does not fix its origin, in which case
     the generated domain must not be treated as lower-bounded.
     """
-    carrier = [Proper(s) for s in us.states]
-    carrier += [Pair(s, u) for s in us.states for u in us.updates]
-
     def le(a, b):
         if isinstance(a, Proper) and isinstance(b, Proper):
             return a.state == b.state
         if isinstance(a, Pair) and isinstance(b, Pair):
-            return a.state == b.state and us.le_u(a.update, b.update)
+            return a.state == b.state and us.order.le(a.update, b.update)
         if isinstance(a, Pair) and isinstance(b, Proper):
-            return _index(ran(us, a.state, a.update), b.state) >= 0
+            return b.state in ran(us, a.state, a.update)
         return False
 
     def ident(a, b):
@@ -258,18 +235,11 @@ def gen_iposet(us: UpdateSpace) -> FiniteIPoset:
             return a.state == b.state and us.apply_interp(a.update, a.state) == b.state
         return le(a, b)
 
-    le_pairs = [(a, b) for a in carrier for b in carrier if le(a, b)]
-    id_pairs = [(a, b) for a in carrier for b in carrier if ident(a, b)]
-    merge = []
-    for a, b in itertools.product(carrier, repeat=2):
-        r = merge_su(us, a, b)
-        if r is not UNDEFINED:
-            merge.append((a, b, r))
+    out = _tabulate(_carrier(us), le, ident, lambda a, b: merge_su(us, a, b), us.name or "generated")
     # Merge soundness and the bottom convention are out of the
     # construction's guarantees (see docstring); only order axioms and
     # identical-update containment are enforced here.
     tolerated = {"merge-sound", "least-is-identical-update"}
-    out = FiniteIPoset(carrier, le_pairs, id_pairs, merge, name=us.name or "generated", validate=False)
     report = verify_iposet(out)
     order_violations = [v for v in report.violations if v.axiom not in tolerated]
     if order_violations:
@@ -303,25 +273,25 @@ def check_condition(us: UpdateSpace, which: str) -> ValidationReport:
     rep = ValidationReport(subject=f"{which} on {us.name or 'update space'}")
     if which == "G1":
         for u1, u2 in itertools.product(us.updates, repeat=2):
-            u = us.merge_u(u1, u2)
+            u = us.order.merge(u1, u2)
             if u is UNDEFINED:
                 continue
             for s in us.states:
                 reach = ran(us, s, u)
                 for s2 in ran(us, s, u1):
-                    if _index(ran(us, s, u2), s2) >= 0 and _index(reach, s2) < 0:
+                    if s2 in ran(us, s, u2) and s2 not in reach:
                         rep.add("G1-ran-respected", (s, u1, u2, s2), "shared result lost by merged update")
     elif which == "G2":
         for u in us.updates:
-            down = [u2 for u2 in us.updates if us.le_u(u2, u)]
+            down = [u2 for u2 in us.updates if us.order.le(u2, u)]
             for a, b in itertools.product(down, repeat=2):
-                if us.merge_u(a, b) is UNDEFINED:
+                if us.order.merge(a, b) is UNDEFINED:
                     rep.add("G2-total-on-downsets", (a, b, u), "merge undefined below a common bound")
     elif which == "G3":
         for s in us.states:
             fixing = [u for u in us.updates if us.apply_interp(u, s) == s]
             for a, b in itertools.product(fixing, repeat=2):
-                r = us.merge_u(a, b)
+                r = us.order.merge(a, b)
                 if r is UNDEFINED:
                     rep.add("G3-total-on-fixers", (a, b, s), "identical updates cannot merge")
                 elif not (us.apply_interp(r, s) == s):
@@ -346,25 +316,25 @@ def check_sufficient(us: UpdateSpace, which: str) -> ValidationReport:
         implied = "G1"
         for s in us.states:
             for u1, u2 in itertools.combinations_with_replacement(us.updates, 2):
-                shared = [s2 for s2 in ran(us, s, u1) if _index(ran(us, s, u2), s2) >= 0]
+                shared = [s2 for s2 in ran(us, s, u1) if s2 in ran(us, s, u2)]
                 for s2 in shared:
                     refinements = [
                         u
                         for u in us.updates
-                        if us.le_u(u1, u) and us.le_u(u2, u) and _index(ran(us, s, u), s2) >= 0
+                        if us.order.le(u1, u) and us.order.le(u2, u) and s2 in ran(us, s, u)
                     ]
                     if not refinements:
                         rep.add("fine-enough", (s, u1, u2, s2), "no common refinement reaches the shared result")
     elif which == "associative-join":
         implied = "G2"
         for u1, u2 in itertools.product(us.updates, repeat=2):
-            if (us.le_u(u1, u2) or us.le_u(u2, u1)) and us.merge_u(u1, u2) is UNDEFINED:
+            if (us.order.le(u1, u2) or us.order.le(u2, u1)) and us.order.merge(u1, u2) is UNDEFINED:
                 rep.add("comparable-merge-defined", (u1, u2))
         for u1, u2, u3 in itertools.product(us.updates, repeat=3):
-            m23 = us.merge_u(u2, u3)
-            left = us.merge_u(u1, m23) if m23 is not UNDEFINED else UNDEFINED
-            m12 = us.merge_u(u1, u2)
-            right = us.merge_u(m12, u3) if m12 is not UNDEFINED else UNDEFINED
+            m23 = us.order.merge(u2, u3)
+            left = us.order.merge(u1, m23) if m23 is not UNDEFINED else UNDEFINED
+            m12 = us.order.merge(u1, u2)
+            right = us.order.merge(m12, u3) if m12 is not UNDEFINED else UNDEFINED
             if (left is UNDEFINED) != (right is UNDEFINED) or (
                 left is not UNDEFINED and not (left == right)
             ):
@@ -402,15 +372,13 @@ def erased_iposet(us: UpdateSpace) -> FiniteIPoset:
     elements exactly when this structure is still sound, which
     :func:`check_state_elimination` verifies.
     """
-    carrier = [Proper(s) for s in us.states] + [Upd(u) for u in us.updates]
-
     def le(a, b):
         if isinstance(a, Proper) and isinstance(b, Proper):
             return a.state == b.state
         if isinstance(a, Upd) and isinstance(b, Upd):
-            return us.le_u(a.update, b.update)
+            return us.order.le(a.update, b.update)
         if isinstance(a, Upd) and isinstance(b, Proper):
-            return _index(erased_ran(us, a.update), b.state) >= 0
+            return b.state in erased_ran(us, a.update)
         return False
 
     def ident(a, b):
@@ -425,32 +393,24 @@ def erased_iposet(us: UpdateSpace) -> FiniteIPoset:
             return b if le(a, b) else UNDEFINED
         if isinstance(a, Proper) and isinstance(b, Upd):
             return a if le(b, a) else UNDEFINED
-        m = us.merge_u(a.update, b.update)
+        m = us.order.merge(a.update, b.update)
         return UNDEFINED if m is UNDEFINED else Upd(m)
 
-    le_pairs = [(a, b) for a in carrier for b in carrier if le(a, b)]
-    id_pairs = [(a, b) for a in carrier for b in carrier if ident(a, b)]
-    merge_triples = []
-    for a, b in itertools.product(carrier, repeat=2):
-        r = merge(a, b)
-        if r is not UNDEFINED:
-            merge_triples.append((a, b, r))
     # soundness of the erased merge is exactly what is under test, so the
-    # eager validator is bypassed; callers verify explicitly
-    return FiniteIPoset(
-        carrier, le_pairs, id_pairs, merge_triples, name=(us.name or "generated") + "-erased", validate=False
-    )
+    # table is not validated here; callers verify explicitly
+    carrier = [Proper(s) for s in us.states] + [Upd(u) for u in us.updates]
+    return _tabulate(carrier, le, ident, merge, (us.name or "generated") + "-erased")
 
 
 def respects_erased_ran(us: UpdateSpace) -> bool:
     """Whether the update merge respects origin-erased reachability."""
     for u1, u2 in itertools.product(us.updates, repeat=2):
-        u = us.merge_u(u1, u2)
+        u = us.order.merge(u1, u2)
         if u is UNDEFINED:
             continue
         reach = erased_ran(us, u)
         for s2 in erased_ran(us, u1):
-            if _index(erased_ran(us, u2), s2) >= 0 and _index(reach, s2) < 0:
+            if s2 in erased_ran(us, u2) and s2 not in reach:
                 return False
     return True
 
@@ -471,8 +431,7 @@ def check_state_elimination(us: UpdateSpace) -> ValidationReport:
     axioms = verify_iposet(erased)
     for v in axioms.violations:
         rep.add("erased-" + v.axiom, v.witness, v.detail)
-    gen = gen_iposet(us)
-    for a, b in itertools.product(gen.elements, repeat=2):
+    for a, b in itertools.product(_carrier(us), repeat=2):
         r = merge_su(us, a, b)
         if r is UNDEFINED:
             continue
@@ -605,18 +564,14 @@ def enumerate_update_spaces(max_states: int = 2, max_updates: int = 2) -> Iterat
 
 
 def dump_update_space(us: UpdateSpace) -> str:
+    """Render an update space with bare-token states and updates to text."""
+    for x in us.states + us.updates:
+        if not _is_bare_token(x):
+            raise UpdateSpaceError(f"{x!r} is not a bare token")
     lines = [f"state {s}" for s in us.states]
     lines += [f"update {u}" for u in us.updates]
-    lines += sorted(
-        f"ule {a} {b}" for a in us.updates for b in us.updates if a != b and us.le_u(a, b)
-    )
-    lines += sorted(
-        f"umerge {a} {b} {r}"
-        for a in us.updates
-        for b in us.updates
-        for r in [us.merge_u(a, b)]
-        if r is not UNDEFINED
-    )
+    lines += sorted(f"ule {a} {b}" for a, b in us.order.le_pairs() if a != b)
+    lines += sorted(f"umerge {a} {b} {r}" for a, b, r in us.order.merge_triples())
     lines += sorted(
         f"interp {u} {s} {r}"
         for u in us.updates
@@ -628,6 +583,7 @@ def dump_update_space(us: UpdateSpace) -> str:
 
 
 def load_update_space(text: str, name: str = "") -> UpdateSpace:
+    """Parse the text format back into a validated update space."""
     states: list = []
     updates: list = []
     u_le: list = []

@@ -8,6 +8,8 @@ fixture, valid or broken.
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pslens.iposet import (
     OMEGA,
@@ -433,6 +435,9 @@ def test_restrict_checks_monotonicity():
     assert sub.least == 0
     with pytest.raises(NonMonotonePredicateError):
         restrict_iposet(p, lambda x: x >= 1)
+    no_top = restrict_iposet(diamond(), lambda x: x != "top")
+    assert no_top.merge("a", "b") is UNDEFINED  # the join left the sub-carrier, so the merge is dropped
+    assert no_top.name == "diamond_restricted"
 
 
 def test_structural_equality_for_composition_matching():
@@ -478,3 +483,19 @@ def test_iposet_text_parse_error():
         load_iposet("elem a\nwibble a b\n")
     with pytest.raises(InvalidArgsError):
         dump_iposet(discrete([1, 2]))  # non-string elements do not serialize
+    with pytest.raises(InvalidArgsError):
+        dump_iposet(discrete(["a#b", "c"]))  # '#' would start a comment on load
+
+
+tokens = st.text(alphabet="ab#\t \u2028\x1c", max_size=3) | st.text(max_size=3)
+
+
+@given(st.lists(tokens, min_size=1, max_size=4, unique=True))
+def test_iposet_text_round_trips_or_dump_refuses(els):
+    p = lift_omega(discrete(els), bottom="@bottom")
+    if not all("#" not in e and e.split() == [e] for e in els):
+        with pytest.raises(ValueError):
+            dump_iposet(p)
+        return
+    text = dump_iposet(p)
+    assert structurally_equal(load_iposet(text), p)

@@ -3,8 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pslens.iposet import UNDEFINED, check_duplicable, verify_iposet
+from pslens.iposet import UNDEFINED, check_duplicable, structurally_equal, verify_iposet
 from pslens.laws import LawId, check_law
 from pslens.lens import check_u_acceptability, check_u_consistency, is_failure
 from pslens.updates import (
@@ -37,7 +39,7 @@ def oracle_ran(us, s, u):
     """Reachability by raw (refinement, outcome) enumeration."""
     hits = []
     for u2 in us.updates:
-        if us.le_u(u, u2):
+        if us.order.le(u, u2):
             r = us.apply_interp(u2, s)
             if r is not UNDEFINED and r not in hits:
                 hits.append(r)
@@ -49,14 +51,38 @@ def oracle_ran(us, s, u):
 # ---------------------------------------------------------------------------
 
 
-def test_update_space_rejects_cyclic_order():
+@pytest.mark.parametrize(
+    "states, updates, u_le, u_merge, interp",
+    [
+        pytest.param(["s"], ["a", "b"], [("a", "b"), ("b", "a")], [], [], id="cyclic-order"),
+        pytest.param(["s"], ["a", "b", "c"], [("a", "b"), ("b", "c")], [], [], id="non-transitive-order"),
+        pytest.param(["s"], ["a", "b"], [], [("a", "b", "a")], [], id="unsound-merge"),
+        pytest.param(["s"], ["a", "b"], [("a", "b")], [("a", "b", "b"), ("a", "b", "a")], [], id="non-functional-merge"),
+        pytest.param(["s"], ["a"], [], [("a", "a", "z")], [], id="merge-names-unknown-update"),
+        pytest.param(["s"], ["a"], [], [], [("a", "s", "s"), ("a", "s", "t")], id="unknown-state"),
+        pytest.param(["s", "t"], ["a"], [], [], [("a", "s", "s"), ("a", "s", "t")], id="non-functional-interp"),
+        pytest.param(["s"], ["a", "a"], [], [], [], id="duplicate-updates"),
+        pytest.param(["s", "s"], ["a"], [], [], [], id="duplicate-states"),
+    ],
+)
+def test_update_space_rejects_invalid_tables(states, updates, u_le, u_merge, interp):
     with pytest.raises(UpdateSpaceError):
-        UpdateSpace(["s"], ["a", "b"], [("a", "b"), ("b", "a")], [], [])
+        UpdateSpace(states, updates, u_le, u_merge, interp)
 
 
-def test_update_space_rejects_unsound_merge():
-    with pytest.raises(UpdateSpaceError):
-        UpdateSpace(["s"], ["a", "b"], [], [("a", "b", "a")], [])
+def test_update_order_is_a_validated_domain():
+    us = dt_toy_space()
+    assert us.order.elements == us.updates
+    assert verify_iposet(us.order).ok
+    assert us.order.le("add-nothing", "del-k") and not us.order.le("add-k", "del-k")
+    assert us.order.merge("add-nothing", "add-k") == "add-k"
+    assert us.order.merge("add-k", "del-k") is UNDEFINED
+
+
+def test_enumeration_yields_exactly_266_valid_spaces():
+    # every candidate of the enumeration is a valid space; the count pins
+    # that the construction-time validator accepts exactly these
+    assert len(list(enumerate_update_spaces())) == 266
 
 
 # ---------------------------------------------------------------------------
@@ -330,3 +356,42 @@ def test_update_space_text_round_trip():
 def test_update_space_parse_error():
     with pytest.raises(UpdateSpaceError):
         load_update_space("state s\nbogus x y\n")
+
+
+@pytest.mark.parametrize("text", ["state s\nstate s\nupdate u\n", "state s\nupdate u\nupdate u\n"])
+def test_load_update_space_rejects_duplicates(text):
+    with pytest.raises(UpdateSpaceError, match="duplicate"):
+        load_update_space(text)
+
+
+@pytest.mark.parametrize(
+    "states, updates",
+    [(["a b"], ["u"]), (["s"], ["u#1"]), ([""], ["u"]), (["s"], ["u\u2028v"]), ([1], ["u"])],
+)
+def test_dump_update_space_rejects_tokens_that_do_not_load_back(states, updates):
+    us = UpdateSpace(states, updates, [], [(u, u, u) for u in updates], [])
+    with pytest.raises(UpdateSpaceError, match="not a bare token"):
+        dump_update_space(us)
+
+
+tokens = st.text(alphabet="ab#\t \u2028\x1c", max_size=3) | st.text(max_size=3)
+
+
+@given(st.lists(tokens, min_size=1, max_size=3, unique=True), st.lists(tokens, min_size=1, max_size=3, unique=True))
+def test_update_space_text_round_trips_or_dump_refuses(states, updates):
+    us = UpdateSpace(
+        states,
+        updates,
+        [(updates[0], u) for u in updates[1:]],
+        [(u, u, u) for u in updates] + [(updates[0], u, u) for u in updates[1:]],
+        [(u, states[0], states[-1]) for u in updates],
+    )
+    if not all("#" not in x and x.split() == [x] for x in states + updates):
+        with pytest.raises(ValueError):
+            dump_update_space(us)
+        return
+    text = dump_update_space(us)
+    again = load_update_space(text)
+    assert again.states == states and again.updates == updates
+    assert structurally_equal(again.order, us.order)
+    assert dump_update_space(again) == text
