@@ -720,6 +720,24 @@ def _is_bare_token(x: Any) -> bool:
     return isinstance(x, str) and bool(x) and "#" not in x and not any(ch.isspace() for ch in x)
 
 
+def _read_directives(text: str, arity: dict[str, int], error: type) -> dict[str, list[tuple]]:
+    """Read a line format: for each tag in ``arity``, the argument tuples
+    of its lines in file order.  Each line is a tag and its arguments;
+    '#' starts a comment and blank lines are skipped.  A line with an
+    unknown tag or the wrong number of arguments raises ``error`` with
+    its line number."""
+    out: dict[str, list[tuple]] = {tag: [] for tag in arity}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        tag, args = tokens[0], tuple(tokens[1:])
+        if arity.get(tag) != len(args):
+            raise error(f"line {lineno}: cannot parse {raw!r}")
+        out[tag].append(args)
+    return out
+
+
 def dump_iposet(p: IPoset) -> str:
     """Render an enumerable domain with string elements to text."""
     els = _require_enumerable(p)
@@ -746,28 +764,8 @@ def dump_iposet(p: IPoset) -> str:
 
 def load_iposet(text: str, name: str = "") -> FiniteIPoset:
     """Parse the text format back into a validated finite domain."""
-    els: list[str] = []
-    le: list[tuple] = []
-    idr: list[tuple] = []
-    merge: list[tuple] = []
-    saw_merge = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        tag, args = tokens[0], tokens[1:]
-        if tag == "elem" and len(args) == 1:
-            els.append(args[0])
-        elif tag == "le" and len(args) == 2:
-            le.append((args[0], args[1]))
-        elif tag == "id" and len(args) == 2:
-            idr.append((args[0], args[1]))
-        elif tag == "merge" and len(args) == 3:
-            merge.append((args[0], args[1], args[2]))
-            saw_merge = True
-        else:
-            raise IPosetError(f"line {lineno}: cannot parse {raw!r}")
-    le += [(e, e) for e in els]
-    idr += [(e, e) for e in els]
-    return FiniteIPoset(els, le, idr, merge if saw_merge else None, name=name)
+    lines = _read_directives(text, {"elem": 1, "le": 2, "id": 2, "merge": 3}, IPosetError)
+    els = [e for (e,) in lines["elem"]]
+    le = lines["le"] + [(e, e) for e in els]
+    idr = lines["id"] + [(e, e) for e in els]
+    return FiniteIPoset(els, le, idr, lines["merge"] or None, name=name)

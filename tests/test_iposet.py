@@ -35,6 +35,7 @@ from pslens.iposet import (
     sum_iposet,
     verify_iposet,
 )
+from pslens.tasks import Delta, TaskRecord, dt_domain
 
 # ---------------------------------------------------------------------------
 # Independent oracles (kept deliberately naive)
@@ -440,6 +441,24 @@ def test_restrict_checks_monotonicity():
     assert no_top.name == "diamond_restricted"
 
 
+def test_restrict_wraps_a_non_enumerable_domain():
+    base = dt_domain()
+    rec = TaskRecord(False, "write", "2025-04-01")
+    sub = restrict_iposet(base, lambda x: "b" not in (x.adds if isinstance(x, Delta) else x), name="no-b")
+    assert sub.elements is None and sub.name == "no-b"
+    assert sub.least == base.least == Delta()
+    add_a, add_b = Delta({"a": rec}), Delta({"b": rec})
+    assert base.contains(add_b) and base.contains({"b": rec})
+    assert sub.contains(add_a) and sub.contains({"a": rec}) and sub.contains(Delta(deletes={"b"}))
+    assert not sub.contains(add_b) and not sub.contains({"b": rec})
+    assert sub.le(add_a, {"a": rec}) and sub.ident(add_a, {"a": rec})
+    assert sub.merge(Delta(), add_a) == add_a
+    assert base.merge(add_a, add_b) == Delta({"a": rec, "b": rec})
+    assert sub.merge(add_a, add_b) is UNDEFINED  # the union leaves the restriction
+    assert sub.merge(Delta(), {"b": rec}) is UNDEFINED
+    assert restrict_iposet(base, lambda x: isinstance(x, dict)).least is None
+
+
 def test_structural_equality_for_composition_matching():
     p = lift_omega(discrete([1]))
     q = lift_omega(discrete([1]))
@@ -481,6 +500,8 @@ def test_iposet_text_round_trip():
 def test_iposet_text_parse_error():
     with pytest.raises(IPosetError):
         load_iposet("elem a\nwibble a b\n")
+    with pytest.raises(IPosetError, match="line 4: cannot parse 'le a  # short'"):
+        load_iposet("elem a\n\n# comment\nle a  # short\n")  # wrong arity
     with pytest.raises(InvalidArgsError):
         dump_iposet(discrete([1, 2]))  # non-string elements do not serialize
     with pytest.raises(InvalidArgsError):

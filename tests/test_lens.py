@@ -35,7 +35,7 @@ from pslens.lens import (
     untag_pred,
     untag_s,
 )
-from pslens.laws import LawId, check_law
+from pslens.laws import LawId, check_law, check_laws
 
 
 def chain(n, name="chain"):
@@ -261,6 +261,14 @@ def test_untag_pred_is_well_behaved():
     p = _flower()
     lens = untag_pred(p, lambda x: x is OMEGA or x == "a", lambda x: x is OMEGA or x == "b")
     assert check_law(lens, LawId.WB).holds
+
+
+def test_untag_pred_satisfies_every_law():
+    p = lift_omega(discrete([1, 2]))
+    lens = untag_pred(p, lambda x: x is OMEGA or x == 1, lambda x: x is OMEGA or x == 2)
+    reports = check_laws(lens)
+    assert len(reports) == len(LawId)
+    assert all(r.holds and r.universe.startswith("exhaustive") for r in reports), [str(r) for r in reports]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pslens.iposet import UNDEFINED, check_duplicable, structurally_equal, verify_iposet
+from pslens.iposet import UNDEFINED, FiniteIPoset, check_duplicable, structurally_equal, verify_iposet
 from pslens.laws import LawId, check_law
 from pslens.lens import check_u_acceptability, check_u_consistency, is_failure
 from pslens.updates import (
@@ -63,6 +63,7 @@ def oracle_ran(us, s, u):
         pytest.param(["s", "t"], ["a"], [], [], [("a", "s", "s"), ("a", "s", "t")], id="non-functional-interp"),
         pytest.param(["s"], ["a", "a"], [], [], [], id="duplicate-updates"),
         pytest.param(["s", "s"], ["a"], [], [], [], id="duplicate-states"),
+        pytest.param([], ["a"], [], [("a", "a", "a")], [], id="no-states"),
     ],
 )
 def test_update_space_rejects_invalid_tables(states, updates, u_le, u_merge, interp):
@@ -323,6 +324,9 @@ def test_state_elimination_passes_on_dt_toy():
 def test_state_elimination_rejects_g1_style_spaces():
     report = check_state_elimination(g1_violation_space())
     assert not report.ok
+    assert ("erased-merge-sound", (Upd("u1"), Upd("u2"), Upd("u12"))) in [
+        (v.axiom, v.witness) for v in report.violations
+    ]
 
 
 def test_erase_maps_pairs_to_updates():
@@ -338,6 +342,110 @@ def test_erased_merge_agrees_under_erasure_on_dt_toy():
         r = merge_su(us, a, b)
         if r is not UNDEFINED:
             assert erased.merge(erase(a), erase(b)) == erase(r)
+
+
+def oracle_erased_ran(us, u):
+    """Reachability with the origin forgotten: the union of ``ran(s, u)``."""
+    return [t for t in us.states if any(t in oracle_ran(us, s, u) for s in us.states)]
+
+
+def oracle_erased_table(us):
+    """The origin-erased domain from its literal formulas: ``Upd(u) <=
+    Proper(t)`` iff ``t`` is in the erased reachability set, ``Upd(u)`` is
+    an identical update for ``Proper(t)`` iff ``interp(u, t) = t``, the
+    ``Upd`` order is ``us.order``, and merge absorbs an update into a
+    reachable proper state or follows the update merge."""
+
+    def le(a, b):
+        if isinstance(a, Proper) and isinstance(b, Proper):
+            return a.state == b.state
+        if isinstance(a, Upd) and isinstance(b, Upd):
+            return us.order.le(a.update, b.update)
+        if isinstance(a, Upd) and isinstance(b, Proper):
+            return b.state in oracle_erased_ran(us, a.update)
+        return False
+
+    def ident(a, b):
+        if isinstance(a, Upd) and isinstance(b, Proper):
+            return us.apply_interp(a.update, b.state) == b.state
+        return le(a, b)
+
+    def merge(a, b):
+        if isinstance(a, Proper) and isinstance(b, Proper):
+            return a if a.state == b.state else UNDEFINED
+        if isinstance(a, Upd) and isinstance(b, Proper):
+            return b if le(a, b) else UNDEFINED
+        if isinstance(a, Proper) and isinstance(b, Upd):
+            return a if le(b, a) else UNDEFINED
+        m = us.order.merge(a.update, b.update)
+        return UNDEFINED if m is UNDEFINED else Upd(m)
+
+    carrier = [Proper(s) for s in us.states] + [Upd(u) for u in us.updates]
+    pairs = list(itertools.product(carrier, repeat=2))
+    return FiniteIPoset(
+        carrier,
+        [(a, b) for a, b in pairs if le(a, b)],
+        [(a, b) for a, b in pairs if ident(a, b)],
+        [(a, b, r) for a, b in pairs for r in [merge(a, b)] if r is not UNDEFINED],
+        validate=False,
+    )
+
+
+def oracle_respects_erased_ran(us):
+    """Whether every defined update merge keeps the states both merged
+    updates reach, origins forgotten."""
+    for u1, u2 in itertools.product(us.updates, repeat=2):
+        u = us.order.merge(u1, u2)
+        if u is not UNDEFINED:
+            reach = oracle_erased_ran(us, u)
+            shared = [t for t in oracle_erased_ran(us, u1) if t in oracle_erased_ran(us, u2)]
+            if any(t not in reach for t in shared):
+                return False
+    return True
+
+
+def assert_erasure_matches_oracle(us):
+    expected = oracle_erased_table(us)
+    assert structurally_equal(erased_iposet(us), expected), dump_update_space(us)
+    expected_ok = oracle_respects_erased_ran(us) and verify_iposet(expected).ok
+    assert check_state_elimination(us).ok == expected_ok, dump_update_space(us)
+
+
+def test_erasure_matches_oracle_on_enumerated_spaces_and_fixtures():
+    spaces = list(enumerate_update_spaces())
+    spaces += [g1_violation_space(), g2_violation_space(), g3_violation_space(), dt_toy_space()]
+    for us in spaces:
+        assert_erasure_matches_oracle(us)
+
+
+THREE_UPDATE_ORDERS = {
+    "vee": [("u0", "u2"), ("u1", "u2")],
+    "wedge": [("u0", "u1"), ("u0", "u2")],
+    "chain": [("u0", "u1"), ("u1", "u2"), ("u0", "u2")],
+}
+
+
+@st.composite
+def three_update_spaces(draw):
+    """Vee, wedge and chain orders on three updates with their join as
+    merge, over one to three states, with a random partial ``interp``."""
+    updates = ["u0", "u1", "u2"]
+    u_le = THREE_UPDATE_ORDERS[draw(st.sampled_from(sorted(THREE_UPDATE_ORDERS)))]
+    le = set(u_le) | {(u, u) for u in updates}
+    u_merge = []
+    for a, b in itertools.product(updates, repeat=2):
+        bounds = [c for c in updates if (a, c) in le and (b, c) in le]
+        u_merge += [(a, b, c) for c in bounds if all((c, d) in le for d in bounds)]
+    states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    outcomes = draw(st.lists(st.sampled_from([None] + states), min_size=3 * len(states), max_size=3 * len(states)))
+    slots = [(u, s) for u in updates for s in states]
+    interp = [(u, s, r) for (u, s), r in zip(slots, outcomes) if r is not None]
+    return UpdateSpace(states, updates, u_le, u_merge, interp)
+
+
+@given(three_update_spaces())
+def test_erasure_matches_oracle_on_three_update_spaces(us):
+    assert_erasure_matches_oracle(us)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +464,10 @@ def test_update_space_text_round_trip():
 def test_update_space_parse_error():
     with pytest.raises(UpdateSpaceError):
         load_update_space("state s\nbogus x y\n")
+    with pytest.raises(UpdateSpaceError, match="line 3: cannot parse 'interp u s'"):
+        load_update_space("state s\n# comment\ninterp u s\n")  # wrong arity
+    with pytest.raises(UpdateSpaceError, match="at least one state"):
+        load_update_space("update u\numerge u u u\n")
 
 
 @pytest.mark.parametrize("text", ["state s\nstate s\nupdate u\n", "state s\nupdate u\nupdate u\n"])
