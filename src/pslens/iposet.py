@@ -23,8 +23,9 @@ samples.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 
 class IPosetError(ValueError):
@@ -713,27 +714,56 @@ def structurally_equal(p: IPoset, q: IPoset) -> bool:
 #
 # '#' starts a comment; blank lines are ignored.
 
+_BARE = re.compile(r'[^\s"#]+')
+# A token ends at whitespace, '#' or the end of the line; anything else
+# found (the start of `un"quo"ted` or `"a"b`, a stray quote) is the
+# second group, which takes the rest of the line.
+_TOKEN = re.compile(r'([^\s"#]+|"(?:[^"\\]|\\["\\nr])*")(?=[\s#]|\Z)|#.*|(\S.*)')
+_ESCAPE = re.compile(r"\\(.)")
+_UNESCAPE = {"\\": "\\", '"': '"', "n": "\n", "r": "\r"}
+
 
 def _is_bare_token(x: Any) -> bool:
-    """Whether ``x`` is a string the line formats read back as one token:
-    non-empty, without whitespace and without a comment-starting '#'."""
-    return isinstance(x, str) and bool(x) and "#" not in x and not any(ch.isspace() for ch in x)
+    """Whether ``x`` is a string the line formats read back unquoted as
+    one token: non-empty, without whitespace, '"' and '#'."""
+    return isinstance(x, str) and _BARE.fullmatch(x) is not None
 
 
-def _read_directives(text: str, arity: dict[str, int], error: type) -> dict[str, list[tuple]]:
-    """Read a line format: for each tag in ``arity``, the argument tuples
-    of its lines in file order.  Each line is a tag and its arguments;
-    '#' starts a comment and blank lines are skipped.  A line with an
-    unknown tag or the wrong number of arguments raises ``error`` with
-    its line number."""
-    out: dict[str, list[tuple]] = {tag: [] for tag in arity}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        tag, args = tokens[0], tuple(tokens[1:])
-        if arity.get(tag) != len(args):
+def _read_directives(text: str, arity: dict[str, int], error: type) -> Iterator[tuple[int, str, tuple]]:
+    """Read a line format lazily, yielding ``(lineno, tag, args)`` per line.
+
+    Lines end at ``\\n`` only.  A line is whitespace-separated tokens,
+    the first its tag; ``#`` outside quotes starts a comment, and blank
+    lines are skipped.  A token is a bare run of characters other than
+    whitespace, ``"`` and ``#``, or a double-quoted string with the
+    escapes ``\\\\``, ``\\"``, ``\\n`` and ``\\r``.  Any other line, an
+    unknown tag or a wrong number of arguments raises ``error`` with its
+    line number.
+    """
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        found = _TOKEN.findall(raw)
+        tokens = [t if t[0] != '"' else _ESCAPE.sub(lambda m: _UNESCAPE[m[1]], t[1:-1]) for t, _ in found if t]
+        stray = found and found[-1][1]
+        if stray or tokens and arity.get(tokens[0]) != len(tokens) - 1:
             raise error(f"line {lineno}: cannot parse {raw!r}")
+        if tokens:
+            yield lineno, tokens[0], tuple(tokens[1:])
+
+
+def _read_declared(text: str, kinds: dict[str, tuple], error: type) -> dict[str, list[tuple]]:
+    """Per tag in ``kinds``, the argument tuples of its lines in order.
+
+    ``kinds`` gives the kind of each argument of a tag; a line whose tag
+    is a kind declares its argument.  An argument that no line declares
+    raises ``error`` naming the first line that uses it.
+    """
+    lines = list(_read_directives(text, {tag: len(k) for tag, k in kinds.items()}, error))
+    declared = {(tag, *args) for _, tag, args in lines}
+    out: dict[str, list[tuple]] = {tag: [] for tag in kinds}
+    for lineno, tag, args in lines:
+        for kind, x in zip(kinds[tag], args):
+            if (kind, x) not in declared:
+                raise error(f"line {lineno}: no {kind} line declares {x!r}")
         out[tag].append(args)
     return out
 
@@ -764,7 +794,8 @@ def dump_iposet(p: IPoset) -> str:
 
 def load_iposet(text: str, name: str = "") -> FiniteIPoset:
     """Parse the text format back into a validated finite domain."""
-    lines = _read_directives(text, {"elem": 1, "le": 2, "id": 2, "merge": 3}, IPosetError)
+    kinds = {"elem": ("elem",), "le": ("elem",) * 2, "id": ("elem",) * 2, "merge": ("elem",) * 3}
+    lines = _read_declared(text, kinds, IPosetError)
     els = [e for (e,) in lines["elem"]]
     le = lines["le"] + [(e, e) for e in els]
     idr = lines["id"] + [(e, e) for e in els]

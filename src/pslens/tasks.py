@@ -35,11 +35,10 @@ from __future__ import annotations
 import datetime
 import itertools
 import re
-import shlex
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional
 
-from .iposet import UNDEFINED, IPoset
+from .iposet import UNDEFINED, IPoset, _read_directives
 from .lens import (
     PSLens,
     PutFailure,
@@ -55,9 +54,10 @@ class ParseError(ValueError):
     """A task or delta file (or inline clause) failed to parse."""
 
 
-# ``shlex`` ends a word at whitespace, reads ``'`` and ``"`` as quotes,
-# ``\`` as an escape and ``#`` as the start of a comment, so an id holding
-# any of them would not load back from the text it dumps to.
+# Ids are written unquoted, so they are bare tokens of the line grammar
+# (no whitespace, '"' or '#').  They also lack ``'`` and ``\``, which the
+# CLI's shell-style command lines read as quoting, so an id typed in a
+# command reads as itself.
 _BARE_TOKEN = re.compile(r"[^\s\"'\\#]+")
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
@@ -402,12 +402,17 @@ def enumerate_dtdt_universe(ids: list[str], records: list[TaskRecord], today: st
 # Text formats
 # ---------------------------------------------------------------------------
 
-#: The clause that carries a delta's moves, per delta shape.
-_MOVE_CLAUSE = {"plain": None, "ongoing": "complete", "today": "postpone"}
+#: The clauses of a delta file with their argument counts, per delta
+#: shape; ``complete`` and ``postpone`` carry the delta's moves.
+_CLAUSES = {
+    "plain": {"upsert": 4, "delete": 1},
+    "ongoing": {"upsert": 4, "complete": 3, "delete": 1},
+    "today": {"upsert": 4, "postpone": 4, "delete": 1},
+}
 
 
 def _quote(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r") + '"'
 
 
 def _record_fields(r: TaskRecord) -> str:
@@ -419,50 +424,31 @@ def dump_tasks(t: Mapping) -> str:
     return "".join(f"task {k} {_record_fields(t[k])}\n" for k in sorted(t))
 
 
-def _parse_id(key: str, lineno: int) -> str:
-    if not is_task_id(key):
-        raise ParseError(f"line {lineno}: task id {key!r} is not a bare token")
-    return key
-
-
-def _parse_record(args: list[str], lineno: int, done: Optional[bool] = None) -> TaskRecord:
-    try:
-        if done is None:
-            flag, name, due = args
-            if flag not in ("true", "false"):
-                raise ValueError(f"bad done flag {flag!r}")
-            done = flag == "true"
-        else:
-            name, due = args
-        return TaskRecord(done, name, due)
-    except ValueError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
-
-
-def _tokenize(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+def _read_clauses(text: str, arity: dict[str, int]) -> dict[str, dict]:
+    """Per clause tag, the records its lines give by task id (``None``
+    for ``delete``; ``complete`` implies the done flag).  A line that
+    does not parse, a bad id, flag, name or date, and a second clause
+    for one id are each a :class:`ParseError` naming the line."""
+    parts: dict[str, dict] = {tag: {} for tag in arity}
+    for lineno, tag, args in _read_directives(text, arity, ParseError):
+        key, fields = args[0], ("true", *args[1:]) if tag == "complete" else args[1:]
         try:
-            tokens = shlex.split(raw, comments=True)
+            if not is_task_id(key):
+                raise ValueError(f"task id {key!r} is not a bare token")
+            if any(key in part for part in parts.values()):
+                raise ValueError(f"duplicate task id {key!r}")
+            if fields and fields[0] not in ("true", "false"):
+                raise ValueError(f"bad done flag {fields[0]!r}")
+            parts[tag][key] = TaskRecord(fields[0] == "true", *fields[1:]) if fields else None
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
-        if tokens:
-            yield lineno, tokens
+    return parts
 
 
 def load_tasks(text: str) -> dict:
-    """Parse a task-table file."""
-    out: dict = {}
-    for lineno, tokens in _tokenize(text):
-        if tokens[0] != "task" or len(tokens) != 5:
-            raise ParseError(f"line {lineno}: expected 'task <id> <done> <name> <due>'")
-        key = _parse_id(tokens[1], lineno)
-        if key in out:
-            raise ParseError(f"line {lineno}: duplicate task id {key!r}")
-        out[key] = _parse_record(tokens[2:], lineno)
-    return out
+    """Parse a task-table file: ``task <id> <done> <name> <due>`` lines
+    in the grammar of :func:`~pslens.iposet._read_directives`."""
+    return _read_clauses(text, {"task": 4})["task"]
 
 
 def dump_delta(d: Delta, shape: str = "plain") -> str:
@@ -472,14 +458,14 @@ def dump_delta(d: Delta, shape: str = "plain") -> str:
     and as ``postpone`` clauses in the ``today`` shape; a ``plain``
     delta has no clause for them.
     """
-    clause = _MOVE_CLAUSE[shape]
+    clauses = _CLAUSES[shape]
     lines = [f"upsert {k} {_record_fields(d.adds[k])}" for k in sorted(d.adds)]
     for k in sorted(d.moves):
         r = d.moves[k]
-        if clause == "complete" and r.done:
+        if "complete" in clauses and r.done:
             # completions are completed by definition; the flag is implied
             lines.append(f"complete {k} {_quote(r.name)} {r.due}")
-        elif clause == "postpone":
+        elif "postpone" in clauses:
             lines.append(f"postpone {k} {_record_fields(r)}")
         else:
             raise ValueError(f"the move of {k!r} has no clause in a {shape} delta")
@@ -493,33 +479,13 @@ def load_delta(text: str, shape: str = "plain") -> Delta:
     ``shape`` is ``plain`` (upsert/delete), ``ongoing``
     (upsert/complete/delete, moves are completions and upserts must be
     ongoing) or ``today`` (upsert/postpone/delete, moves are
-    postponements).
+    postponements).  Lines follow the grammar of
+    :func:`~pslens.iposet._read_directives`, and each id has one clause.
     """
-    if shape not in _MOVE_CLAUSE:
+    if shape not in _CLAUSES:
         raise ValueError(f"unknown delta shape {shape!r}")
-    adds: dict = {}
-    moves: dict = {}
-    deletes: set = set()
-    parts = {"upsert": adds, "delete": deletes, _MOVE_CLAUSE[shape]: moves}
-    for lineno, tokens in _tokenize(text):
-        tag, args = tokens[0], tokens[1:]
-        part = parts.get(tag)
-        if part is not None and args and args[0] in part:
-            raise ParseError(f"line {lineno}: duplicate {tag} clause for task id {args[0]!r}")
-        if tag == "upsert" and len(args) == 4:
-            adds[_parse_id(args[0], lineno)] = _parse_record(args[1:], lineno)
-        elif tag == "delete" and len(args) == 1:
-            deletes.add(_parse_id(args[0], lineno))
-        elif tag == "complete" and len(args) == 3 and part is moves:
-            moves[_parse_id(args[0], lineno)] = _parse_record(args[1:], lineno, done=True)
-        elif tag == "postpone" and len(args) == 4 and part is moves:
-            moves[_parse_id(args[0], lineno)] = _parse_record(args[1:], lineno)
-        else:
-            raise ParseError(f"line {lineno}: cannot parse {tag!r} clause for {shape} delta")
-    try:
-        delta = Delta(adds, deletes, moves)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    parts = _read_clauses(text, _CLAUSES[shape])
+    delta = Delta(parts["upsert"], parts["delete"], parts.get("complete") or parts.get("postpone", {}))
     if shape == "ongoing" and not dtog_domain().contains(delta):
         raise ParseError("ongoing-view upserts must be ongoing records")
     return delta

@@ -42,7 +42,7 @@ from .iposet import (
     IPosetError,
     ValidationReport,
     _is_bare_token,
-    _read_directives,
+    _read_declared,
     discrete,
     verify_iposet,
 )
@@ -543,8 +543,9 @@ def dump_update_space(us: UpdateSpace) -> str:
 
 def load_update_space(text: str, name: str = "") -> UpdateSpace:
     """Parse the text format back into a validated update space."""
-    arity = {"state": 1, "update": 1, "ule": 2, "umerge": 3, "interp": 3}
-    lines = _read_directives(text, arity, UpdateSpaceError)
+    st, up = ("state",), ("update",)
+    kinds = {"state": st, "update": up, "ule": up * 2, "umerge": up * 3, "interp": up + st * 2}
+    lines = _read_declared(text, kinds, UpdateSpaceError)
     states = [s for (s,) in lines["state"]]
     updates = [u for (u,) in lines["update"]]
     return UpdateSpace(states, updates, lines["ule"], lines["umerge"], lines["interp"], name=name)

@@ -506,15 +506,23 @@ def test_iposet_text_parse_error():
         dump_iposet(discrete([1, 2]))  # non-string elements do not serialize
     with pytest.raises(InvalidArgsError):
         dump_iposet(discrete(["a#b", "c"]))  # '#' would start a comment on load
+    with pytest.raises(InvalidArgsError):
+        dump_iposet(discrete(['a"b', "c"]))  # '"' would start a quoted token on load
 
 
-tokens = st.text(alphabet="ab#\t \u2028\x1c", max_size=3) | st.text(max_size=3)
+def test_load_iposet_names_the_line_of_an_undeclared_element():
+    with pytest.raises(IPosetError, match="^line 2: no elem line declares 'b'$"):
+        load_iposet("elem a\nle a b\n")
+    assert load_iposet("le a b\nid a b\nelem a\nelem b\n").le("a", "b")  # declared later in the file
+
+
+tokens = st.text(alphabet='ab#"\t \u2028\x1c', max_size=3) | st.text(max_size=3)
 
 
 @given(st.lists(tokens, min_size=1, max_size=4, unique=True))
 def test_iposet_text_round_trips_or_dump_refuses(els):
     p = lift_omega(discrete(els), bottom="@bottom")
-    if not all("#" not in e and e.split() == [e] for e in els):
+    if not all("#" not in e and '"' not in e and e.split() == [e] for e in els):
         with pytest.raises(ValueError):
             dump_iposet(p)
         return

@@ -1,0 +1,69 @@
+"""The one line grammar shared by the four text formats."""
+
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from pslens.iposet import IPosetError, load_iposet
+from pslens.tasks import ParseError, dump_delta, dump_tasks, load_delta, load_tasks
+from pslens.updates import UpdateSpaceError, load_update_space
+
+GOLDEN = Path(__file__).resolve().parent.parent / "golden"
+
+LOADERS = [
+    (load_iposet, IPosetError),
+    (load_update_space, UpdateSpaceError),
+    (load_tasks, ParseError),
+    (lambda text: load_delta(text, "plain"), ParseError),
+    (lambda text: load_delta(text, "ongoing"), ParseError),
+    (lambda text: load_delta(text, "today"), ParseError),
+]
+
+TAGS = "elem le id merge state update ule umerge interp task upsert delete complete postpone".split()
+PIECES = TAGS + ["a", "b", "001", "true", "false", "2025-04-01", "2025-02-30", '"x y"', '""', "'"]
+PIECES += ['"', "\\", "\\n", "\\q", "#", " ", "\t", "\n", "\r", "\r\n", "\u2028"]
+pieces = st.lists(st.sampled_from(PIECES) | st.text(max_size=2), max_size=24)
+grammar_text = st.builds(str.join, st.sampled_from(["", " "]), pieces)
+
+
+@pytest.mark.parametrize("load, error", LOADERS, ids=["iposet", "update-space", "tasks", "plain", "ongoing", "today"])
+@given(text=st.text() | grammar_text)
+def test_loaders_raise_only_their_own_error(load, error, text):
+    try:
+        load(text)
+    except error:
+        pass
+
+
+@pytest.mark.parametrize(
+    "clause",
+    [
+        "upsert a false 'Buy milk' 2025-04-01",
+        'upsert a false un"quo"ted 2025-04-01',
+        'upsert a false "a"b 2025-04-01',
+        'upsert a false"x" 2025-04-01',
+        'upsert a false "x"2025-04-01',
+        'upsert a false "a\\qb" 2025-04-01',
+        'upsert a false "unclosed 2025-04-01',
+        'upsert a false "x" 2025-04-01 "',
+    ],
+)
+def test_text_outside_the_grammar_is_a_parse_error(clause):
+    with pytest.raises(ParseError, match="^line 2: "):
+        load_tasks(f'task b false "x" 2025-04-01\n{clause.replace("upsert", "task")}\n')
+    with pytest.raises(ParseError, match="^line 2: "):
+        load_delta(f"delete b\n{clause}\n", "plain")
+
+
+@pytest.mark.parametrize(
+    "path", sorted(GOLDEN.glob("*.tasks")) + sorted(GOLDEN.glob("*delta")), ids=lambda path: path.name
+)
+def test_golden_files_are_canonical(path):
+    text = path.read_bytes().decode()
+    if path.suffix == ".tasks":
+        assert dump_tasks(load_tasks(text)) == text
+    else:
+        shape = "ongoing" if path.suffix == ".ogdelta" else "plain"
+        assert dump_delta(load_delta(text, shape), shape) == text

@@ -470,6 +470,15 @@ def test_update_space_parse_error():
         load_update_space("update u\numerge u u u\n")
 
 
+@pytest.mark.parametrize(
+    "line, kind, name",
+    [("ule u v", "update", "v"), ("interp u s t", "state", "t"), ("interp v s s", "update", "v"), ("umerge u u s", "update", "s")],
+)
+def test_load_update_space_names_the_line_of_an_undeclared_name(line, kind, name):
+    with pytest.raises(UpdateSpaceError, match=f"^line 3: no {kind} line declares '{name}'$"):
+        load_update_space(f"state s\nupdate u\n{line}\n")
+
+
 @pytest.mark.parametrize("text", ["state s\nstate s\nupdate u\n", "state s\nupdate u\nupdate u\n"])
 def test_load_update_space_rejects_duplicates(text):
     with pytest.raises(UpdateSpaceError, match="duplicate"):
@@ -478,7 +487,7 @@ def test_load_update_space_rejects_duplicates(text):
 
 @pytest.mark.parametrize(
     "states, updates",
-    [(["a b"], ["u"]), (["s"], ["u#1"]), ([""], ["u"]), (["s"], ["u\u2028v"]), ([1], ["u"])],
+    [(["a b"], ["u"]), (["s"], ["u#1"]), ([""], ["u"]), (["s"], ["u\u2028v"]), ([1], ["u"]), (['s"t'], ["u"])],
 )
 def test_dump_update_space_rejects_tokens_that_do_not_load_back(states, updates):
     us = UpdateSpace(states, updates, [], [(u, u, u) for u in updates], [])
@@ -486,7 +495,7 @@ def test_dump_update_space_rejects_tokens_that_do_not_load_back(states, updates)
         dump_update_space(us)
 
 
-tokens = st.text(alphabet="ab#\t \u2028\x1c", max_size=3) | st.text(max_size=3)
+tokens = st.text(alphabet='ab#"\t \u2028\x1c', max_size=3) | st.text(max_size=3)
 
 
 @given(st.lists(tokens, min_size=1, max_size=3, unique=True), st.lists(tokens, min_size=1, max_size=3, unique=True))
@@ -498,7 +507,7 @@ def test_update_space_text_round_trips_or_dump_refuses(states, updates):
         [(u, u, u) for u in updates] + [(updates[0], u, u) for u in updates[1:]],
         [(u, states[0], states[-1]) for u in updates],
     )
-    if not all("#" not in x and x.split() == [x] for x in states + updates):
+    if not all("#" not in x and '"' not in x and x.split() == [x] for x in states + updates):
         with pytest.raises(ValueError):
             dump_update_space(us)
         return
