@@ -90,7 +90,7 @@ def new_session(variant: str, today: str, source: Optional[dict] = None) -> Sess
 
 
 def _render_tasks(t: dict, indent: str = "  ") -> list[str]:
-    lines = dump_tasks(t).splitlines()
+    lines = dump_tasks(t).split("\n")[:-1]
     return [indent + line for line in lines] or [indent + "(empty)"]
 
 
@@ -274,7 +274,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.script:
         try:
-            lines = Path(args.script).read_text().splitlines()
+            lines = Path(args.script).read_text().split("\n")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -141,6 +141,7 @@ class _Ctx:
         self.exhaustive = exhaustive
         self._get: dict[int, int] = {}
         self._put: dict[tuple[int, int], Any] = {}
+        self._image: dict[int, list[tuple[int, int]]] = {}
 
     @property
     def universe(self) -> str:
@@ -174,6 +175,19 @@ class _Ctx:
                     )
                 hit = self.S.locate(out)
             self._put[key] = hit
+        return hit
+
+    def image(self, j: int) -> list[tuple[int, int]]:
+        """The image of ``put(-, v)``: ``(s0, put(s0, v))`` for the first
+        source giving each distinct defined result, in source order."""
+        hit = self._image.get(j)
+        if hit is None:
+            first: dict[int, int] = {}
+            for i in range(self.S.n):
+                r = self.put(i, j)
+                if not is_failure(r):
+                    first.setdefault(r, i)
+            hit = self._image[j] = [(i, r) for r, i in first.items()]
         return hit
 
     def sv(self, i: int) -> Any:
@@ -218,13 +232,7 @@ def _scan_stability(c: _Ctx) -> Optional[dict]:
 
 def _scan_ps_consistency(c: _Ctx) -> Optional[dict]:
     for j in range(c.V.n):
-        seen: list[tuple[int, int]] = []
-        for i in range(c.S.n):
-            r = c.put(i, j)
-            if is_failure(r) or any(r == r0 for _, r0 in seen):
-                continue
-            seen.append((i, r))
-        for i, r in seen:
+        for i, r in c.image(j):
             for i2 in range(c.S.n):
                 if not c.S.le(r, i2):
                     continue
@@ -254,13 +262,7 @@ def _scan_ps_acceptability(c: _Ctx) -> Optional[dict]:
 
 def _scan_ps_stability(c: _Ctx) -> Optional[dict]:
     for j in range(c.V.n):
-        distinct: list[tuple[int, int]] = []  # (s0, put(s0, v)) with distinct results
-        for i in range(c.S.n):
-            s = c.put(i, j)
-            if is_failure(s) or any(s == s1 for _, s1 in distinct):
-                continue
-            distinct.append((i, s))
-        for i0, s in distinct:
+        for i0, s in c.image(j):
             for i2 in range(c.S.n):  # s'
                 if not c.S.le(s, i2):
                     continue
@@ -308,16 +310,7 @@ def _scan_view_stability(c: _Ctx) -> Optional[dict]:
 
 def _scan_put_determines_get(c: _Ctx) -> Optional[dict]:
     for i in range(c.S.n):
-        pool = []
-        for j in range(c.V.n):
-            defined_below = False
-            for i0 in range(c.S.n):
-                r = c.put(i0, j)
-                if not is_failure(r) and c.S.le(r, i):
-                    defined_below = True
-                    break
-            if defined_below:
-                pool.append(j)
+        pool = [j for j in range(c.V.n) if any(c.S.le(r, i) for _, r in c.image(j))]
         best = None
         for j in pool:
             if all(c.V.le(j2, j) for j2 in pool):
@@ -414,13 +407,14 @@ def check_laws(
     """Evaluate several laws (all of them by default) over one universe.
 
     All requested laws share one memoized context for the lens and
-    universe: each ``get``, each ``put`` and each order or identical-update
-    query is evaluated at most once, and each law's scanner runs at most
-    once, so ``weak-wb`` and ``wb`` reuse the witnesses of their
-    conjuncts.  Values are located in the universe through a hash where
-    they are hashable and by structural equality otherwise, so domains
-    need no hashing contract.  The reports are the ones :func:`check_law`
-    gives law by law, each with its own counterexample dict.
+    universe: each ``get``, each ``put``, each image of ``put(-, v)`` and
+    each order or identical-update query is evaluated at most once, and
+    each law's scanner runs at most once, so ``weak-wb`` and ``wb`` reuse
+    the witnesses of their conjuncts.  Values are located in the
+    universe through a hash where they are hashable and by structural
+    equality otherwise, so domains need no hashing contract.  The reports
+    are the ones :func:`check_law` gives law by law, each with its own
+    counterexample dict.
     """
     src, vw, exhaustive = _universe_for(lens, source, view)
     ctx = _Ctx(lens, src, vw, exhaustive)

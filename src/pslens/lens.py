@@ -21,7 +21,6 @@ from .iposet import (
     InvalidArgsError,
     IPoset,
     MissingMergeError,
-    ValidationReport,
     check_duplicable,
     product_iposet,
     restrict_iposet,
@@ -205,6 +204,12 @@ def initiator(
     the view carrier); ``put`` applies the partially specified view as
     an update to the proper state via ``apply(v, s)``, which returns a
     new proper state or :data:`UNDEFINED`.
+
+    With ``get`` the embedding and the source discrete, the initiator
+    laws are this lens's laws: U-acceptability (an identical update
+    ``v`` of ``s`` applies as ``s``) is its ps-acceptability, and
+    U-consistency (a defined ``apply(v, s)`` lies above ``v``) is its
+    ps-consistency, so :func:`~pslens.laws.check_laws` checks them.
     """
 
     def put(s: Any, v: Any) -> Any:
@@ -280,52 +285,3 @@ def product_lens(l1: PSLens, l2: PSLens, name: str = "") -> PSLens:
 
     return PSLens(source, view, get=get, put=put, name=label)
 
-
-# ---------------------------------------------------------------------------
-# Initiator laws
-# ---------------------------------------------------------------------------
-
-
-def check_u_acceptability(
-    p_domain: IPoset,
-    apply: Callable[[Any, Any], Any],
-    states: list,
-    deltas: list,
-) -> ValidationReport:
-    """Identical updates must apply as no-ops.
-
-    For every sampled proper state ``s`` and partially specified ``v``
-    with ``ident(v, s)``, ``apply(v, s)`` must be defined and equal
-    ``s``.
-    """
-    rep = ValidationReport(subject="u-acceptability")
-    for s in states:
-        for v in deltas:
-            if not p_domain.ident(v, s):
-                continue
-            r = apply(v, s)
-            if r is UNDEFINED or not (r == s):
-                rep.add("u-acceptability", (v, s), f"apply gave {r!r}")
-    return rep
-
-
-def check_u_consistency(
-    p_domain: IPoset,
-    apply: Callable[[Any, Any], Any],
-    states: list,
-    deltas: list,
-) -> ValidationReport:
-    """A successful application must preserve the update intention.
-
-    Whenever ``apply(v, s)`` is defined, the result must sit above ``v``
-    in the view domain's order.
-    """
-    rep = ValidationReport(subject="u-consistency")
-    for s in states:
-        for v in deltas:
-            r = apply(v, s)
-            if r is UNDEFINED:
-                continue
-            if not p_domain.le(v, r):
-                rep.add("u-consistency", (v, s), f"intention not preserved in {r!r}")
-    return rep

@@ -424,11 +424,12 @@ def dump_tasks(t: Mapping) -> str:
     return "".join(f"task {k} {_record_fields(t[k])}\n" for k in sorted(t))
 
 
-def _read_clauses(text: str, arity: dict[str, int]) -> dict[str, dict]:
+def _read_clauses(text: str, arity: dict[str, int], upserts: FilterDomain = _DT) -> dict[str, dict]:
     """Per clause tag, the records its lines give by task id (``None``
     for ``delete``; ``complete`` implies the done flag).  A line that
-    does not parse, a bad id, flag, name or date, and a second clause
-    for one id are each a :class:`ParseError` naming the line."""
+    does not parse, a bad id, flag, name or date, an ``upsert`` of a
+    record the ``upserts`` view does not keep, and a second clause for
+    one id are each a :class:`ParseError` naming the line."""
     parts: dict[str, dict] = {tag: {} for tag in arity}
     for lineno, tag, args in _read_directives(text, arity, ParseError):
         key, fields = args[0], ("true", *args[1:]) if tag == "complete" else args[1:]
@@ -439,7 +440,10 @@ def _read_clauses(text: str, arity: dict[str, int]) -> dict[str, dict]:
                 raise ValueError(f"duplicate task id {key!r}")
             if fields and fields[0] not in ("true", "false"):
                 raise ValueError(f"bad done flag {fields[0]!r}")
-            parts[tag][key] = TaskRecord(fields[0] == "true", *fields[1:]) if fields else None
+            record = TaskRecord(fields[0] == "true", *fields[1:]) if fields else None
+            if tag == "upsert" and not upserts.select({key: record}):
+                raise ValueError(f"the {upserts.name} does not keep the upserted record of {key!r}")
+            parts[tag][key] = record
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
     return parts
@@ -484,8 +488,5 @@ def load_delta(text: str, shape: str = "plain") -> Delta:
     """
     if shape not in _CLAUSES:
         raise ValueError(f"unknown delta shape {shape!r}")
-    parts = _read_clauses(text, _CLAUSES[shape])
-    delta = Delta(parts["upsert"], parts["delete"], parts.get("complete") or parts.get("postpone", {}))
-    if shape == "ongoing" and not dtog_domain().contains(delta):
-        raise ParseError("ongoing-view upserts must be ongoing records")
-    return delta
+    parts = _read_clauses(text, _CLAUSES[shape], _DTOG if shape == "ongoing" else _DT)
+    return Delta(parts["upsert"], parts["delete"], parts.get("complete") or parts.get("postpone", {}))

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from pslens.cli import CommandError, LawSuiteFailure, new_session, run_command, run_lines
-from pslens.tasks import Delta, load_tasks
+from pslens.cli import CommandError, LawSuiteFailure, main, new_session, run_command, run_lines
+from pslens.tasks import Delta, TaskRecord, load_tasks
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "golden"
@@ -54,6 +54,20 @@ def test_load_show_roundtrip():
     assert 'task 003 false "Jog" 2025-04-01' in text
     assert "ongoing view:" in text and "today view (2025-04-01):" in text
     assert "task 002" not in text.split("ongoing view:")[1].split("today view")[0]
+
+
+def test_show_keeps_a_name_with_a_line_separator_on_one_line():
+    session = new_session("plain", TODAY, {"001": TaskRecord(False, "x\u2028y", TODAY)})
+    _, out = run_command(session, "show")
+    # the task is ongoing and due today, so the source and both views list it
+    assert out.count('  task 001 false "x\u2028y" 2025-04-01') == 3
+
+
+def test_script_lines_end_at_newline_only(tmp_path):
+    script, saved = tmp_path / "separator.script", tmp_path / "saved.tasks"
+    script.write_text(f'edit og add 001 "x\u2028y" 2025-04-01\nput\nsave {saved}\n')
+    assert main(["--script", str(script)]) == 0
+    assert load_tasks(saved.read_text()) == {"001": TaskRecord(False, "x\u2028y", TODAY)}
 
 
 def test_edit_and_put_updates_source_and_views():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pslens.iposet import ElementIndex, FiniteIPoset, IPosetError
-from pslens.laws import LawId, check_law, check_laws, fixture_lenses
+from pslens.iposet import ElementIndex, FiniteIPoset, IPosetError, discrete
+from pslens.laws import LawId, _Ctx, _universe_for, check_law, check_laws, fixture_lenses
+from pslens.lens import PSLens, is_failure
 from pslens.tasks import (
     TaskRecord,
     enumerate_dt_universe,
@@ -35,16 +36,145 @@ def test_check_laws_matches_check_law_on_closure_pool(closure_pool):
         assert_same_as_law_by_law(lens)
 
 
-def test_check_laws_matches_check_law_on_sampled_task_universe():
+def sampled_task_cases():
+    """The four filter lenses, each on its sampled task universe."""
     ids = ["a", "b"]
     source = enumerate_dt_universe(ids, RECORDS)
-    for lens, view in [
-        (filter_ongoing("plain"), source),
-        (filter_today("plain", TODAY), source),
-        (filter_ongoing("elaborated"), enumerate_og_universe(ids, RECORDS)),
-        (filter_today("elaborated", TODAY), enumerate_dtdt_universe(ids, RECORDS, TODAY)),
-    ]:
+    return [
+        (filter_ongoing("plain"), source, source),
+        (filter_today("plain", TODAY), source, source),
+        (filter_ongoing("elaborated"), source, enumerate_og_universe(ids, RECORDS)),
+        (filter_today("elaborated", TODAY), source, enumerate_dtdt_universe(ids, RECORDS, TODAY)),
+    ]
+
+
+def test_check_laws_matches_check_law_on_sampled_task_universe():
+    for lens, source, view in sampled_task_cases():
         assert_same_as_law_by_law(lens, source, view)
+
+
+# ---------------------------------------------------------------------------
+# The put-image laws against their literal scanners
+# ---------------------------------------------------------------------------
+# The three scanners below are the law engine's scanners before it shared
+# one image of put(-, v) per view, kept verbatim as the oracle.
+
+
+def literal_ps_consistency(c: _Ctx):
+    for j in range(c.V.n):
+        seen: list[tuple[int, int]] = []
+        for i in range(c.S.n):
+            r = c.put(i, j)
+            if is_failure(r) or any(r == r0 for _, r0 in seen):
+                continue
+            seen.append((i, r))
+        for i, r in seen:
+            for i2 in range(c.S.n):
+                if not c.S.le(r, i2):
+                    continue
+                if not c.V.le(j, c.get(i2)):
+                    return {
+                        "s": c.sv(i),
+                        "v'": c.vv(j),
+                        "put result": c.sv(r),
+                        "s'": c.sv(i2),
+                        "get s'": c.vv(c.get(i2)),
+                    }
+    return None
+
+
+def literal_ps_stability(c: _Ctx):
+    for j in range(c.V.n):
+        distinct: list[tuple[int, int]] = []  # (s0, put(s0, v)) with distinct results
+        for i in range(c.S.n):
+            s = c.put(i, j)
+            if is_failure(s) or any(s == s1 for _, s1 in distinct):
+                continue
+            distinct.append((i, s))
+        for i0, s in distinct:
+            for i2 in range(c.S.n):  # s'
+                if not c.S.le(s, i2):
+                    continue
+                g2 = c.get(i2)
+                for j2 in range(c.V.n):  # v''
+                    if not (c.V.le(j, j2) and c.V.ident(j2, g2)):
+                        continue
+                    s2 = c.put(i2, j2)
+                    if is_failure(s2):
+                        continue  # definedness of put(s', v'') is a hypothesis
+                    if not c.S.le(s, s2):
+                        return {
+                            "s0": c.sv(i0),
+                            "v": c.vv(j),
+                            "s": c.sv(s),
+                            "s'": c.sv(i2),
+                            "v''": c.vv(j2),
+                            "s''": c.sv(s2),
+                        }
+    return None
+
+
+def literal_put_determines_get(c: _Ctx):
+    for i in range(c.S.n):
+        pool = []
+        for j in range(c.V.n):
+            defined_below = False
+            for i0 in range(c.S.n):
+                r = c.put(i0, j)
+                if not is_failure(r) and c.S.le(r, i):
+                    defined_below = True
+                    break
+            if defined_below:
+                pool.append(j)
+        best = None
+        for j in pool:
+            if all(c.V.le(j2, j) for j2 in pool):
+                best = j
+                break
+        if best is None or c.get(i) != best:
+            return {
+                "s": c.sv(i),
+                "V_s": [c.vv(j) for j in pool],
+                "max": None if best is None else c.vv(best),
+                "get s": c.vv(c.get(i)),
+            }
+    return None
+
+
+LITERAL = {
+    LawId.PS_CONSISTENCY: literal_ps_consistency,
+    LawId.PS_STABILITY: literal_ps_stability,
+    LawId.PUT_DETERMINES_GET: literal_put_determines_get,
+}
+
+
+def failures_against_literal(lens, source=None, view=None):
+    """Assert the engine's put-image laws give the literal scanners'
+    verdicts and witnesses; return how many of them fail."""
+    reports = check_laws(lens, list(LITERAL), source, view)
+    fresh = _Ctx(lens, *_universe_for(lens, source, view))
+    for report, scan in zip(reports, LITERAL.values()):
+        witness = scan(fresh)
+        assert (report.holds, report.counterexample) == (witness is None, witness), (lens.name, report.law)
+    return sum(not r.holds for r in reports)
+
+
+def test_put_image_laws_match_literal_scanners_on_fixtures():
+    lenses = [f.lens for f in fixture_lenses().values()]
+    # every put lands on 2, so a witness must name the first source giving it
+    collapse = PSLens(discrete([0, 1, 2]), discrete(["a", "b"]), get=lambda s: "a", put=lambda s, v: 2)
+    failing = sum(failures_against_literal(lens) for lens in lenses + [collapse])
+    assert failing >= 3  # bad fails ps-stability; collapse ps-consistency and put-determines-get
+
+
+def test_put_image_laws_match_literal_scanners_on_closure_pool(closure_pool):
+    for _, lens in closure_pool[::7]:
+        failures_against_literal(lens)
+
+
+def test_put_image_laws_match_literal_scanners_on_sampled_task_universe():
+    for lens, source, view in sampled_task_cases():
+        failures_against_literal(lens, source, view)
 
 
 def test_reports_own_their_counterexamples():

@@ -22,8 +22,6 @@ from pslens.lens import (
     PSLens,
     PutFailure,
     Reason,
-    check_u_acceptability,
-    check_u_consistency,
     compose,
     constant_lens,
     dup_lens,
@@ -35,7 +33,9 @@ from pslens.lens import (
     untag_pred,
     untag_s,
 )
-from pslens.laws import LawId, check_law, check_laws
+from pslens.laws import LawId, check_law, check_laws, recheck_counterexample
+
+U_LAWS = [LawId.PS_ACCEPTABILITY, LawId.PS_CONSISTENCY]
 
 
 def chain(n, name="chain"):
@@ -321,24 +321,26 @@ def test_u_laws_hold_for_nat_initiator():
 
     states = lens.source.elements
     deltas = lens.view.elements
-    assert check_u_acceptability(lens.view, apply, states, deltas).ok
-    assert check_u_consistency(lens.view, apply, states, deltas).ok
+    reports = check_laws(initiator(lens.source, lens.view, apply), U_LAWS, states, deltas)
+    assert [r.holds for r in reports] == [True, True]
 
 
 def test_u_law_checkers_catch_violations():
-    view = lift_omega(discrete([0, 1]))
+    source = discrete([0, 1])
+    view = lift_omega(source)
 
     def clobbering(v, s):  # ignores identical updates: applies omega as 0
         return 0 if v is OMEGA else v
 
-    rep = check_u_acceptability(view, clobbering, [0, 1], view.elements)
-    assert not rep.ok
-
     def shrinking(v, s):  # returns something unrelated to the intention
         return 0
 
-    rep = check_u_consistency(view, shrinking, [0, 1], view.elements)
-    assert not rep.ok
+    for apply, law in [(clobbering, LawId.PS_ACCEPTABILITY), (shrinking, LawId.PS_CONSISTENCY)]:
+        lens = initiator(source, view, apply)
+        reports = check_laws(lens, U_LAWS, [0, 1], view.elements)
+        assert not reports[U_LAWS.index(law)].holds
+        for rep in reports:
+            assert rep.holds or recheck_counterexample(lens, rep, [0, 1], view.elements)
 
 
 def test_constructor_contract_well_behaved():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pslens.iposet import UNDEFINED, FiniteIPoset, check_duplicable, structurally_equal, verify_iposet
-from pslens.laws import LawId, check_law
-from pslens.lens import check_u_acceptability, check_u_consistency, is_failure
+from pslens.iposet import UNDEFINED, FiniteIPoset, check_duplicable, discrete, structurally_equal, verify_iposet
+from pslens.laws import LawId, check_law, check_laws
+from pslens.lens import initiator, is_failure
 from pslens.updates import (
     Pair,
     Proper,
@@ -33,6 +33,8 @@ from pslens.updates import (
     ran,
     su_initiator,
 )
+
+U_LAWS = [LawId.PS_ACCEPTABILITY, LawId.PS_CONSISTENCY]
 
 
 def oracle_ran(us, s, u):
@@ -181,8 +183,8 @@ def test_su_initiator_is_well_behaved_and_satisfies_u_laws():
 
     states = lens.source.elements
     deltas = lens.view.elements
-    assert check_u_acceptability(lens.view, apply, states, deltas).ok
-    assert check_u_consistency(lens.view, apply, states, deltas).ok
+    reports = check_laws(initiator(lens.source, lens.view, apply), U_LAWS, states, deltas)
+    assert [r.holds for r in reports] == [True, True]
 
 
 def test_su_initiator_put_failure_on_origin_mismatch():
@@ -202,8 +204,9 @@ def test_su_initiator_u_laws_hold_across_enumerated_spaces():
             r = apply_su(us, v, sp.state)
             return UNDEFINED if r is UNDEFINED else Proper(r)
 
-        assert check_u_acceptability(view, apply, propers, view.elements).ok
-        assert check_u_consistency(view, apply, propers, view.elements).ok
+        lens = initiator(discrete(propers), view, apply)
+        reports = check_laws(lens, U_LAWS, propers, view.elements)
+        assert [r.holds for r in reports] == [True, True]
         checked += 1
     assert checked == 40
 
