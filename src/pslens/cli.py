@@ -94,6 +94,12 @@ def _render_tasks(t: dict, indent: str = "  ") -> list[str]:
     return [indent + line for line in lines] or [indent + "(empty)"]
 
 
+def _read(path: str) -> str:
+    """A file's text with its line ends as written: the line formats end lines at ``\\n`` only."""
+    with open(path, newline="") as f:
+        return f.read()
+
+
 def _side_domains(session: Session):
     if session.variant == "plain":
         return dt_domain(), dt_domain()
@@ -146,7 +152,7 @@ def _parse_edit(session: Session, args: list[str]):
             raise CommandError("usage: edit og|dt file <path>")
         shape = "plain" if not elaborated else ("ongoing" if side == "og" else "today")
         try:
-            incoming = load_delta(Path(rest[0]).read_text(), shape)
+            incoming = load_delta(_read(rest[0]), shape)
         except OSError as exc:
             raise CommandError(str(exc)) from None
         except ParseError as exc:
@@ -170,7 +176,7 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         if len(args) != 1:
             raise CommandError("usage: load <file>")
         try:
-            source = load_tasks(Path(args[0]).read_text())
+            source = load_tasks(_read(args[0]))
         except OSError as exc:
             raise CommandError(str(exc)) from None
         except ParseError as exc:
@@ -240,8 +246,9 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
     raise CommandError(f"unknown command {cmd!r}")
 
 
-def run_lines(session: Session, lines, out=sys.stdout) -> Session:
-    """Drive a command sequence; raises on command errors."""
+def run_lines(session: Session, lines, out=None) -> Session:
+    """Drive a command sequence; raises on command errors.  Output goes
+    to ``out``, or to ``sys.stdout`` as it is when each line prints."""
     for line in lines:
         session, output = run_command(session, line)
         for text in output:
@@ -274,7 +281,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.script:
         try:
-            lines = Path(args.script).read_text().split("\n")
+            lines = _read(args.script).split("\n")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 
 class IPosetError(ValueError):
@@ -250,19 +250,20 @@ class FiniteIPoset(IPoset):
             self._index.append(e)
         self._elements = self._index.values
         self.name = name
-        self._le = {self._pair(a, b) for a, b in le}
-        self._id = {self._pair(a, b) for a, b in id_rel}
+        self._le = {(self._idx(a), self._idx(b)) for a, b in le}
+        self._id = {(self._idx(a), self._idx(b)) for a, b in id_rel}
         self._merge: Optional[dict] = None
         if merge is not None:
             self._merge = {}
             for a, b, r in merge:
-                key = self._pair(a, b)
+                key = (self._idx(a), self._idx(b))
                 ri = self._idx(r)
                 if self._merge.get(key, ri) != ri:
                     raise IPosetError(f"merge not functional at {(a, b)!r}")
                 self._merge[key] = ri
         self.has_merge = self._merge is not None
-        self.least = self._find_least()
+        k = _least(range(len(self._elements)), lambda i, j: (i, j) in self._le)
+        self.least = None if k is None else self._elements[k]
         if validate:
             report = verify_iposet(self)
             if not report.ok:
@@ -274,30 +275,20 @@ class FiniteIPoset(IPoset):
             raise IPosetError(f"{x!r} is not a carrier element of {self!r}")
         return i
 
-    def _pair(self, a: Any, b: Any) -> tuple[int, int]:
-        return (self._idx(a), self._idx(b))
-
-    def _find_least(self) -> Any:
-        n = len(self._elements)
-        for i in range(n):
-            if all((i, j) in self._le for j in range(n)):
-                return self._elements[i]
-        return None
-
     @property
     def elements(self) -> list:
         return self._elements
 
     def le(self, a: Any, b: Any) -> bool:
-        return self._pair(a, b) in self._le
+        return (self._idx(a), self._idx(b)) in self._le
 
     def ident(self, a: Any, b: Any) -> bool:
-        return self._pair(a, b) in self._id
+        return (self._idx(a), self._idx(b)) in self._id
 
     def merge(self, a: Any, b: Any) -> Any:
         if self._merge is None:
             return UNDEFINED
-        r = self._merge.get(self._pair(a, b))
+        r = self._merge.get((self._idx(a), self._idx(b)))
         return UNDEFINED if r is None else self._elements[r]
 
     def contains(self, x: Any) -> bool:
@@ -330,6 +321,11 @@ def _require_enumerable(p: IPoset) -> list:
     return els
 
 
+def _least(xs: Sequence, le: Callable[[Any, Any], bool]) -> Optional[int]:
+    """Position of the first of ``xs`` that is ``le`` below all of them, or ``None``."""
+    return next((k for k, x in enumerate(xs) if all(le(x, y) for y in xs)), None)
+
+
 def join(p: IPoset, a: Any, b: Any) -> Any:
     """Least upper bound of ``a`` and ``b`` in an enumerable domain.
 
@@ -340,10 +336,13 @@ def join(p: IPoset, a: Any, b: Any) -> Any:
     """
     els = _require_enumerable(p)
     ubs = [c for c in els if p.le(a, c) and p.le(b, c)]
-    for c in ubs:
-        if all(p.le(c, d) for d in ubs):
-            return c
-    return UNDEFINED
+    k = _least(ubs, p.le)
+    return UNDEFINED if k is None else ubs[k]
+
+
+def _relations(p: IPoset, els: list) -> tuple[list[list[bool]], list[list[bool]]]:
+    """``p.le`` and ``p.ident`` asked once per ordered pair of ``els``, tabled by position."""
+    return [[p.le(a, b) for b in els] for a in els], [[p.ident(a, b) for b in els] for a in els]
 
 
 def verify_iposet(p: IPoset) -> ValidationReport:
@@ -352,48 +351,52 @@ def verify_iposet(p: IPoset) -> ValidationReport:
     Violations are report entries, never exceptions: order axioms
     (reflexive, antisymmetric, transitive), ``ident`` contained in
     ``le`` and reflexive, the least element being an identical update
-    for everything, and soundness of the merge table against brute-force
-    joins.
+    for everything, and soundness of the merge against the least upper
+    bounds of the order.  Each pair is asked of the domain once.
     """
     els = _require_enumerable(p)
     if not els:
         raise InvalidArgsError("empty carrier")
     rep = ValidationReport(subject=f"iposet axioms for {p!r}")
-    for a in els:
-        if not p.le(a, a):
+    le, ident = _relations(p, els)
+    n = len(els)
+    for i, a in enumerate(els):
+        if not le[i][i]:
             rep.add("le-reflexive", (a,))
-        if not p.ident(a, a):
+        if not ident[i][i]:
             rep.add("ident-reflexive", (a,))
-    for a, b in itertools.permutations(els, 2):
-        if p.le(a, b) and p.le(b, a):
-            rep.add("le-antisymmetric", (a, b))
-        if p.ident(a, b) and not p.le(a, b):
-            rep.add("ident-subset-of-le", (a, b))
-    for a, b, c in itertools.product(els, repeat=3):
-        if p.le(a, b) and p.le(b, c) and not p.le(a, c):
-            rep.add("le-transitive", (a, b, c))
-    bottoms = [a for a in els if all(p.le(a, b) for b in els)]
-    if bottoms:
-        omega = bottoms[0]
+    for i, j in itertools.permutations(range(n), 2):
+        if le[i][j] and le[j][i]:
+            rep.add("le-antisymmetric", (els[i], els[j]))
+        if ident[i][j] and not le[i][j]:
+            rep.add("ident-subset-of-le", (els[i], els[j]))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if le[i][j] and le[j][k] and not le[i][k]:
+            rep.add("le-transitive", (els[i], els[j], els[k]))
+    k = _least(range(n), lambda i, j: le[i][j])
+    if k is not None:
+        omega = els[k]
         if p.least is not None and not (p.least == omega):
             rep.add("least-designated", (p.least, omega), "designated least differs")
-        for b in els:
-            if not p.ident(omega, b):
+        for b, is_ident in zip(els, ident[k]):
+            if not is_ident:
                 rep.add("least-is-identical-update", (omega, b))
     if p.has_merge:
-        _check_merge_sound(p, els, rep)
+        _check_merge_sound(p, els, le, rep)
     return rep
 
 
-def _check_merge_sound(p: IPoset, els: list, rep: ValidationReport) -> None:
-    """Report every defined merge that differs from the brute-force join."""
-    for a, b in itertools.product(els, repeat=2):
+def _check_merge_sound(p: IPoset, els: list, le: list[list[bool]], rep: ValidationReport) -> None:
+    """Report every defined merge that differs from the least upper bound in the order table ``le``."""
+    for (i, a), (j, b) in itertools.product(enumerate(els), repeat=2):
         r = p.merge(a, b)
         if r is UNDEFINED:
             continue
-        j = join(p, a, b)
-        if j is UNDEFINED or not (j == r):
-            rep.add("merge-sound", (a, b, r), f"join is {j!r}")
+        ubs = [k for k in range(len(els)) if le[i][k] and le[j][k]]
+        k = _least(ubs, lambda x, y: le[x][y])
+        lub = UNDEFINED if k is None else els[ubs[k]]
+        if lub is UNDEFINED or not (lub == r):
+            rep.add("merge-sound", (a, b, r), f"join is {lub!r}")
 
 
 def check_duplicable(p: IPoset) -> ValidationReport:
@@ -408,9 +411,10 @@ def check_duplicable(p: IPoset) -> ValidationReport:
     if not p.has_merge:
         raise MissingMergeError(f"{p!r} has no merge operator")
     rep = ValidationReport(subject=f"duplicability of {p!r}")
-    _check_merge_sound(p, els, rep)
-    for z in els:
-        ids = [x for x in els if p.ident(x, z)]
+    le, ident = _relations(p, els)
+    _check_merge_sound(p, els, le, rep)
+    for k, z in enumerate(els):
+        ids = [x for x, row in zip(els, ident) if row[k]]
         for x, y in itertools.product(ids, repeat=2):
             r = p.merge(x, y)
             if r is UNDEFINED:
@@ -472,19 +476,12 @@ def lift_omega(p: IPoset, bottom: Any = OMEGA, name: str = "") -> FiniteIPoset:
     if ElementIndex(els).index(bottom) >= 0:
         raise InvalidArgsError(f"bottom {bottom!r} already in carrier")
     new_els = [bottom] + list(els)
-    le = [(bottom, e) for e in new_els]
-    idr = [(bottom, e) for e in new_els]
-    for a, b in itertools.product(els, repeat=2):
-        if p.le(a, b):
-            le.append((a, b))
-        if p.ident(a, b):
-            idr.append((a, b))
+    pairs = list(itertools.product(els, repeat=2))
+    le = [(bottom, e) for e in new_els] + [(a, b) for a, b in pairs if p.le(a, b)]
+    idr = [(bottom, e) for e in new_els] + [(a, b) for a, b in pairs if p.ident(a, b)]
     merge = [(bottom, e, e) for e in new_els] + [(e, bottom, e) for e in els]
     if p.has_merge:
-        for a, b in itertools.product(els, repeat=2):
-            r = p.merge(a, b)
-            if r is not UNDEFINED:
-                merge.append((a, b, r))
+        merge += [(a, b, r) for a, b in pairs for r in [p.merge(a, b)] if r is not UNDEFINED]
     return FiniteIPoset(new_els, le, idr, merge, name=name or (p.name + "_lifted" if p.name else ""))
 
 
@@ -691,12 +688,7 @@ def structurally_equal(p: IPoset, q: IPoset) -> bool:
     if isinstance(p, SumIPoset) and isinstance(q, SumIPoset):
         return structurally_equal(p.left, q.left) and structurally_equal(p.right, q.right)
     if isinstance(p, FiniteIPoset) and isinstance(q, FiniteIPoset):
-        return (
-            p.elements == q.elements
-            and p._le == q._le
-            and p._id == q._id
-            and p._merge == q._merge
-        )
+        return (p.elements, p._le, p._id, p._merge) == (q.elements, q._le, q._id, q._merge)
     return False
 
 

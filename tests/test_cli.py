@@ -70,6 +70,32 @@ def test_script_lines_end_at_newline_only(tmp_path):
     assert load_tasks(saved.read_text()) == {"001": TaskRecord(False, "x\u2028y", TODAY)}
 
 
+def test_load_and_edit_file_keep_a_lone_carriage_return_in_a_name(tmp_path):
+    tasks, delta = tmp_path / "lone.tasks", tmp_path / "lone.delta"
+    tasks.write_bytes(b'task a false "x\ry" 2025-04-01\n')
+    delta.write_bytes(b'upsert b false "u\rv" 2025-04-01\n')
+    session, out = run_command(new_session("plain", TODAY), f"load {tasks}")
+    assert out == ["loaded 1 task(s)"] and session.source == {"a": TaskRecord(False, "x\ry", TODAY)}
+    session, _ = run_command(session, f"edit og file {delta}")
+    assert session.staged_og == Delta({"b": TaskRecord(False, "u\rv", TODAY)})
+
+
+def test_crlf_task_files_and_scripts_still_work(tmp_path):
+    tasks, script, saved = tmp_path / "crlf.tasks", tmp_path / "crlf.script", tmp_path / "saved.tasks"
+    tasks.write_bytes(b'task a false "x" 2025-04-01\r\ntask b true "y" 2025-04-02\r\n')
+    script.write_bytes(f"load {tasks}\r\nedit og del b\r\nput\r\nsave {saved}\r\n".encode())
+    assert main(["--script", str(script)]) == 0
+    assert saved.read_bytes() == b'task a false "x" 2025-04-01\n'
+
+
+def test_main_script_prints_to_the_current_stdout(tmp_path, capsys):
+    script = tmp_path / "show.script"
+    script.write_text("show\n")
+    assert main(["--script", str(script)]) == 0
+    empty = "  (empty)\n"
+    assert capsys.readouterr().out == f"source:\n{empty}ongoing view:\n{empty}today view ({TODAY}):\n{empty}"
+
+
 def test_edit_and_put_updates_source_and_views():
     session = load_initial(new_session("plain", TODAY))
     session, _ = run_command(session, 'edit og add 004 "Buy egg" 2025-04-01')

@@ -5,7 +5,9 @@ tables; the library's checkers must agree with them on every generated
 fixture, valid or broken.
 """
 
+import collections
 import itertools
+from importlib import resources
 
 import pytest
 from hypothesis import given
@@ -18,9 +20,11 @@ from pslens.iposet import (
     InL,
     InR,
     InvalidArgsError,
+    IPoset,
     IPosetError,
     MissingMergeError,
     NonMonotonePredicateError,
+    ValidationReport,
     check_duplicable,
     discrete,
     dump_iposet,
@@ -35,7 +39,16 @@ from pslens.iposet import (
     sum_iposet,
     verify_iposet,
 )
-from pslens.tasks import Delta, TaskRecord, dt_domain
+from pslens.tasks import Delta, TaskRecord, dt_domain, enumerate_dt_universe
+from pslens.updates import (
+    dt_toy_space,
+    enumerate_update_spaces,
+    erased_iposet,
+    g1_violation_space,
+    g2_violation_space,
+    g3_violation_space,
+    gen_iposet,
+)
 
 # ---------------------------------------------------------------------------
 # Independent oracles (kept deliberately naive)
@@ -218,30 +231,45 @@ def test_missing_least_identity_is_reported():
     assert any(v.axiom == "least-is-identical-update" for v in report.violations)
 
 
-def test_verify_agrees_with_oracle_on_generated_tables():
-    """Exhaustive cross-check on all 2-element tables plus mutations of
-    3/4/5-element fixtures."""
+def two_element_tables():
+    """All 256 pairs of order and identical-update tables on two elements."""
     els = ["a", "b"]
     base_pairs = [(x, y) for x in els for y in els]
     for le_bits in range(16):
         le = {p for i, p in enumerate(base_pairs) if le_bits >> i & 1}
         for id_bits in range(16):
-            idr = {p for i, p in enumerate(base_pairs) if id_bits >> i & 1}
-            p = FiniteIPoset(els, le, idr, validate=False)
-            expected = oracle_is_valid(els, lambda a, b: (a, b) in le, lambda a, b: (a, b) in idr, [])
-            assert verify_iposet(p).ok == expected, (le, idr)
+            yield els, le, {p for i, p in enumerate(base_pairs) if id_bits >> i & 1}
 
-    for fixture in [chain(3), chain(5), diamond(), lift_omega(discrete([1, 2, 3, 4]))]:
+
+def mutated_fixtures():
+    return [chain(3), chain(5), diamond(), lift_omega(discrete([1, 2, 3, 4]))]
+
+
+def mutations(fixture):
+    """The fixture's tables with a reflexive pair dropped, a cycle added,
+    or an identical update outside the order."""
+    els = fixture.elements
+    le_pairs = set(map(tuple, fixture.le_pairs()))
+    id_pairs = set(map(tuple, fixture.id_pairs()))
+    return [
+        (le_pairs - {(els[0], els[0])}, id_pairs - {(els[0], els[0])}),
+        (le_pairs | {(els[-1], els[0])}, id_pairs),
+        (le_pairs, id_pairs | {(els[-1], els[0])}),
+    ]
+
+
+def test_verify_agrees_with_oracle_on_generated_tables():
+    """Exhaustive cross-check on all 2-element tables plus mutations of
+    3/4/5-element fixtures."""
+    for els, le, idr in two_element_tables():
+        p = FiniteIPoset(els, le, idr, validate=False)
+        expected = oracle_is_valid(els, lambda a, b: (a, b) in le, lambda a, b: (a, b) in idr, [])
+        assert verify_iposet(p).ok == expected, (le, idr)
+
+    for fixture in mutated_fixtures():
         assert verify_iposet(fixture).ok
         els = fixture.elements
-        le_pairs = set(map(tuple, fixture.le_pairs()))
-        id_pairs = set(map(tuple, fixture.id_pairs()))
-        mutations = []
-        # drop a reflexive le pair, add a cycle, drop an id pair
-        mutations.append((le_pairs - {(els[0], els[0])}, id_pairs - {(els[0], els[0])}))
-        mutations.append((le_pairs | {(els[-1], els[0])}, id_pairs))
-        mutations.append((le_pairs, id_pairs | {(els[-1], els[0])}))
-        for le_m, id_m in mutations:
+        for le_m, id_m in mutations(fixture):
             p = FiniteIPoset(els, le_m, id_m, validate=False)
             expected = oracle_is_valid(
                 els, lambda a, b: (a, b) in le_m, lambda a, b: (a, b) in id_m, []
@@ -528,3 +556,190 @@ def test_iposet_text_round_trips_or_dump_refuses(els):
         return
     text = dump_iposet(p)
     assert structurally_equal(load_iposet(text), p)
+
+
+# ---------------------------------------------------------------------------
+# The domain checks against their value-level versions
+# ---------------------------------------------------------------------------
+# join, verify_iposet, _check_merge_sound, check_duplicable and
+# FiniteIPoset._find_least as they were before the checks tabled each
+# pair once, kept verbatim (the least search as a function) as the oracle.
+
+
+def value_join(p, a, b):
+    els = p.elements
+    ubs = [c for c in els if p.le(a, c) and p.le(b, c)]
+    for c in ubs:
+        if all(p.le(c, d) for d in ubs):
+            return c
+    return UNDEFINED
+
+
+def value_verify_iposet(p):
+    els = p.elements
+    rep = ValidationReport(subject=f"iposet axioms for {p!r}")
+    for a in els:
+        if not p.le(a, a):
+            rep.add("le-reflexive", (a,))
+        if not p.ident(a, a):
+            rep.add("ident-reflexive", (a,))
+    for a, b in itertools.permutations(els, 2):
+        if p.le(a, b) and p.le(b, a):
+            rep.add("le-antisymmetric", (a, b))
+        if p.ident(a, b) and not p.le(a, b):
+            rep.add("ident-subset-of-le", (a, b))
+    for a, b, c in itertools.product(els, repeat=3):
+        if p.le(a, b) and p.le(b, c) and not p.le(a, c):
+            rep.add("le-transitive", (a, b, c))
+    bottoms = [a for a in els if all(p.le(a, b) for b in els)]
+    if bottoms:
+        omega = bottoms[0]
+        if p.least is not None and not (p.least == omega):
+            rep.add("least-designated", (p.least, omega), "designated least differs")
+        for b in els:
+            if not p.ident(omega, b):
+                rep.add("least-is-identical-update", (omega, b))
+    if p.has_merge:
+        value_check_merge_sound(p, els, rep)
+    return rep
+
+
+def value_check_merge_sound(p, els, rep):
+    for a, b in itertools.product(els, repeat=2):
+        r = p.merge(a, b)
+        if r is UNDEFINED:
+            continue
+        j = value_join(p, a, b)
+        if j is UNDEFINED or not (j == r):
+            rep.add("merge-sound", (a, b, r), f"join is {j!r}")
+
+
+def value_check_duplicable(p):
+    els = p.elements
+    rep = ValidationReport(subject=f"duplicability of {p!r}")
+    value_check_merge_sound(p, els, rep)
+    for z in els:
+        ids = [x for x in els if p.ident(x, z)]
+        for x, y in itertools.product(ids, repeat=2):
+            r = p.merge(x, y)
+            if r is UNDEFINED:
+                rep.add("ident-merge-total", (x, y, z), "merge undefined on identical updates")
+            elif not p.ident(r, z):
+                rep.add("ident-merge-closed", (x, y, z), f"merge result {r!r} not identical update")
+    return rep
+
+
+def value_find_least(p):
+    n = len(p.elements)
+    for i in range(n):
+        if all((i, j) in p._le for j in range(n)):
+            return p.elements[i]
+    return None
+
+
+def assert_checks_match_value_level(p):
+    """Assert the same reports, witnesses, details and designated least;
+    return whether either check reports a violation."""
+    reports = [(verify_iposet(p), value_verify_iposet(p))]
+    if p.has_merge:
+        reports.append((check_duplicable(p), value_check_duplicable(p)))
+    for new, old in reports:
+        assert new == old, p
+    if isinstance(p, FiniteIPoset):
+        assert p.least is value_find_least(p), p
+    return any(not new.ok for new, _ in reports)
+
+
+def packaged_fixture_domains():
+    fixtures = resources.files("pslens").joinpath("fixtures")
+    return [load_iposet(f.read_text(), name=f.name) for f in fixtures.iterdir() if f.name.endswith(".iposet")]
+
+
+def test_checks_match_value_level_on_packaged_fixtures_and_powersets():
+    domains = packaged_fixture_domains() + [powerset_iposet(range(n)) for n in (3, 4, 5)]
+    assert len(domains) == 8
+    for p in domains:
+        assert not assert_checks_match_value_level(p)
+
+
+def test_checks_match_value_level_on_mutated_invalid_domains():
+    tables = list(two_element_tables())
+    for fixture in mutated_fixtures():
+        tables += [(fixture.elements, le, idr, fixture.merge_triples()) for le, idr in mutations(fixture)]
+    failing = 0
+    for els, le, idr, *merge in tables:
+        for m in [None, *merge]:
+            failing += assert_checks_match_value_level(FiniteIPoset(els, le, idr, m, validate=False))
+    assert failing > 200
+
+
+def test_checks_match_value_level_on_generated_and_erased_domains():
+    spaces = list(enumerate_update_spaces())
+    assert len(spaces) == 266
+    spaces += [g1_violation_space(), g2_violation_space(), g3_violation_space(), dt_toy_space()]
+    failing = 0
+    for us in spaces:
+        failing += assert_checks_match_value_level(gen_iposet(us))
+        failing += assert_checks_match_value_level(erased_iposet(us))
+    assert failing >= 3  # at least the three necessity fixtures
+
+
+def test_checks_match_value_level_on_the_desk_domain():
+    records = [TaskRecord(False, "write", "2025-04-01"), TaskRecord(True, "rest", "2025-04-02")]
+    universe = enumerate_dt_universe(["a", "b"], records)
+    desk = materialize(dt_domain(), universe, name="tasks+deltas@desk")
+    assert len(desk.elements) == 25
+    assert not assert_checks_match_value_level(desk)
+
+
+class Counting(IPoset):
+    """A domain that counts the queries it forwards to ``inner``."""
+
+    def __init__(self, inner):
+        self.inner, self.name, self.least, self.has_merge = inner, inner.name, inner.least, inner.has_merge
+        self.calls = collections.Counter()
+
+    @property
+    def elements(self):
+        return self.inner.elements
+
+    def le(self, a, b):
+        self.calls["le"] += 1
+        return self.inner.le(a, b)
+
+    def ident(self, a, b):
+        self.calls["ident"] += 1
+        return self.inner.ident(a, b)
+
+    def merge(self, a, b):
+        return self.inner.merge(a, b)
+
+    def contains(self, x):
+        return self.inner.contains(x)
+
+
+def test_checks_ask_each_order_pair_once():
+    p = chain(5)
+    counted = Counting(p)
+    assert verify_iposet(counted).violations == verify_iposet(p).violations == []
+    assert counted.calls["le"] <= 25 and counted.calls["ident"] <= 25
+    counted = Counting(p)
+    assert check_duplicable(counted).violations == check_duplicable(p).violations == []
+    assert counted.calls["le"] <= 25
+
+
+def test_checks_on_products_and_sums_match_their_materialized_carrier():
+    lifted = lift_omega(discrete([1, 2]))
+    # without the diagonal merge at 1, merge is not total on the identical updates of 1
+    gappy = FiniteIPoset(
+        lifted.elements, lifted.le_pairs(), lifted.id_pairs(), [t for t in lifted.merge_triples() if t[:2] != (1, 1)]
+    )
+    failing = 0
+    for left, right in itertools.product([lifted, gappy], repeat=2):
+        for p in (product_iposet(left, right), sum_iposet(left, right)):
+            table = materialize(p, p.elements)
+            assert verify_iposet(p).violations == verify_iposet(table).violations
+            dup = check_duplicable(p).violations
+            assert dup == check_duplicable(table).violations
+            failing += bool(dup)
+    assert failing == 6
