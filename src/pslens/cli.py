@@ -1,7 +1,9 @@
 """Line-oriented front end: load a task source, stage per-view deltas,
 push them through the pipeline, inspect preservation, run the law suite.
 
-Commands (one per line; ``#`` comments and blank lines are skipped):
+Commands, one per line, follow the line grammar of the file formats
+(:func:`pslens.iposet._tokenize`): ``#`` starts a comment, blank lines
+are skipped, and ``'`` and ``\\`` outside double quotes are ordinary.
 
     load <file>                     read the task source
     show                            print source and both views
@@ -22,13 +24,12 @@ Exit codes: 0 success, 1 command error, 2 law-suite failure.
 from __future__ import annotations
 
 import argparse
-import shlex
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
-from .iposet import UNDEFINED
+from .iposet import UNDEFINED, _tokenize
 from .laws import run_fixture_suite
 from .lens import PSLens, is_failure
 from .tasks import (
@@ -94,10 +95,15 @@ def _render_tasks(t: dict, indent: str = "  ") -> list[str]:
     return [indent + line for line in lines] or [indent + "(empty)"]
 
 
-def _read(path: str) -> str:
-    """A file's text with its line ends as written: the line formats end lines at ``\\n`` only."""
-    with open(path, newline="") as f:
-        return f.read()
+def _load(path: str, parse, *args):
+    """``parse(text, *args)`` of a file, keeping ``\\r`` (lines end at ``\\n`` only); fails with ``CommandError``."""
+    try:
+        with open(path, newline="") as f:
+            return parse(f.read(), *args)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CommandError(str(exc)) from None
+    except ParseError as exc:
+        raise CommandError(f"{path}: {exc}") from None
 
 
 def _side_domains(session: Session):
@@ -151,12 +157,7 @@ def _parse_edit(session: Session, args: list[str]):
         if len(rest) != 1:
             raise CommandError("usage: edit og|dt file <path>")
         shape = "plain" if not elaborated else ("ongoing" if side == "og" else "today")
-        try:
-            incoming = load_delta(_read(rest[0]), shape)
-        except OSError as exc:
-            raise CommandError(str(exc)) from None
-        except ParseError as exc:
-            raise CommandError(f"{rest[0]}: {exc}") from None
+        incoming = _load(rest[0], load_delta, shape)
     else:
         raise CommandError(f"unknown edit action {action!r}")
     return side, incoming
@@ -164,10 +165,9 @@ def _parse_edit(session: Session, args: list[str]):
 
 def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
     """Execute one command line; never mutates, returns the next session."""
-    try:
-        tokens = shlex.split(line, comments=True)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from None
+    tokens = _tokenize(line)
+    if tokens is None:
+        raise CommandError(f"cannot parse {line!r}")
     if not tokens:
         return session, []
     cmd, args = tokens[0], tokens[1:]
@@ -175,12 +175,7 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
     if cmd == "load":
         if len(args) != 1:
             raise CommandError("usage: load <file>")
-        try:
-            source = load_tasks(_read(args[0]))
-        except OSError as exc:
-            raise CommandError(str(exc)) from None
-        except ParseError as exc:
-            raise CommandError(f"{args[0]}: {exc}") from None
+        source = _load(args[0], load_tasks)
         return new_session(session.variant, session.today, source), [f"loaded {len(source)} task(s)"]
 
     if cmd == "show":
@@ -247,10 +242,13 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
 
 
 def run_lines(session: Session, lines, out=None) -> Session:
-    """Drive a command sequence; raises on command errors.  Output goes
-    to ``out``, or to ``sys.stdout`` as it is when each line prints."""
-    for line in lines:
-        session, output = run_command(session, line)
+    """Drive a command sequence; a command error is raised naming its line.
+    Output goes to ``out``, or to ``sys.stdout`` as it is at print time."""
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            session, output = run_command(session, line)
+        except CommandError as exc:
+            raise CommandError(f"line {lineno}: {exc}") from None
         for text in output:
             print(text, file=out)
     return session
@@ -281,12 +279,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.script:
         try:
-            lines = _read(args.script).split("\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            run_lines(session, lines)
+            run_lines(session, _load(args.script, str.split, "\n"))
         except CommandError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
@@ -303,7 +296,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not line:
             return 0
         try:
-            session, output = run_command(session, line)
+            session, output = run_command(session, line.rstrip("\n"))
         except CommandError as exc:
             print(f"error: {exc}")
             continue

@@ -386,10 +386,11 @@ def verify_iposet(p: IPoset) -> ValidationReport:
     return rep
 
 
-def _check_merge_sound(p: IPoset, els: list, le: list[list[bool]], rep: ValidationReport) -> None:
-    """Report every defined merge that differs from the least upper bound in the order table ``le``."""
+def _check_merge_sound(p: IPoset, els: list, le: list[list[bool]], rep: ValidationReport) -> list[list]:
+    """Report each defined merge that differs from the least upper bound in ``le``; return all merges by position."""
+    merged = [[p.merge(a, b) for b in els] for a in els]
     for (i, a), (j, b) in itertools.product(enumerate(els), repeat=2):
-        r = p.merge(a, b)
+        r = merged[i][j]
         if r is UNDEFINED:
             continue
         ubs = [k for k in range(len(els)) if le[i][k] and le[j][k]]
@@ -397,6 +398,7 @@ def _check_merge_sound(p: IPoset, els: list, le: list[list[bool]], rep: Validati
         lub = UNDEFINED if k is None else els[ubs[k]]
         if lub is UNDEFINED or not (lub == r):
             rep.add("merge-sound", (a, b, r), f"join is {lub!r}")
+    return merged
 
 
 def check_duplicable(p: IPoset) -> ValidationReport:
@@ -405,21 +407,23 @@ def check_duplicable(p: IPoset) -> ValidationReport:
     Duplicability requires (i) merge to be sound for joins, and (ii) for
     every state ``z``, merge to be total and closed on the identical
     updates of ``z``.  This is exactly what the duplication lens needs
-    to combine per-view updates without losing identical ones.
+    to combine per-view updates without losing identical ones.  Each
+    pair is asked once, and ``ident`` of merge results outside the carrier.
     """
     els = _require_enumerable(p)
     if not p.has_merge:
         raise MissingMergeError(f"{p!r} has no merge operator")
     rep = ValidationReport(subject=f"duplicability of {p!r}")
     le, ident = _relations(p, els)
-    _check_merge_sound(p, els, le, rep)
+    merged = _check_merge_sound(p, els, le, rep)
+    carrier = ElementIndex(els)
     for k, z in enumerate(els):
-        ids = [x for x, row in zip(els, ident) if row[k]]
-        for x, y in itertools.product(ids, repeat=2):
-            r = p.merge(x, y)
+        ids = [(i, x) for i, (x, row) in enumerate(zip(els, ident)) if row[k]]
+        for (i, x), (j, y) in itertools.product(ids, repeat=2):
+            r = merged[i][j]
             if r is UNDEFINED:
                 rep.add("ident-merge-total", (x, y, z), "merge undefined on identical updates")
-            elif not p.ident(r, z):
+            elif not (ident[m][k] if (m := carrier.index(r)) >= 0 else p.ident(r, z)):
                 rep.add("ident-merge-closed", (x, y, z), f"merge result {r!r} not identical update")
     return rep
 
@@ -715,28 +719,38 @@ _ESCAPE = re.compile(r"\\(.)")
 _UNESCAPE = {"\\": "\\", '"': '"', "n": "\n", "r": "\r"}
 
 
+def _quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r") + '"'
+
+
 def _is_bare_token(x: Any) -> bool:
     """Whether ``x`` is a string the line formats read back unquoted as
     one token: non-empty, without whitespace, '"' and '#'."""
     return isinstance(x, str) and _BARE.fullmatch(x) is not None
 
 
+def _tokenize(line: str) -> Optional[list[str]]:
+    """The whitespace-separated tokens of one line up to a ``#`` outside
+    quotes, or ``None`` when it does not parse.  A token is a bare run of
+    characters other than whitespace, ``"`` and ``#``, or a double-quoted
+    string with the escapes ``\\\\``, ``\\"``, ``\\n`` and ``\\r``."""
+    found = _TOKEN.findall(line)
+    if found and found[-1][1]:
+        return None
+    return [t if t[0] != '"' else _ESCAPE.sub(lambda m: _UNESCAPE[m[1]], t[1:-1]) for t, _ in found if t]
+
+
 def _read_directives(text: str, arity: dict[str, int], error: type) -> Iterator[tuple[int, str, tuple]]:
     """Read a line format lazily, yielding ``(lineno, tag, args)`` per line.
 
-    Lines end at ``\\n`` only.  A line is whitespace-separated tokens,
-    the first its tag; ``#`` outside quotes starts a comment, and blank
-    lines are skipped.  A token is a bare run of characters other than
-    whitespace, ``"`` and ``#``, or a double-quoted string with the
-    escapes ``\\\\``, ``\\"``, ``\\n`` and ``\\r``.  Any other line, an
-    unknown tag or a wrong number of arguments raises ``error`` with its
-    line number.
+    Lines end at ``\\n`` only.  A line is the tokens of :func:`_tokenize`,
+    the first its tag; blank lines are skipped.  A line that does not
+    parse, an unknown tag or a wrong number of arguments raises ``error``
+    with its line number.
     """
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        found = _TOKEN.findall(raw)
-        tokens = [t if t[0] != '"' else _ESCAPE.sub(lambda m: _UNESCAPE[m[1]], t[1:-1]) for t, _ in found if t]
-        stray = found and found[-1][1]
-        if stray or tokens and arity.get(tokens[0]) != len(tokens) - 1:
+        tokens = _tokenize(raw)
+        if tokens is None or tokens and arity.get(tokens[0]) != len(tokens) - 1:
             raise error(f"line {lineno}: cannot parse {raw!r}")
         if tokens:
             yield lineno, tokens[0], tuple(tokens[1:])

@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional
 
-from .iposet import UNDEFINED, IPoset, _read_directives
+from .iposet import UNDEFINED, IPoset, _is_bare_token, _quote, _read_directives
 from .lens import (
     PSLens,
     PutFailure,
@@ -54,18 +54,11 @@ class ParseError(ValueError):
     """A task or delta file (or inline clause) failed to parse."""
 
 
-# Ids are written unquoted, so they are bare tokens of the line grammar
-# (no whitespace, '"' or '#').  They also lack ``'`` and ``\``, which the
-# CLI's shell-style command lines read as quoting, so an id typed in a
-# command reads as itself.
-_BARE_TOKEN = re.compile(r"[^\s\"'\\#]+")
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def is_task_id(key: Any) -> bool:
-    """Whether ``key`` is a bare token: a nonempty string without
-    whitespace, quotes, backslashes or ``#``."""
-    return isinstance(key, str) and _BARE_TOKEN.fullmatch(key) is not None
+#: Ids are written unquoted, so a task id is a bare token of the line grammar.
+is_task_id = _is_bare_token
 
 
 def check_date(text: Any) -> str:
@@ -330,12 +323,12 @@ def filter_ongoing(variant: str = "plain") -> PSLens:
     return filter_lens(dtog_domain(), variant, "filter-ongoing")
 
 
-def filter_today(variant: str = "plain", today: str = "") -> PSLens:
+def filter_today(variant: str, today: str) -> PSLens:
     """The due-today view lens; elaborated moves are postponements."""
     return filter_lens(dtdt_domain(today), variant, f"filter-due-{today}")
 
 
-def task_pipeline(variant: str = "plain", today: str = "") -> PSLens:
+def task_pipeline(variant: str, today: str) -> PSLens:
     """The whole synchronizer: embed, duplicate, filter both copies.
 
     ``get`` produces the pair of views; ``put`` pushes a pair of view
@@ -411,8 +404,11 @@ _CLAUSES = {
 }
 
 
-def _quote(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r") + '"'
+def _clauses(shape: str) -> dict[str, int]:
+    """The clauses of a delta shape with their argument counts."""
+    if shape not in _CLAUSES:
+        raise ValueError(f"unknown delta shape {shape!r}")
+    return _CLAUSES[shape]
 
 
 def _record_fields(r: TaskRecord) -> str:
@@ -434,8 +430,7 @@ def _read_clauses(text: str, arity: dict[str, int], upserts: FilterDomain = _DT)
     for lineno, tag, args in _read_directives(text, arity, ParseError):
         key, fields = args[0], ("true", *args[1:]) if tag == "complete" else args[1:]
         try:
-            if not is_task_id(key):
-                raise ValueError(f"task id {key!r} is not a bare token")
+            _check_ids((key,))
             if any(key in part for part in parts.values()):
                 raise ValueError(f"duplicate task id {key!r}")
             if fields and fields[0] not in ("true", "false"):
@@ -462,7 +457,7 @@ def dump_delta(d: Delta, shape: str = "plain") -> str:
     and as ``postpone`` clauses in the ``today`` shape; a ``plain``
     delta has no clause for them.
     """
-    clauses = _CLAUSES[shape]
+    clauses = _clauses(shape)
     lines = [f"upsert {k} {_record_fields(d.adds[k])}" for k in sorted(d.adds)]
     for k in sorted(d.moves):
         r = d.moves[k]
@@ -486,7 +481,5 @@ def load_delta(text: str, shape: str = "plain") -> Delta:
     postponements).  Lines follow the grammar of
     :func:`~pslens.iposet._read_directives`, and each id has one clause.
     """
-    if shape not in _CLAUSES:
-        raise ValueError(f"unknown delta shape {shape!r}")
-    parts = _read_clauses(text, _CLAUSES[shape], _DTOG if shape == "ongoing" else _DT)
+    parts = _read_clauses(text, _clauses(shape), _DTOG if shape == "ongoing" else _DT)
     return Delta(parts["upsert"], parts["delete"], parts.get("complete") or parts.get("postpone", {}))

@@ -1,5 +1,6 @@
 """Command front end: sessions, batch determinism, exit codes."""
 
+import io
 import os
 import shutil
 import subprocess
@@ -96,6 +97,48 @@ def test_main_script_prints_to_the_current_stdout(tmp_path, capsys):
     assert capsys.readouterr().out == f"source:\n{empty}ongoing view:\n{empty}today view ({TODAY}):\n{empty}"
 
 
+def test_script_errors_name_their_line(tmp_path, capsys, monkeypatch):
+    script = tmp_path / "bad.script"
+    for text, error in [
+        ("show\nwibble\n", "line 2: unknown command 'wibble'"),
+        ('# header\n\nedit og add "x 2025-04-01\n', "line 3: cannot parse 'edit og add \"x 2025-04-01'"),
+    ]:
+        script.write_text(text)
+        assert main(["--script", str(script)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO('wibble\nedit og add "x\n'))
+    assert main([]) == 0
+    assert capsys.readouterr().out == "error: unknown command 'wibble'\nerror: cannot parse 'edit og add \"x'\n"
+
+
+def test_unreadable_files_are_command_errors(tmp_path, capsys):
+    binary, script = tmp_path / "binary.tasks", tmp_path / "binary.script"
+    binary.write_bytes(b"\xff\xfe\n")
+    for line in (f"load {binary}", f"edit og file {binary}"):
+        with pytest.raises(CommandError, match="can't decode byte 0xff"):
+            run_command(new_session("plain", TODAY), line)
+    for path in (binary, tmp_path / "missing.script"):
+        assert main(["--script", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_single_quotes_are_ordinary_characters():
+    session = new_session("plain", TODAY)
+    with pytest.raises(CommandError, match="^usage: edit og\\|dt add <id> <name> <due>$"):
+        run_command(session, "edit og add 'x y' \"x\" 2025-04-01")
+    session, _ = run_command(session, "edit og add it's 'x' 2025-04-01")
+    assert session.staged_og == Delta({"it's": TaskRecord(False, "'x'", TODAY)})
+
+
+def test_ids_with_quotes_and_backslashes_survive_edit_save_and_load(tmp_path):
+    saved = tmp_path / "saved.tasks"
+    lines = ["edit og add it's \"x\" 2025-04-01", 'edit og add a\\b "y" 2025-04-01', "put", f"save {saved}"]
+    session = run_lines(new_session("plain", TODAY), lines, out=io.StringIO())
+    assert set(session.source) == {"it's", "a\\b"}
+    reloaded, _ = run_command(new_session("plain", TODAY), f"load {saved}")
+    assert reloaded.source == session.source
+
+
 def test_edit_and_put_updates_source_and_views():
     session = load_initial(new_session("plain", TODAY))
     session, _ = run_command(session, 'edit og add 004 "Buy egg" 2025-04-01')
@@ -137,7 +180,7 @@ def test_conflicting_edits_rejected_at_staging():
 
 @pytest.mark.parametrize(
     "line",
-    ['edit og add "" "x" 2025-04-01', 'edit dt add "a b" "x" 2025-04-01', "edit og del '#a'", 'edit dt del ""'],
+    ['edit og add "" "x" 2025-04-01', 'edit dt add "a b" "x" 2025-04-01', 'edit og del "#a"', 'edit dt del ""'],
 )
 def test_bad_id_is_command_error(line):
     session = load_initial(new_session("elaborated", TODAY))

@@ -684,10 +684,13 @@ def test_checks_match_value_level_on_generated_and_erased_domains():
     assert failing >= 3  # at least the three necessity fixtures
 
 
-def test_checks_match_value_level_on_the_desk_domain():
+def desk_universe():
     records = [TaskRecord(False, "write", "2025-04-01"), TaskRecord(True, "rest", "2025-04-02")]
-    universe = enumerate_dt_universe(["a", "b"], records)
-    desk = materialize(dt_domain(), universe, name="tasks+deltas@desk")
+    return enumerate_dt_universe(["a", "b"], records)
+
+
+def test_checks_match_value_level_on_the_desk_domain():
+    desk = materialize(dt_domain(), desk_universe(), name="tasks+deltas@desk")
     assert len(desk.elements) == 25
     assert not assert_checks_match_value_level(desk)
 
@@ -712,10 +715,23 @@ class Counting(IPoset):
         return self.inner.ident(a, b)
 
     def merge(self, a, b):
+        self.calls["merge"] += 1
         return self.inner.merge(a, b)
 
     def contains(self, x):
         return self.inner.contains(x)
+
+
+class OpenCarrier(Counting):
+    """``inner``'s queries over an explicit carrier that merges may leave."""
+
+    def __init__(self, inner, elements):
+        super().__init__(inner)
+        self.carrier = elements
+
+    @property
+    def elements(self):
+        return self.carrier
 
 
 def test_checks_ask_each_order_pair_once():
@@ -726,6 +742,24 @@ def test_checks_ask_each_order_pair_once():
     counted = Counting(p)
     assert check_duplicable(counted).violations == check_duplicable(p).violations == []
     assert counted.calls["le"] <= 25
+
+
+def test_check_duplicable_asks_each_merge_and_ident_pair_once():
+    desk = materialize(dt_domain(), desk_universe())
+    counted = Counting(desk)
+    assert check_duplicable(counted).violations == check_duplicable(desk).violations == []
+    assert counted.calls["merge"] <= 625 and counted.calls["ident"] <= 625
+
+
+def test_check_duplicable_asks_ident_of_merges_outside_the_carrier():
+    # without the deltas that touch both ids, merging two one-id deltas leaves the carrier
+    one_id = [x for x in desk_universe() if not isinstance(x, Delta) or len({*x.adds, *x.deletes, *x.moves}) < 2]
+    p = OpenCarrier(dt_domain(), one_id)
+    n = len(one_id)
+    report = check_duplicable(p)
+    assert p.calls["merge"] == n * n and p.calls["ident"] > n * n
+    assert report == value_check_duplicable(p)
+    assert any(v.axiom == "merge-sound" for v in report.violations)
 
 
 def test_checks_on_products_and_sums_match_their_materialized_carrier():

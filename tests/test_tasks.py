@@ -105,7 +105,14 @@ def test_dates_must_be_canonical(day):
     assert main(["--today", day]) == 1
 
 
-BAD_IDS = ["", "a b", "a\tb", "a\u00a0b", 'a"b', "a'b", "a\\b", "#a", "a#b", 7]
+def test_view_date_has_no_default():
+    with pytest.raises(TypeError):
+        filter_today("plain")
+    with pytest.raises(TypeError):
+        task_pipeline("plain")
+
+
+BAD_IDS = ["", "a b", "a\tb", "a\u00a0b", 'a"b', "a\u2028b", "a\x0bb", "#a", "a#b", 7]
 
 
 @pytest.mark.parametrize("key", BAD_IDS)
@@ -559,8 +566,8 @@ def test_tasks_round_trip_over_accepted_ids(t):
         ("tasks", 'task "a b" false "x" 2025-04-01'),
         ("tasks", 'task "" false "x" 2025-04-01'),
         ("tasks", 'task "a#b" false "x" 2025-04-01'),
-        ("plain", 'upsert "a\\\\b" false "x" 2025-04-01'),
-        ("plain", 'delete "it\'s"'),
+        ("plain", 'upsert "a\tb" false "x" 2025-04-01'),
+        ("plain", 'delete "a\\"b"'),
         ("ongoing", 'complete "#a" "x" 2025-04-01'),
         ("today", 'postpone "a b" false "x" 2025-04-02'),
     ],
@@ -591,6 +598,12 @@ def test_delta_shape_mismatch_is_parse_error():
         load_delta('delete b\nupsert a true "x" 2025-04-01\n', "ongoing")  # ongoing-view upserts are ongoing
     with pytest.raises(ParseError):
         load_delta("upsert a false \"x\" 2025-01-01\ndelete a\n", "plain")
+
+
+def test_unknown_delta_shape_is_value_error():
+    for call in (lambda: dump_delta(Delta(), "bogus"), lambda: load_delta("", "bogus")):
+        with pytest.raises(ValueError, match="^unknown delta shape 'bogus'$"):
+            call()
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,16 @@
 """The one line grammar shared by the four text formats."""
 
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pslens.iposet import IPosetError, load_iposet
-from pslens.tasks import ParseError, dump_delta, dump_tasks, load_delta, load_tasks
+from pslens import cli
+from pslens.iposet import IPosetError, _tokenize, load_iposet
+from pslens.tasks import Delta, ParseError, TaskRecord, dump_delta, dump_tasks, load_delta, load_tasks
 from pslens.updates import UpdateSpaceError, load_update_space
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -67,3 +70,44 @@ def test_golden_files_are_canonical(path):
     else:
         shape = "ongoing" if path.suffix == ".ogdelta" else "plain"
         assert dump_delta(load_delta(text, shape), shape) == text
+
+
+# Lines on which the grammar and POSIX shell splitting agree: bare tokens
+# without the shell's quoting characters, double-quoted tokens with only
+# the escapes both read alike, separated by whitespace both split on.
+shell_bare = st.text(st.characters(blacklist_characters="'\\\"#"), min_size=1).filter(
+    lambda t: re.fullmatch(r"\S+", t)
+)
+shell_quoted = st.lists(st.sampled_from(["\\\\", '\\"']) | st.characters(blacklist_characters='"\\\n')).map(
+    lambda parts: '"' + "".join(parts) + '"'
+)
+shell_space = st.text(" \t\r", min_size=1, max_size=3)
+
+
+@st.composite
+def shell_lines(draw):
+    line = draw(st.sampled_from(["", " "]))
+    for token in draw(st.lists(shell_bare | shell_quoted, max_size=5)):
+        line += token + draw(shell_space)
+    if draw(st.booleans()):
+        line += "#" + draw(st.text(st.characters(blacklist_characters="\n")))
+    return line
+
+
+@given(shell_lines())
+def test_command_lines_split_like_the_shell_on_their_common_subset(line):
+    assert cli._tokenize is _tokenize
+    assert _tokenize(line) == shlex.split(line, comments=True)
+
+
+QUOTING_IDS = ["it's", "'", "a\\b", "\\", "\\n'"]
+
+
+def test_ids_with_quotes_and_backslashes_round_trip():
+    record = TaskRecord(False, "x", "2025-04-01")
+    table = {k: record for k in QUOTING_IDS}
+    assert load_tasks(dump_tasks(table)) == table
+    d = Delta(table, {k + "!" for k in QUOTING_IDS})
+    assert load_delta(dump_delta(d)) == d
+    og = Delta(moves={k: TaskRecord(True, "x", "2025-04-01") for k in QUOTING_IDS})
+    assert load_delta(dump_delta(og, "ongoing"), "ongoing") == og
