@@ -42,6 +42,7 @@ from .tasks import (
     dump_tasks,
     load_delta,
     load_tasks,
+    refresh_views,
     task_pipeline,
 )
 
@@ -58,8 +59,11 @@ class LawSuiteFailure(Exception):
 class Session:
     """One synchronization session.
 
-    ``views`` always equals the pipeline's forward image of ``source``;
-    the staged deltas are what the next ``put`` will propagate.
+    ``views`` always equals the pipeline's forward image of ``source``:
+    :func:`new_session` computes it with the pipeline's ``get``, and a
+    ``put`` refreshes it from the ids the staged deltas name
+    (:func:`~pslens.tasks.refresh_views`).  The staged deltas are what
+    the next ``put`` will propagate.
     """
 
     variant: str
@@ -204,7 +208,9 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         result = session.pipeline.put(session.source, (session.staged_og, session.staged_dt))
         if is_failure(result):
             return session, [f"{result}", "session unchanged"]
-        fresh = new_session(session.variant, session.today, result)
+        ids = session.staged_og.ids | session.staged_dt.ids
+        views = refresh_views(session.views, result, ids, session.today)
+        fresh = Session(session.variant, session.today, result, views, Delta(), Delta())
         og_dom, dt_dom = _side_domains(session)
         out = [f"source now has {len(result)} task(s)"]
         out.append(
@@ -233,7 +239,10 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         return session, [f"saved {args[0]}"]
 
     if cmd == "laws":
-        lines, ok = run_fixture_suite(args or None)
+        try:
+            lines, ok = run_fixture_suite(args or None)
+        except ValueError as exc:
+            raise CommandError(str(exc)) from None
         if not ok:
             raise LawSuiteFailure("\n".join(lines))
         return session, lines

@@ -719,10 +719,14 @@ def run_fixture_suite(names: Optional[list[str]] = None) -> tuple[list[str], boo
 
     Returns printable lines and an overall flag that is False when any
     expected-lawful lens fails or any counterexample fixture passes its
-    designated failing law.
+    designated failing law.  A name outside the catalog is a
+    ``ValueError``, raised before any law is checked.
     """
     catalog = fixture_lenses()
     picked = names or list(catalog)
+    for name in picked:
+        if name not in catalog:
+            raise ValueError(f"unknown fixture {name!r}")
     lines = []
     all_ok = True
     for name in picked:

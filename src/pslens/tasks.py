@@ -36,7 +36,7 @@ import datetime
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Collection, Iterable, Mapping, Optional
 
 from .iposet import UNDEFINED, IPoset, _is_bare_token, _quote, _read_directives
 from .lens import (
@@ -129,6 +129,11 @@ class Delta:
         object.__setattr__(self, "deletes", deletes)
         object.__setattr__(self, "moves", moves)
 
+    @property
+    def ids(self) -> frozenset:
+        """Every id the delta names: the only ids applying it can change."""
+        return frozenset((*self.adds, *self.deletes, *self.moves))
+
 
 # ---------------------------------------------------------------------------
 # Table helpers
@@ -151,17 +156,23 @@ def _union(a: dict, b: dict) -> Optional[dict]:
     return {**a, **b}
 
 
-def apply_dt(v: Any, t: Mapping) -> dict:
+def apply_dt(v: Any, t: dict) -> dict:
     """Apply a source-domain element as an update to a proper table.
 
     A proper view replaces the table; a delta upserts its adds and then
-    removes its deletes (order immaterial thanks to disjointness).
-    Total for every valid input.
+    removes its deletes (order immaterial thanks to disjointness), so
+    only the ids the delta names change.  Beyond one C-level copy of
+    ``t``, a delta costs O(|delta|).  Total for every valid input.
     """
     if isinstance(v, dict):
         return dict(v)
     if isinstance(v, Delta):
-        return {k: r for k, r in upsert(t, v.adds).items() if k not in v.deletes}
+        # dict.copy clones a table that has had deletions; {**t} would re-insert every record
+        out = t.copy()
+        out.update(v.adds)
+        for k in v.deletes:
+            out.pop(k, None)
+        return out
     raise TypeError(f"not a task-domain element: {v!r}")
 
 
@@ -341,6 +352,28 @@ def task_pipeline(variant: str, today: str) -> PSLens:
         product_lens(filter_ongoing(variant), filter_today(variant, today)),
         name=f"tasks-{variant}-{today}",
     )
+
+
+def refresh_views(views: tuple[dict, dict], t: Mapping, ids: Collection, today: str) -> tuple[dict, dict]:
+    """``task_pipeline(variant, today).get(t)`` for either variant, given
+    the ``views`` of a table that differs from ``t`` only on ``ids``.
+
+    Incremental view maintenance for the two filters: each view is
+    copied, and only the named ids are looked up in ``t``, so the cost
+    is O(|ids|) beyond the copies.  After a successful ``put`` of a
+    staged delta pair, the ids the two deltas name are enough: a filter
+    ``put`` keeps a delta's ids (moves become upserts), ``dup`` merges
+    by union, and :func:`apply_dt` changes only those ids.
+    """
+    named = {k: t[k] for k in ids if k in t}
+    fresh = []
+    for domain, view in zip((_DTOG, dtdt_domain(today)), views):
+        kept = view.copy()
+        for k in ids:
+            kept.pop(k, None)
+        kept.update(domain.select(named))
+        fresh.append(kept)
+    return tuple(fresh)
 
 
 # ---------------------------------------------------------------------------

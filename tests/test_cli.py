@@ -2,12 +2,15 @@
 
 import io
 import os
+import random
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslens.cli import CommandError, LawSuiteFailure, main, new_session, run_command, run_lines
 from pslens.tasks import Delta, TaskRecord, load_tasks
@@ -221,8 +224,15 @@ def test_laws_command_runs_suite():
     session = new_session("plain", TODAY)
     _, out = run_command(session, "laws bad")
     assert out and all("[ok]" in line for line in out)
-    with pytest.raises(KeyError):
+    with pytest.raises(CommandError, match="unknown fixture 'no-such-fixture'"):
         run_command(session, "laws no-such-fixture")
+
+
+def test_laws_with_an_unknown_fixture_is_a_script_error(tmp_path, capsys):
+    script = tmp_path / "laws.script"
+    script.write_text("show\nlaws bad wibble\n")
+    assert main(["--script", str(script)]) == 1
+    assert capsys.readouterr().err == "error: line 2: unknown fixture 'wibble'\n"
 
 
 def test_laws_failure_exit_code(monkeypatch):
@@ -249,6 +259,49 @@ def test_run_lines_threads_sessions():
 
     session = run_lines(session, [f"load {GOLDEN / 'source_initial.tasks'}", "put"], out=Sink())
     assert session.source  # loaded and propagated
+
+
+DUES = [TODAY, "2025-04-02", "2025-04-03"]
+SIDES = st.sampled_from(["og", "dt"])
+# a few ids, so edits meet again: t0000..t0019 are in every table, new20.. are fresh
+KEYS = st.integers(0, 24).map(lambda i: f"t{i:04d}" if i < 20 else f"new{i}")
+SESSION_STEPS = st.one_of(
+    st.tuples(st.just("add"), SIDES, KEYS, st.sampled_from(DUES)),
+    st.tuples(st.just("del"), SIDES, KEYS),
+    st.tuples(st.just("complete"), KEYS),
+    st.tuples(st.just("postpone"), KEYS, st.sampled_from(DUES[1:])),
+    st.just(("put",)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    variant=st.sampled_from(["plain", "elaborated"]),
+    rows=st.integers(100, 1000),
+    seed=st.integers(0, 2**16),
+    steps=st.lists(SESSION_STEPS, max_size=25),
+)
+def test_views_equal_the_pipeline_get_of_the_source_after_every_step(variant, rows, seed, steps):
+    rng = random.Random(seed)
+    source = {f"t{i:04d}": TaskRecord(rng.random() < 0.3, f"task {i}", rng.choice(DUES)) for i in range(rows)}
+    session = new_session(variant, TODAY, source)
+    for n, (kind, *args) in enumerate([*steps, ("put",)]):
+        if kind == "add":
+            side, key, due = args
+            line = f'edit {side} add {key} "edit {n}" {TODAY if side == "dt" else due}'
+        elif kind == "del":
+            line = f"edit {args[0]} del {args[1]}"
+        elif kind == "complete":
+            line = f"edit og complete {args[0]}"
+        elif kind == "postpone":
+            line = f"edit dt postpone {args[0]} {args[1]}"
+        else:
+            line = "put"
+        try:
+            session, _ = run_command(session, line)
+        except CommandError:
+            pass  # a conflicting or out-of-variant edit; the session is unchanged
+        assert session.views == session.pipeline.get(session.source), line
 
 
 # ---------------------------------------------------------------------------

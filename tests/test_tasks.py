@@ -32,6 +32,7 @@ from pslens.tasks import (
     is_task_id,
     load_delta,
     load_tasks,
+    refresh_views,
     task_pipeline,
     tasks_domain,
     upsert,
@@ -142,6 +143,7 @@ def test_apply_dt_insert():
 
 def test_apply_dt_merged():
     assert apply_dt(W_MERGED, S_TL) == S_TL_SECOND
+    assert list(apply_dt(W_MERGED, S_TL)) == ["001", "003", "004"]  # upserts keep their place
 
 
 def test_apply_dt_trivials():
@@ -513,6 +515,64 @@ def test_pipeline_well_behaved_on_tiny_universe():
     pairs = [(x, y) for x in mini for y in mini]
     report = check_law(lens, LawId.WB, source=tables, view=pairs)
     assert report.holds, str(report)
+
+
+VIEW_RECORDS = [rec(False, "n", TODAY), rec(True, "m", APR2), rec(False, "o", APR2), rec(True, "p", TODAY)]
+
+
+@pytest.mark.parametrize("variant", ["plain", "elaborated"])
+def test_refresh_from_the_named_ids_is_the_get_of_the_put(variant):
+    """The refresh lemma, exhaustively on 2-id universes: after a defined
+    ``put`` of a staged delta pair (the CLI stages deltas only),
+    refreshing the old views from the ids the two deltas name gives the
+    ``get`` of the new source, view by view."""
+    lens = task_pipeline(variant, TODAY)
+    ids = ["a", "b"]
+    if variant == "plain":
+        og_universe = dt_universe = enumerate_dt_universe(ids, VIEW_RECORDS)
+    else:
+        og_universe = enumerate_og_universe(ids, VIEW_RECORDS)
+        dt_universe = enumerate_dtdt_universe(ids, VIEW_RECORDS, TODAY)
+    staged = [(og, dt) for og in og_universe for dt in dt_universe if isinstance(og, Delta) and isinstance(dt, Delta)]
+    checked = 0
+    for s in enumerate_tables(ids, VIEW_RECORDS):
+        views = lens.get(s)
+        for og, dt in staged:
+            out = lens.put(s, (og, dt))
+            if is_failure(out):
+                continue
+            refreshed = refresh_views(views, out, og.ids | dt.ids, TODAY)
+            for i, (got, want) in enumerate(zip(refreshed, lens.get(out))):
+                assert got == want, (i, s, og, dt)
+            checked += 1
+    assert checked > 1000
+
+
+class NoScan(dict):
+    """A table that answers lookups by id but refuses to be scanned."""
+
+    def __iter__(self):
+        raise AssertionError("whole-table scan")
+
+    keys = values = items = __iter__
+
+
+def test_refresh_looks_up_only_the_named_ids():
+    lens = task_pipeline("elaborated", TODAY)
+    source = {f"t{i:04d}": rec(i % 3 == 0, f"task {i}", (TODAY, APR2)[i % 2]) for i in range(1000)}
+    og = Delta({"new": EGG}, {"t0001"}, {"t0002": rec(True, "task 2", TODAY)})
+    dt = Delta({"t0004": STRETCH}, {"t0003"}, {"t0008": rec(False, "task 8", APR2)})
+    out = lens.put(source, (og, dt))
+    refreshed = refresh_views(lens.get(source), NoScan(out), og.ids | dt.ids, TODAY)
+    assert refreshed == lens.get(out)
+    with pytest.raises(AssertionError, match="whole-table scan"):
+        lens.get(NoScan(out))
+
+
+def test_delta_ids_name_adds_deletes_and_moves():
+    d = Delta({"a": EGG}, {"b"}, {"c": rec(True, "x", TODAY)})
+    assert d.ids == {"a", "b", "c"}
+    assert Delta().ids == frozenset()
 
 
 # ---------------------------------------------------------------------------
