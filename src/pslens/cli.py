@@ -18,6 +18,7 @@ are skipped, and ``'`` and ``\\`` outside double quotes are ordinary.
     laws [fixture]                  run the law suite
 
 A failed ``put`` reports the reason and leaves the session untouched.
+Files are UTF-8 both ways; a ``save`` that fails leaves its target as it was.
 Exit codes: 0 success, 1 command error, 2 law-suite failure.
 """
 
@@ -100,9 +101,9 @@ def _render_tasks(t: dict, indent: str = "  ") -> list[str]:
 
 
 def _load(path: str, parse, *args):
-    """``parse(text, *args)`` of a file, keeping ``\\r`` (lines end at ``\\n`` only); fails with ``CommandError``."""
+    """``parse(text, *args)`` of a UTF-8 file, keeping ``\\r`` (lines end at ``\\n`` only); fails with ``CommandError``."""
     try:
-        with open(path, newline="") as f:
+        with open(path, encoding="utf-8", newline="") as f:
             return parse(f.read(), *args)
     except (OSError, UnicodeDecodeError) as exc:
         raise CommandError(str(exc)) from None
@@ -232,8 +233,10 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
     if cmd == "save":
         if len(args) != 1:
             raise CommandError("usage: save <file>")
-        try:
-            Path(args[0]).write_text(dump_tasks(session.source))
+        try:  # the text is encoded before the target is opened, so a failed encoding leaves it as it was
+            Path(args[0]).write_bytes(dump_tasks(session.source).encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            raise CommandError(f"{args[0]}: {exc}") from None
         except OSError as exc:
             raise CommandError(str(exc)) from None
         return session, [f"saved {args[0]}"]

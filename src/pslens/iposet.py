@@ -178,29 +178,35 @@ class ElementIndex:
     with ``values[i] == x`` (or -1), so no hashing contract is imposed on
     elements.  Hashable values are found through a dict keyed on their
     first position; unhashable ones (sets, dicts, lists, ...) sit in a
-    side list that every lookup scans, which keeps cross-type equalities
-    such as ``{1} == frozenset({1})`` and ``1 == True`` answered in list
-    order.  An unhashable query falls back to scanning all values.  As in
-    Python's own containers, equality is assumed to be reflexive.
+    side list that every hashable lookup scans, which keeps cross-type
+    equalities such as ``{1} == frozenset({1})`` and ``1 == True``
+    answered in list order.  An unhashable query is found by identity
+    when it is a value held here (its first equal position is noted as
+    it is added), and otherwise by scanning all values.  As in Python's
+    own containers, equality is assumed to be reflexive.
     """
 
-    __slots__ = ("values", "_first", "_unhashable")
+    __slots__ = ("values", "_first", "_unhashable", "_held")
 
     def __init__(self, values: Iterable = ()):
         self.values: list = []
         self._first: dict = {}
         self._unhashable: list[tuple[int, Any]] = []
+        self._held: dict[int, int] = {}  # id of a held unhashable value -> its first equal position
         for v in values:
             self.append(v)
 
-    def append(self, v: Any) -> int:
-        """Add ``v`` at the end, even when an equal value is present."""
+    def append(self, v: Any, first: Optional[int] = None) -> int:
+        """Add ``v`` at the end, even when an equal value is present;
+        ``first`` is ``index(v)`` when the caller has already asked it."""
         i = len(self.values)
-        self.values.append(v)
         try:
             self._first.setdefault(v, i)
         except TypeError:
+            first = self.index(v) if first is None else first
+            self._held.setdefault(id(v), i if first < 0 else first)
             self._unhashable.append((i, v))
+        self.values.append(v)
         return i
 
     def index(self, x: Any) -> int:
@@ -208,6 +214,9 @@ class ElementIndex:
         try:
             i = self._first.get(x, -1)
         except TypeError:
+            i = self._held.get(id(x))  # ids of held values cannot be reused while they are held
+            if i is not None:
+                return i
             for i, v in enumerate(self.values):
                 if v == x:
                     return i
@@ -222,7 +231,7 @@ class ElementIndex:
     def intern(self, x: Any) -> int:
         """Position of ``x``, appending it when no equal value is present."""
         i = self.index(x)
-        return i if i >= 0 else self.append(x)
+        return i if i >= 0 else self.append(x, i)
 
 
 class FiniteIPoset(IPoset):
@@ -245,9 +254,9 @@ class FiniteIPoset(IPoset):
     ):
         self._index = ElementIndex()
         for e in elements:
-            if self._index.index(e) >= 0:
+            if (i := self._index.index(e)) >= 0:
                 raise IPosetError(f"duplicate element {e!r}")
-            self._index.append(e)
+            self._index.append(e, i)
         self._elements = self._index.values
         self.name = name
         self._le = {(self._idx(a), self._idx(b)) for a, b in le}
@@ -477,7 +486,7 @@ def lift_omega(p: IPoset, bottom: Any = OMEGA, name: str = "") -> FiniteIPoset:
     element.
     """
     els = _require_enumerable(p)
-    if ElementIndex(els).index(bottom) >= 0:
+    if bottom in els:
         raise InvalidArgsError(f"bottom {bottom!r} already in carrier")
     new_els = [bottom] + list(els)
     pairs = list(itertools.product(els, repeat=2))
@@ -719,8 +728,12 @@ _ESCAPE = re.compile(r"\\(.)")
 _UNESCAPE = {"\\": "\\", '"': '"', "n": "\n", "r": "\r"}
 
 
+def _escape(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
+
+
 def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r") + '"'
+    return '"' + _escape(text) + '"'
 
 
 def _is_bare_token(x: Any) -> bool:

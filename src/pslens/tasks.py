@@ -38,7 +38,7 @@ import re
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Iterable, Mapping, Optional
 
-from .iposet import UNDEFINED, IPoset, _is_bare_token, _quote, _read_directives
+from .iposet import UNDEFINED, IPoset, _escape, _is_bare_token, _quote, _read_directives
 from .lens import (
     PSLens,
     PutFailure,
@@ -61,11 +61,18 @@ _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 is_task_id = _is_bare_token
 
 
+_VALID_DATES: set[str] = set()  # the dates check_date has accepted: at most one entry per calendar day
+
+
 def check_date(text: Any) -> str:
     """``text`` itself if it is a canonical ``YYYY-MM-DD`` calendar date."""
+    if type(text) is str and text in _VALID_DATES:
+        return text
     try:
         if _DATE.fullmatch(text):
             datetime.date.fromisoformat(text)
+            if type(text) is str:
+                _VALID_DATES.add(text)
             return text
     except (TypeError, ValueError):
         pass
@@ -448,9 +455,22 @@ def _record_fields(r: TaskRecord) -> str:
     return f"{'true' if r.done else 'false'} {_quote(r.name)} {r.due}"
 
 
+# the characters a quoted name escapes (f-string expressions take no backslashes before 3.12)
+_DQ, _BS, _LF, _CR = '"', "\\", "\n", "\r"
+
+
 def dump_tasks(t: Mapping) -> str:
-    """Canonical task-table text: one line per task, sorted by id."""
-    return "".join(f"task {k} {_record_fields(t[k])}\n" for k in sorted(t))
+    """Canonical task-table text: one line per task, sorted by id.
+
+    Each row is formatted in place, and only a name holding a character
+    the quotes escape goes through the escaper.  The ids are sorted on
+    their own, which takes CPython's all-``str`` comparison fast path.
+    """
+    return "".join([
+        f'task {k} {"true" if r.done else "false"} '
+        f'"{_escape(n) if _DQ in n or _BS in n or _LF in n or _CR in n else n}" {r.due}\n'
+        for k in sorted(t) for r in (t[k],) for n in (r.name,)
+    ])
 
 
 def _read_clauses(text: str, arity: dict[str, int], upserts: FilterDomain = _DT) -> dict[str, dict]:
@@ -460,12 +480,14 @@ def _read_clauses(text: str, arity: dict[str, int], upserts: FilterDomain = _DT)
     record the ``upserts`` view does not keep, and a second clause for
     one id are each a :class:`ParseError` naming the line."""
     parts: dict[str, dict] = {tag: {} for tag in arity}
+    seen: set[str] = set()
     for lineno, tag, args in _read_directives(text, arity, ParseError):
         key, fields = args[0], ("true", *args[1:]) if tag == "complete" else args[1:]
         try:
             _check_ids((key,))
-            if any(key in part for part in parts.values()):
+            if key in seen:
                 raise ValueError(f"duplicate task id {key!r}")
+            seen.add(key)
             if fields and fields[0] not in ("true", "false"):
                 raise ValueError(f"bad done flag {fields[0]!r}")
             record = TaskRecord(fields[0] == "true", *fields[1:]) if fields else None

@@ -3,6 +3,7 @@
 import io
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -27,10 +28,11 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, extra_env=()):
     # the child runs in a temporary directory, so a relative PYTHONPATH
     # entry such as ``src`` would not resolve there
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    env.update(extra_env)
     return subprocess.run(
         [sys.executable, "-m", "pslens.cli", *args],
         cwd=cwd,
@@ -123,6 +125,29 @@ def test_unreadable_files_are_command_errors(tmp_path, capsys):
     for path in (binary, tmp_path / "missing.script"):
         assert main(["--script", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_name_utf8_cannot_hold_fails_the_save_and_leaves_the_target_as_it_was(tmp_path):
+    # a lone surrogate, as one invalid byte on interactive stdin decodes
+    session = run_lines(new_session("plain", TODAY), ['edit og add a "caf\udcff" 2025-04-01', "put"], out=io.StringIO())
+    target, missing = tmp_path / "kept.tasks", tmp_path / "missing.tasks"
+    target.write_bytes(b'task old false "x" 2025-04-01\n')
+    for path in (target, missing):
+        with pytest.raises(CommandError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't encode"):
+            run_command(session, f"save {path}")
+    assert target.read_bytes() == b'task old false "x" 2025-04-01\n'
+    assert not missing.exists()
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    script = tmp_path / "cafe.script"
+    script.write_bytes('edit og add a "café" 2025-04-01\nput\nsave out.tasks\nload out.tasks\nsave again.tasks\n'.encode())
+    ascii_locale = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONIOENCODING": ""}
+    result = run_cli(["--script", str(script)], tmp_path, ascii_locale)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[-2:] == ["loaded 1 task(s)", "saved again.tasks"]
+    for name in ("out.tasks", "again.tasks"):
+        assert (tmp_path / name).read_bytes() == 'task a false "café" 2025-04-01\n'.encode("utf-8")
 
 
 def test_single_quotes_are_ordinary_characters():

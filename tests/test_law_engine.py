@@ -1,5 +1,7 @@
 """Law engine: the shared per-lens context and the element index behind it."""
 
+import copy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -236,6 +238,88 @@ def test_element_index_cross_type_equalities():
     assert index.index(True) == 2
     assert index.index([0]) == 4 and index.index((0,)) == 5
     assert index.index("missing") == -1 and index.index(["missing"]) == -1
+
+
+class ScanningElementIndex:
+    """``ElementIndex`` as it was before held unhashable values were found
+    by identity, kept verbatim as the oracle of ``index``."""
+
+    __slots__ = ("values", "_first", "_unhashable")
+
+    def __init__(self, values=()):
+        self.values: list = []
+        self._first: dict = {}
+        self._unhashable: list = []
+        for v in values:
+            self.append(v)
+
+    def append(self, v):
+        """Add ``v`` at the end, even when an equal value is present."""
+        i = len(self.values)
+        self.values.append(v)
+        try:
+            self._first.setdefault(v, i)
+        except TypeError:
+            self._unhashable.append((i, v))
+        return i
+
+    def index(self, x):
+        """First position of a value equal to ``x``, or -1."""
+        try:
+            i = self._first.get(x, -1)
+        except TypeError:
+            for i, v in enumerate(self.values):
+                if v == x:
+                    return i
+            return -1
+        for j, v in self._unhashable:
+            if 0 <= i < j:
+                break
+            if v == x:
+                return j
+        return i
+
+
+cross_type_twins = st.sampled_from([{1}, frozenset({1}), 1, True, 1.0, [0], (0,), {"a": 1}, [], ()])
+
+
+@given(st.lists(values | cross_type_twins, max_size=10), st.lists(st.integers(0, 30), max_size=6), values)
+def test_element_index_agrees_with_the_scanning_index(seq, repeats, extra):
+    # duplicates both as the same objects and as equal copies
+    seq = seq + [seq[k % len(seq)] for k in repeats if seq] + [copy.deepcopy(v) for v in seq[:3]]
+    index, oracle = ElementIndex(seq), ScanningElementIndex(seq)
+    interned, interned_oracle = ElementIndex(), ScanningElementIndex()
+    for x in seq:
+        i = interned_oracle.index(x)
+        assert interned.intern(x) == (i if i >= 0 else interned_oracle.append(x))
+    for x in seq + [copy.deepcopy(v) for v in seq] + [extra]:
+        assert index.index(x) == oracle.index(x)
+        assert interned.index(x) == interned_oracle.index(x)
+
+
+class CountedEq:
+    """An unhashable value that counts the equality calls made on it."""
+
+    calls = 0
+    __hash__ = None
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __eq__(self, other):
+        CountedEq.calls += 1
+        return isinstance(other, CountedEq) and self.tag == other.tag
+
+
+def test_finite_iposet_finds_its_carrier_objects_without_equality_calls():
+    els = [CountedEq(k) for k in range(4)]
+    chain = [(els[i], els[j]) for i in range(4) for j in range(i, 4)]
+    p = FiniteIPoset(els, chain, chain, [(els[i], els[j], els[max(i, j)]) for i in range(4) for j in range(4)])
+    CountedEq.calls = 0
+    answers = [(p.le(a, b), p.ident(a, b), p.merge(a, b)) for a in els for b in els]
+    assert p.contains(els[3]) and CountedEq.calls == 0
+    assert answers == [(i <= j, i <= j, els[max(i, j)]) for i in range(4) for j in range(4)]
+    assert p.contains(CountedEq(3)) and not p.contains(CountedEq(9)) and CountedEq.calls > 0
 
 
 @pytest.mark.parametrize(

@@ -597,8 +597,9 @@ def test_names_with_line_breaks_round_trip(name, tmp_path):
     t = {"a": rec(False, name, TODAY)}
     assert load_tasks(dump_tasks(t)) == t
     path = tmp_path / "t.tasks"  # as the CLI's save and load do it
-    path.write_text(dump_tasks(t))
-    assert load_tasks(path.read_text()) == t
+    path.write_bytes(dump_tasks(t).encode("utf-8"))
+    with open(path, encoding="utf-8", newline="") as f:
+        assert load_tasks(f.read()) == t
 
 
 def test_tasks_parse_errors():

@@ -10,7 +10,17 @@ from hypothesis import strategies as st
 
 from pslens import cli
 from pslens.iposet import IPosetError, _tokenize, load_iposet
-from pslens.tasks import Delta, ParseError, TaskRecord, dump_delta, dump_tasks, load_delta, load_tasks
+from pslens.tasks import (
+    Delta,
+    ParseError,
+    TaskRecord,
+    check_date,
+    dump_delta,
+    dump_tasks,
+    is_task_id,
+    load_delta,
+    load_tasks,
+)
 from pslens.updates import UpdateSpaceError, load_update_space
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden"
@@ -111,3 +121,48 @@ def test_ids_with_quotes_and_backslashes_round_trip():
     assert load_delta(dump_delta(d)) == d
     og = Delta(moves={k: TaskRecord(True, "x", "2025-04-01") for k in QUOTING_IDS})
     assert load_delta(dump_delta(og, "ongoing"), "ongoing") == og
+
+
+# The task writer as it was before rows were formatted in one pass, kept
+# verbatim as the oracle of the canonical text.
+
+
+def reference_quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r") + '"'
+
+
+def reference_record_fields(r: TaskRecord) -> str:
+    return f"{'true' if r.done else 'false'} {reference_quote(r.name)} {r.due}"
+
+
+def reference_dump_tasks(t) -> str:
+    """Canonical task-table text: one line per task, sorted by id."""
+    return "".join(f"task {k} {reference_record_fields(t[k])}\n" for k in sorted(t))
+
+
+FORCED = ['"', "\\", "\n", "\r", "\t", "\u2028", "é", "日本", "\\n", '\\"', "\r\n"]
+writer_names = st.lists(st.text() | st.sampled_from(FORCED), min_size=1, max_size=5).map("".join).filter(bool)
+writer_ids = st.text(min_size=1, max_size=6).filter(is_task_id) | st.sampled_from(QUOTING_IDS)
+writer_tables = st.dictionaries(
+    writer_ids, st.builds(TaskRecord, st.booleans(), writer_names, st.sampled_from(["2025-04-01", "2024-02-29"]))
+)
+
+
+@given(writer_tables)
+def test_task_writer_matches_the_per_row_oracle(t):
+    text = dump_tasks(t)
+    assert text == reference_dump_tasks(t)
+    assert load_tasks(text) == t
+
+
+@pytest.mark.parametrize("text", [None, 20250401, b"2025-04-01", ["2025-04-01"], {"2025-04-01": 1}, "2025-02-30"])
+def test_date_check_rejects_with_one_message_before_and_after_a_valid_date(text):
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(f"date {text!r} is not a YYYY-MM-DD date")):
+            check_date(text)
+        assert check_date("2025-04-01") == "2025-04-01"
+
+
+def test_date_check_returns_its_argument():
+    day = "".join(["2025-", "04-01"])
+    assert check_date(day) is day and check_date(day) is day
