@@ -25,9 +25,10 @@ Exit codes: 0 success, 1 command error, 2 law-suite failure.
 from __future__ import annotations
 
 import argparse
+import io
+import os
 import sys
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .iposet import UNDEFINED, _tokenize
@@ -37,6 +38,7 @@ from .tasks import (
     Delta,
     ParseError,
     TaskRecord,
+    TaskText,
     dt_domain,
     dtdt_domain,
     dtog_domain,
@@ -65,6 +67,12 @@ class Session:
     ``put`` refreshes it from the ids the staged deltas name
     (:func:`~pslens.tasks.refresh_views`).  The staged deltas are what
     the next ``put`` will propagate.
+
+    ``text.patch(source, unsaved)`` always renders as
+    ``dump_tasks(source)``: ``text`` is the canonical text of the source
+    as it was at the last load or save, and ``unsaved`` holds every id a
+    ``put`` has changed since.  A ``save`` writes the patched text and
+    keeps it with an empty ``unsaved``.
     """
 
     variant: str
@@ -73,6 +81,8 @@ class Session:
     views: tuple
     staged_og: object
     staged_dt: object
+    text: TaskText = field(repr=False)
+    unsaved: frozenset = frozenset()
 
     @property
     def pipeline(self) -> PSLens:
@@ -92,7 +102,7 @@ def _pipeline(variant: str, today: str) -> PSLens:
 def new_session(variant: str, today: str, source: Optional[dict] = None) -> Session:
     source = {} if source is None else source
     views = _pipeline(variant, today).get(source)
-    return Session(variant, today, source, views, Delta(), Delta())
+    return Session(variant, today, source, views, Delta(), Delta(), TaskText.of(source))
 
 
 def _render_tasks(t: dict, indent: str = "  ") -> list[str]:
@@ -109,6 +119,21 @@ def _load(path: str, parse, *args):
         raise CommandError(str(exc)) from None
     except ParseError as exc:
         raise CommandError(f"{path}: {exc}") from None
+
+
+def _overwrite(path: str, data: bytes) -> None:
+    """Write ``data`` over the old bytes of ``path`` (created if missing),
+    then cut off whatever a longer old file had beyond them.
+
+    Truncating first would drop the file's blocks, and ext4 then flushes
+    a file truncated to zero and rewritten when it is closed, which makes
+    a same-size save several times slower and its time depend on the
+    disk.  A pipe or terminal is never cut (its size reads 0).
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        f.write(data)
+        if os.fstat(f.fileno()).st_size > len(data):
+            f.truncate(len(data))
 
 
 def _side_domains(session: Session):
@@ -211,7 +236,9 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
             return session, [f"{result}", "session unchanged"]
         ids = session.staged_og.ids | session.staged_dt.ids
         views = refresh_views(session.views, result, ids, session.today)
-        fresh = Session(session.variant, session.today, result, views, Delta(), Delta())
+        fresh = Session(
+            session.variant, session.today, result, views, Delta(), Delta(), session.text, session.unsaved | ids
+        )
         og_dom, dt_dom = _side_domains(session)
         out = [f"source now has {len(result)} task(s)"]
         out.append(
@@ -233,13 +260,14 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
     if cmd == "save":
         if len(args) != 1:
             raise CommandError("usage: save <file>")
+        text = session.text.patch(session.source, session.unsaved)
         try:  # the text is encoded before the target is opened, so a failed encoding leaves it as it was
-            Path(args[0]).write_bytes(dump_tasks(session.source).encode("utf-8"))
+            _overwrite(args[0], str(text).encode("utf-8"))
         except UnicodeEncodeError as exc:
             raise CommandError(f"{args[0]}: {exc}") from None
         except OSError as exc:
             raise CommandError(str(exc)) from None
-        return session, [f"saved {args[0]}"]
+        return replace(session, text=text, unsaved=frozenset()), [f"saved {args[0]}"]
 
     if cmd == "laws":
         try:
@@ -276,6 +304,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--script", help="batch command file (default: interactive)")
     parser.add_argument("--laws", action="store_true", help="run the law suite and exit")
     args = parser.parse_args(argv)
+    for stream in (sys.stdout, sys.stderr):  # a name the terminal cannot encode is printed escaped
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(errors="backslashreplace")
 
     if args.laws:
         lines, ok = run_fixture_suite()

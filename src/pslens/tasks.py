@@ -35,6 +35,7 @@ from __future__ import annotations
 import datetime
 import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Iterable, Mapping, Optional
 
@@ -79,7 +80,7 @@ def check_date(text: Any) -> str:
     raise ValueError(f"date {text!r} is not a YYYY-MM-DD date")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskRecord:
     """One to-do entry: completion flag, display name, due date."""
 
@@ -459,18 +460,71 @@ def _record_fields(r: TaskRecord) -> str:
 _DQ, _BS, _LF, _CR = '"', "\\", "\n", "\r"
 
 
+def _task_lines(ids: Iterable, t: Mapping) -> list[str]:
+    """The canonical line of each of ``ids`` in ``t``, in the order given.
+
+    Each row is formatted in place, and only a name holding a character
+    the quotes escape goes through the escaper.
+    """
+    return [
+        f'task {k} {"true" if r.done else "false"} '
+        f'"{_escape(n) if _DQ in n or _BS in n or _LF in n or _CR in n else n}" {r.due}\n'
+        for k in ids for r in (t[k],) for n in (r.name,)
+    ]
+
+
 def dump_tasks(t: Mapping) -> str:
     """Canonical task-table text: one line per task, sorted by id.
 
-    Each row is formatted in place, and only a name holding a character
-    the quotes escape goes through the escaper.  The ids are sorted on
-    their own, which takes CPython's all-``str`` comparison fast path.
+    The ids are sorted on their own, which takes CPython's all-``str``
+    comparison fast path.
     """
-    return "".join([
-        f'task {k} {"true" if r.done else "false"} '
-        f'"{_escape(n) if _DQ in n or _BS in n or _LF in n or _CR in n else n}" {r.due}\n'
-        for k in sorted(t) for r in (t[k],) for n in (r.name,)
-    ])
+    return "".join(_task_lines(sorted(t), t))
+
+
+@dataclass(frozen=True, slots=True)
+class TaskText:
+    """The canonical text of a task table, kept line by line.
+
+    ``ids`` are the table's ids in sorted order and ``lines[i]`` is the
+    line of ``ids[i]``, so ``str(text)`` is :func:`dump_tasks` of the
+    table.  The lists are never changed in place: :meth:`patch` copies
+    them.
+    """
+
+    ids: list
+    lines: list
+
+    @classmethod
+    def of(cls, t: Mapping) -> "TaskText":
+        ids = sorted(t)
+        return cls(ids, _task_lines(ids, t))
+
+    def patch(self, t: Mapping, changed: Collection) -> "TaskText":
+        """The text of ``t``, given that this is the text of a table that
+        differs from ``t`` only on the ``changed`` ids.
+
+        Only the changed ids are looked up in ``t``, and each of their
+        lines is replaced, inserted or removed at its sorted position, so
+        the cost is O(|changed|) beyond the two list copies.
+        """
+        ids, lines = self.ids.copy(), self.lines.copy()
+        for k in changed:
+            i = bisect_left(ids, k)
+            listed = i < len(ids) and ids[i] == k
+            if k in t:
+                line = _task_lines((k,), t)[0]
+                if listed:
+                    lines[i] = line
+                else:
+                    ids.insert(i, k)
+                    lines.insert(i, line)
+            elif listed:
+                del ids[i], lines[i]
+        return TaskText(ids, lines)
+
+    def __str__(self) -> str:
+        return "".join(self.lines)
 
 
 def _read_clauses(text: str, arity: dict[str, int], upserts: FilterDomain = _DT) -> dict[str, dict]:
@@ -481,6 +535,7 @@ def _read_clauses(text: str, arity: dict[str, int], upserts: FilterDomain = _DT)
     one id are each a :class:`ParseError` naming the line."""
     parts: dict[str, dict] = {tag: {} for tag in arity}
     seen: set[str] = set()
+    dues: dict[str, str] = {}  # one string per distinct due date, shared by its records
     for lineno, tag, args in _read_directives(text, arity, ParseError):
         key, fields = args[0], ("true", *args[1:]) if tag == "complete" else args[1:]
         try:
@@ -490,7 +545,9 @@ def _read_clauses(text: str, arity: dict[str, int], upserts: FilterDomain = _DT)
             seen.add(key)
             if fields and fields[0] not in ("true", "false"):
                 raise ValueError(f"bad done flag {fields[0]!r}")
-            record = TaskRecord(fields[0] == "true", *fields[1:]) if fields else None
+            record = (
+                TaskRecord(fields[0] == "true", fields[1], dues.setdefault(fields[2], fields[2])) if fields else None
+            )
             if tag == "upsert" and not upserts.select({key: record}):
                 raise ValueError(f"the {upserts.name} does not keep the upserted record of {key!r}")
             parts[tag][key] = record

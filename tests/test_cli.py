@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pslens.cli import CommandError, LawSuiteFailure, main, new_session, run_command, run_lines
-from pslens.tasks import Delta, TaskRecord, load_tasks
+from pslens.tasks import Delta, TaskRecord, dump_tasks, load_tasks
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "golden"
@@ -71,9 +71,9 @@ def test_show_keeps_a_name_with_a_line_separator_on_one_line():
 
 def test_script_lines_end_at_newline_only(tmp_path):
     script, saved = tmp_path / "separator.script", tmp_path / "saved.tasks"
-    script.write_text(f'edit og add 001 "x\u2028y" 2025-04-01\nput\nsave {saved}\n')
+    script.write_text(f'edit og add 001 "x\u2028y" 2025-04-01\nput\nsave {saved}\n', encoding="utf-8")
     assert main(["--script", str(script)]) == 0
-    assert load_tasks(saved.read_text()) == {"001": TaskRecord(False, "x\u2028y", TODAY)}
+    assert load_tasks(saved.read_text(encoding="utf-8")) == {"001": TaskRecord(False, "x\u2028y", TODAY)}
 
 
 def test_load_and_edit_file_keep_a_lone_carriage_return_in_a_name(tmp_path):
@@ -139,6 +139,27 @@ def test_a_name_utf8_cannot_hold_fails_the_save_and_leaves_the_target_as_it_was(
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("old", [None, b"", b"x" * 10, b"x" * 10_000], ids=["missing", "empty", "short", "long"])
+def test_save_leaves_exactly_the_canonical_text_whatever_the_target_held(tmp_path, old):
+    target = tmp_path / "out.tasks"
+    if old is not None:
+        target.write_bytes(old)
+    session = load_initial(new_session("plain", TODAY))
+    for lines in ([], ["edit og del 002", "edit og del 003", "put"], ['edit og add 004 "Buy egg" 2025-04-01', "put"]):
+        session = run_lines(session, [*lines, f"save {target}"], out=io.StringIO())
+        assert target.read_bytes() == dump_tasks(session.source).encode()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_save_to_a_pipe_writes_the_text():
+    session = load_initial(new_session("plain", TODAY))
+    r, w = os.pipe()
+    with open(r, "rb") as reader:
+        with open(w, "wb"):
+            run_command(session, f"save /dev/fd/{w}")
+        assert reader.read() == dump_tasks(session.source).encode()
+
+
 def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     script = tmp_path / "cafe.script"
     script.write_bytes('edit og add a "café" 2025-04-01\nput\nsave out.tasks\nload out.tasks\nsave again.tasks\n'.encode())
@@ -148,6 +169,22 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert result.stdout.splitlines()[-2:] == ["loaded 1 task(s)", "saved again.tasks"]
     for name in ("out.tasks", "again.tasks"):
         assert (tmp_path / name).read_bytes() == 'task a false "café" 2025-04-01\n'.encode("utf-8")
+
+
+def test_output_the_terminal_cannot_encode_is_escaped_under_an_ascii_locale(tmp_path):
+    script = tmp_path / "show.script"
+    script.write_bytes('edit og add a "café" 2025-04-01\nput\nshow\n'.encode())
+    ascii_locale = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONIOENCODING": ""}
+    result = run_cli(["--script", str(script)], tmp_path, ascii_locale)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[-6:] == [
+        "source:",
+        '  task a false "caf\\xe9" 2025-04-01',
+        "ongoing view:",
+        '  task a false "caf\\xe9" 2025-04-01',
+        f"today view ({TODAY}):",
+        '  task a false "caf\\xe9" 2025-04-01',
+    ]
 
 
 def test_single_quotes_are_ordinary_characters():
@@ -296,6 +333,7 @@ SESSION_STEPS = st.one_of(
     st.tuples(st.just("complete"), KEYS),
     st.tuples(st.just("postpone"), KEYS, st.sampled_from(DUES[1:])),
     st.just(("put",)),
+    st.just(("save",)),
 )
 
 
@@ -306,7 +344,8 @@ SESSION_STEPS = st.one_of(
     seed=st.integers(0, 2**16),
     steps=st.lists(SESSION_STEPS, max_size=25),
 )
-def test_views_equal_the_pipeline_get_of_the_source_after_every_step(variant, rows, seed, steps):
+def test_views_equal_the_pipeline_get_of_the_source_after_every_step(tmp_path_factory, variant, rows, seed, steps):
+    saved = tmp_path_factory.mktemp("steps") / "saved.tasks"
     rng = random.Random(seed)
     source = {f"t{i:04d}": TaskRecord(rng.random() < 0.3, f"task {i}", rng.choice(DUES)) for i in range(rows)}
     session = new_session(variant, TODAY, source)
@@ -321,12 +360,14 @@ def test_views_equal_the_pipeline_get_of_the_source_after_every_step(variant, ro
         elif kind == "postpone":
             line = f"edit dt postpone {args[0]} {args[1]}"
         else:
-            line = "put"
+            line = f"save {saved}" if kind == "save" else "put"
         try:
             session, _ = run_command(session, line)
         except CommandError:
             pass  # a conflicting or out-of-variant edit; the session is unchanged
         assert session.views == session.pipeline.get(session.source), line
+        if kind == "save":
+            assert saved.read_bytes() == dump_tasks(session.source).encode() and not session.unsaved
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """To-do scenario: domains, filters, pipeline, formats."""
 
+import dataclasses
+import functools
+import io
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslens.cli import main
+from pslens.cli import main, new_session, run_command, run_lines
 from pslens.iposet import UNDEFINED, check_duplicable, join, materialize
 from pslens.laws import LawId, check_law, check_laws
 from pslens.lens import initiator, is_failure, Reason
@@ -14,6 +17,7 @@ from pslens.tasks import (
     Delta,
     ParseError,
     TaskRecord,
+    TaskText,
     apply_dt,
     dt_domain,
     dtdt_domain,
@@ -520,12 +524,11 @@ def test_pipeline_well_behaved_on_tiny_universe():
 VIEW_RECORDS = [rec(False, "n", TODAY), rec(True, "m", APR2), rec(False, "o", APR2), rec(True, "p", TODAY)]
 
 
-@pytest.mark.parametrize("variant", ["plain", "elaborated"])
-def test_refresh_from_the_named_ids_is_the_get_of_the_put(variant):
-    """The refresh lemma, exhaustively on 2-id universes: after a defined
-    ``put`` of a staged delta pair (the CLI stages deltas only),
-    refreshing the old views from the ids the two deltas name gives the
-    ``get`` of the new source, view by view."""
+@functools.cache
+def defined_staged_puts(variant):
+    """Every defined ``put`` of a staged delta pair (the CLI stages deltas
+    only) on every 2-id table, as ``(lens, s, og, dt, out)``; the two
+    lemmas below share the list."""
     lens = task_pipeline(variant, TODAY)
     ids = ["a", "b"]
     if variant == "plain":
@@ -534,17 +537,33 @@ def test_refresh_from_the_named_ids_is_the_get_of_the_put(variant):
         og_universe = enumerate_og_universe(ids, VIEW_RECORDS)
         dt_universe = enumerate_dtdt_universe(ids, VIEW_RECORDS, TODAY)
     staged = [(og, dt) for og in og_universe for dt in dt_universe if isinstance(og, Delta) and isinstance(dt, Delta)]
+    puts = ((s, og, dt, lens.put(s, (og, dt))) for s in enumerate_tables(ids, VIEW_RECORDS) for og, dt in staged)
+    return [(lens, s, og, dt, out) for s, og, dt, out in puts if not is_failure(out)]
+
+
+@pytest.mark.parametrize("variant", ["plain", "elaborated"])
+def test_refresh_from_the_named_ids_is_the_get_of_the_put(variant):
+    """The refresh lemma, exhaustively on 2-id universes: after a defined
+    ``put`` of a staged delta pair, refreshing the old views from the ids
+    the two deltas name gives the ``get`` of the new source, view by view."""
     checked = 0
-    for s in enumerate_tables(ids, VIEW_RECORDS):
-        views = lens.get(s)
-        for og, dt in staged:
-            out = lens.put(s, (og, dt))
-            if is_failure(out):
-                continue
-            refreshed = refresh_views(views, out, og.ids | dt.ids, TODAY)
-            for i, (got, want) in enumerate(zip(refreshed, lens.get(out))):
-                assert got == want, (i, s, og, dt)
-            checked += 1
+    for lens, s, og, dt, out in defined_staged_puts(variant):
+        refreshed = refresh_views(lens.get(s), out, og.ids | dt.ids, TODAY)
+        for i, (got, want) in enumerate(zip(refreshed, lens.get(out))):
+            assert got == want, (i, s, og, dt)
+        checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize("variant", ["plain", "elaborated"])
+def test_text_patched_for_the_named_ids_is_the_text_of_the_put(variant):
+    """The same lemma for the saved text: patching the text of the old
+    source for the ids the two deltas name gives ``dump_tasks`` of the
+    new source."""
+    checked = 0
+    for _, s, og, dt, out in defined_staged_puts(variant):
+        assert str(TaskText.of(s).patch(out, og.ids | dt.ids)) == dump_tasks(out), (s, og, dt)
+        checked += 1
     assert checked > 1000
 
 
@@ -569,6 +588,29 @@ def test_refresh_looks_up_only_the_named_ids():
         lens.get(NoScan(out))
 
 
+def test_text_patch_looks_up_only_the_changed_ids():
+    source = {f"t{i:04d}": rec(i % 3 == 0, f"task {i}", (TODAY, APR2)[i % 2]) for i in range(1000)}
+    text = TaskText.of(source)
+    out = apply_dt(Delta({"new": EGG, "t0004": STRETCH}, {"t0001", "absent"}), source)
+    patched = text.patch(NoScan(out), {"new", "t0004", "t0001", "absent"})
+    assert str(patched) == dump_tasks(out)
+    assert str(text) == dump_tasks(source)  # the patch copies; the kept text is unchanged
+
+
+@pytest.mark.parametrize("variant", ["plain", "elaborated"])
+def test_save_after_a_put_patches_the_kept_text_without_scanning_the_source(tmp_path, variant):
+    source = {f"t{i:04d}": rec(i % 3 == 0, f"task {i}", (TODAY, APR2)[i % 2]) for i in range(1000)}
+    session = new_session(variant, TODAY, source)
+    lines = ["edit og del t0001", f'edit og add t0002 "renamed" {TODAY}', f'edit dt add new "fresh" {TODAY}', "put"]
+    session = run_lines(session, lines, out=io.StringIO())
+    assert session.unsaved == {"t0001", "t0002", "new"}
+    expected = dump_tasks(session.source).encode()
+    saved = tmp_path / "saved.tasks"
+    session, out = run_command(dataclasses.replace(session, source=NoScan(session.source)), f"save {saved}")
+    assert out == [f"saved {saved}"] and saved.read_bytes() == expected
+    assert str(session.text).encode() == expected and not session.unsaved
+
+
 def test_delta_ids_name_adds_deletes_and_moves():
     d = Delta({"a": EGG}, {"b"}, {"c": rec(True, "x", TODAY)})
     assert d.ids == {"a", "b", "c"}
@@ -585,6 +627,19 @@ def test_tasks_round_trip_and_canonical_order():
     assert text.splitlines()[0].startswith("task 001")
     assert load_tasks(text) == S_TL
     assert dump_tasks(load_tasks(text)) == text
+
+
+def test_loaded_records_share_one_string_per_due_date():
+    t = load_tasks(f'task a false "x" {TODAY}\ntask b true "y" {APR2}\ntask c false "z" {TODAY}\n')
+    assert t["a"].due is t["c"].due and t["b"].due == APR2
+
+
+def test_records_are_slotted_values():
+    r = rec(False, "x", TODAY)
+    assert not hasattr(r, "__dict__")
+    assert [f.name for f in dataclasses.fields(r)] == ["done", "name", "due"]
+    assert dataclasses.replace(r, done=True) == rec(True, "x", TODAY) != r
+    assert hash(r) == hash(rec(False, "x", TODAY))
 
 
 def test_tasks_quoting():
