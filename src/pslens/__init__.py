@@ -1,6 +1,6 @@
 """Partial-state lenses over partially ordered, partially specified states.
 
-The package is organized around five layers:
+The package is organized in six modules:
 
 * :mod:`pslens.iposet` -- state domains: partial order, identical
   updates, optional least element and merge operator.

@@ -25,6 +25,7 @@ Exit codes: 0 success, 1 command error, 2 law-suite failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import os
 import sys
@@ -89,14 +90,9 @@ class Session:
         return _pipeline(self.variant, self.today)
 
 
-_PIPELINES: dict[tuple, PSLens] = {}
-
-
+@functools.cache
 def _pipeline(variant: str, today: str) -> PSLens:
-    key = (variant, today)
-    if key not in _PIPELINES:
-        _PIPELINES[key] = task_pipeline(variant, today)
-    return _PIPELINES[key]
+    return task_pipeline(variant, today)
 
 
 def new_session(variant: str, today: str, source: Optional[dict] = None) -> Session:

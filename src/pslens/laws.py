@@ -359,28 +359,18 @@ _COMPOSITES: dict[LawId, tuple[LawId, ...]] = {
 
 
 def _universe_for(lens: PSLens, source: Optional[list], view: Optional[list]) -> tuple[list, list, bool]:
-    exhaustive = source is None and view is None
-    if source is None:
-        source = lens.source.elements
-        if source is None:
-            raise UniverseMismatchError(
-                f"source of {lens.name!r} is not enumerable; supply source samples"
-            )
-    else:
-        for s in source:
-            if not lens.source.contains(s):
-                raise UniverseMismatchError(f"sample {s!r} is outside the source carrier")
-    if view is None:
-        view = lens.view.elements
-        if view is None:
-            raise UniverseMismatchError(
-                f"view of {lens.name!r} is not enumerable; supply view samples"
-            )
-    else:
-        for v in view:
-            if not lens.view.contains(v):
-                raise UniverseMismatchError(f"sample {v!r} is outside the view carrier")
-    return list(source), list(view), exhaustive
+    sides = []
+    for side, domain, samples in (("source", lens.source, source), ("view", lens.view, view)):
+        if samples is None:
+            samples = domain.elements
+            if samples is None:
+                raise UniverseMismatchError(f"{side} of {lens.name!r} is not enumerable; supply {side} samples")
+        else:
+            for x in samples:
+                if not domain.contains(x):
+                    raise UniverseMismatchError(f"sample {x!r} is outside the {side} carrier")
+        sides.append(list(samples))
+    return sides[0], sides[1], source is None and view is None
 
 
 def check_law(

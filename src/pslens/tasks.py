@@ -33,6 +33,7 @@ and ``put`` upserts the moves back.
 from __future__ import annotations
 
 import datetime
+import functools
 import itertools
 import re
 from bisect import bisect_left
@@ -49,6 +50,7 @@ from .lens import (
     pipeline,
     product_lens,
 )
+from .updates import UpdateSpace
 
 
 class ParseError(ValueError):
@@ -216,6 +218,16 @@ class FilterDomain(IPoset):
     stay distinct elements).  Only a delta with nothing to delete or move
     counts as an identical update for a table.  Merge is union of deltas
     (failing on invalid unions) or absorption into a compatible table.
+
+    The source's domain is the update-encoding recipe's instance
+    (:func:`delta_update_space`): the recipe gives the same order and
+    merge.  Its identical updates are the exception: the recipe also
+    counts a delta deleting only ids a table lacks, since applying it
+    leaves the table as it is.  The cut is deliberate: deleting an id a
+    view does not show is not a no-op on the source.  With the recipe's
+    identical updates, every filter lens fails ps-acceptability at
+    ``s = {b: done record}``, which neither view shows, and
+    ``v = Delta(deletes={b})``, whose ``put`` deletes ``b``.
     """
 
     has_merge = True
@@ -266,7 +278,6 @@ class FilterDomain(IPoset):
 _TASKS = TasksDomain()
 _DT = FilterDomain("tasks+deltas", dict)
 _DTOG = FilterDomain("ongoing-view", lambda t: {k: r for k, r in t.items() if not r.done})
-_DTDT_CACHE: dict[str, FilterDomain] = {}
 
 
 def tasks_domain() -> TasksDomain:
@@ -283,14 +294,11 @@ def dtog_domain() -> FilterDomain:
     return _DTOG
 
 
+@functools.cache
 def dtdt_domain(today: str) -> FilterDomain:
-    """The due-today view's domain for a fixed day."""
-    if today not in _DTDT_CACHE:
-        check_date(today)
-        _DTDT_CACHE[today] = FilterDomain(
-            f"due-{today}-view", lambda t: {k: r for k, r in t.items() if r.due == today}
-        )
-    return _DTDT_CACHE[today]
+    """The due-today view's domain for a fixed day, one object per day."""
+    check_date(today)
+    return FilterDomain(f"due-{today}-view", lambda t: {k: r for k, r in t.items() if r.due == today})
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +345,7 @@ def filter_lens(view: FilterDomain, variant: str, name: str) -> PSLens:
     return PSLens(_DT, side, get=get, put=put, name=name)
 
 
-def filter_ongoing(variant: str = "plain") -> PSLens:
+def filter_ongoing(variant: str) -> PSLens:
     """The ongoing-tasks view lens; elaborated moves are completions."""
     return filter_lens(dtog_domain(), variant, "filter-ongoing")
 
@@ -422,6 +430,27 @@ def enumerate_view_universe(view: FilterDomain, ids: list[str], records: list[Ta
 
 def enumerate_dt_universe(ids: list[str], records: list[TaskRecord]) -> list:
     return enumerate_view_universe(dt_domain(), ids, records)
+
+
+def delta_update_space(ids: list[str], records: list[TaskRecord]) -> UpdateSpace:
+    """The source deltas as an instance of the update-encoding recipe.
+
+    States are the tables over ``ids`` and ``records``, updates are the
+    deltas over them, ordered and merged as in :func:`dt_domain`, and an
+    update applies by :func:`apply_dt`.  Its origin-erased domain is
+    :func:`dt_domain` on the same elements except for identical updates
+    (see :class:`FilterDomain`).
+    """
+    tables, deltas = enumerate_tables(ids, records), enumerate_deltas(ids, records)
+    pairs = list(itertools.product(deltas, repeat=2))
+    return UpdateSpace(
+        tables,
+        deltas,
+        [(a, b) for a, b in pairs if _DT.le(a, b)],
+        [(a, b, m) for a, b in pairs for m in (_DT.merge(a, b),) if m is not UNDEFINED],
+        [(u, t, apply_dt(u, t)) for u in deltas for t in tables],
+        name=f"deltas-{len(ids)}-ids",
+    )
 
 
 def enumerate_og_universe(ids: list[str], records: list[TaskRecord]) -> list:

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pslens.cli import CommandError, LawSuiteFailure, main, new_session, run_command, run_lines
@@ -343,6 +343,13 @@ SESSION_STEPS = st.one_of(
     rows=st.integers(100, 1000),
     seed=st.integers(0, 2**16),
     steps=st.lists(SESSION_STEPS, max_size=25),
+)
+# two saves, each after a put that changes the source
+@example(
+    variant="plain",
+    rows=100,
+    seed=0,
+    steps=[("add", "og", "new20", TODAY), ("put",), ("save",), ("del", "og", "new20"), ("put",), ("save",)],
 )
 def test_views_equal_the_pipeline_get_of_the_source_after_every_step(tmp_path_factory, variant, rows, seed, steps):
     saved = tmp_path_factory.mktemp("steps") / "saved.tasks"

@@ -39,9 +39,8 @@ from pslens.iposet import (
     sum_iposet,
     verify_iposet,
 )
-from pslens.tasks import Delta, TaskRecord, dt_domain, enumerate_dt_universe
+from pslens.tasks import Delta, TaskRecord, delta_update_space, dt_domain, enumerate_dt_universe
 from pslens.updates import (
-    dt_toy_space,
     enumerate_update_spaces,
     erased_iposet,
     g1_violation_space,
@@ -676,7 +675,8 @@ def test_checks_match_value_level_on_mutated_invalid_domains():
 def test_checks_match_value_level_on_generated_and_erased_domains():
     spaces = list(enumerate_update_spaces())
     assert len(spaces) == 266
-    spaces += [g1_violation_space(), g2_violation_space(), g3_violation_space(), dt_toy_space()]
+    one_id = delta_update_space(["k"], [TaskRecord(False, "write", "2025-04-01")])
+    spaces += [g1_violation_space(), g2_violation_space(), g3_violation_space(), one_id]
     failing = 0
     for us in spaces:
         failing += assert_checks_match_value_level(gen_iposet(us))

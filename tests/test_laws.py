@@ -28,6 +28,7 @@ from pslens.laws import (
     recheck_counterexample,
     run_fixture_suite,
 )
+from pslens.tasks import tasks_domain
 
 
 def pair_omega():
@@ -108,8 +109,22 @@ def test_recheck_refuses_passing_reports():
 
 def test_universe_mismatch_raises():
     lens = identity_lens(discrete([1, 2]))
-    with pytest.raises(UniverseMismatchError):
+    with pytest.raises(UniverseMismatchError, match="^sample 3 is outside the source carrier$"):
         check_law(lens, LawId.WB, source=[1, 3])
+
+
+@pytest.mark.parametrize(
+    "lens, source, view, message",
+    [
+        (identity_lens(discrete([1, 2])), None, [4], "sample 4 is outside the view carrier"),
+        (identity_lens(tasks_domain(), name="t"), None, [{}], "source of 't' is not enumerable; supply source samples"),
+        (identity_lens(tasks_domain(), name="t"), [{}], None, "view of 't' is not enumerable; supply view samples"),
+    ],
+)
+def test_universe_mismatch_names_the_side(lens, source, view, message):
+    with pytest.raises(UniverseMismatchError) as exc:
+        check_law(lens, LawId.WB, source=source, view=view)
+    assert str(exc.value) == message
 
 
 def test_sampled_universe_is_labelled():

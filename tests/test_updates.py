@@ -6,9 +6,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pslens.iposet import UNDEFINED, FiniteIPoset, check_duplicable, discrete, structurally_equal, verify_iposet
-from pslens.laws import LawId, check_law, check_laws
-from pslens.lens import initiator, is_failure
+from pslens.iposet import (
+    UNDEFINED,
+    FiniteIPoset,
+    check_duplicable,
+    discrete,
+    materialize,
+    structurally_equal,
+    verify_iposet,
+)
+from pslens.laws import LawId, check_law, check_laws, recheck_counterexample
+from pslens.lens import PSLens, initiator, is_failure
+from pslens.tasks import (
+    Delta,
+    FilterDomain,
+    TaskRecord,
+    apply_dt,
+    delta_update_space,
+    dt_domain,
+    enumerate_dt_universe,
+    enumerate_dtdt_universe,
+    enumerate_og_universe,
+    filter_ongoing,
+    filter_today,
+)
 from pslens.updates import (
     Pair,
     Proper,
@@ -19,7 +40,6 @@ from pslens.updates import (
     check_condition,
     check_state_elimination,
     check_sufficient,
-    dt_toy_space,
     dump_update_space,
     enumerate_update_spaces,
     erase,
@@ -35,6 +55,11 @@ from pslens.updates import (
 )
 
 U_LAWS = [LawId.PS_ACCEPTABILITY, LawId.PS_CONSISTENCY]
+
+# the one-id instance of the task deltas: its two tables and three deltas
+R = TaskRecord(False, "write", "2025-04-01")
+EMPTY, FULL = {}, {"k": R}
+NOTHING, ADD_K, DEL_K = Delta(), Delta({"k": R}), Delta(deletes={"k"})
 
 
 def oracle_ran(us, s, u):
@@ -74,12 +99,13 @@ def test_update_space_rejects_invalid_tables(states, updates, u_le, u_merge, int
 
 
 def test_update_order_is_a_validated_domain():
-    us = dt_toy_space()
+    us = delta_update_space(["k"], [R])
+    assert us.states == [EMPTY, FULL] and us.updates == [NOTHING, ADD_K, DEL_K]
     assert us.order.elements == us.updates
     assert verify_iposet(us.order).ok
-    assert us.order.le("add-nothing", "del-k") and not us.order.le("add-k", "del-k")
-    assert us.order.merge("add-nothing", "add-k") == "add-k"
-    assert us.order.merge("add-k", "del-k") is UNDEFINED
+    assert us.order.le(NOTHING, DEL_K) and not us.order.le(ADD_K, DEL_K)
+    assert us.order.merge(NOTHING, ADD_K) == ADD_K
+    assert us.order.merge(ADD_K, DEL_K) is UNDEFINED
 
 
 def test_enumeration_yields_exactly_266_valid_spaces():
@@ -99,15 +125,15 @@ def test_ran_singleton_for_maximal_self_fixing_update():
 
 
 def test_ran_of_least_update_reaches_most():
-    us = dt_toy_space()
-    bottom_reach = ran(us, "{}", "add-nothing")
+    us = delta_update_space(["k"], [R])
+    bottom_reach = ran(us, EMPTY, NOTHING)
     for u in us.updates:
-        for r in ran(us, "{}", u):
+        for r in ran(us, EMPTY, u):
             assert r in bottom_reach  # reachability is antitone in the update
 
 
 def test_ran_matches_oracle_on_dt_toy():
-    us = dt_toy_space()
+    us = delta_update_space(["k"], [R])
     for s in us.states:
         for u in us.updates:
             assert ran(us, s, u) == oracle_ran(us, s, u)
@@ -132,7 +158,7 @@ def test_generated_domain_satisfies_order_axioms_for_every_enumerated_space():
 
 
 def test_pair_is_identical_update_iff_interp_fixes_origin():
-    us = dt_toy_space()
+    us = delta_update_space(["k"], [R])
     p = gen_iposet(us)
     for s in us.states:
         for u in us.updates:
@@ -141,7 +167,7 @@ def test_pair_is_identical_update_iff_interp_fixes_origin():
 
 
 def test_proper_states_are_discrete():
-    us = dt_toy_space()
+    us = delta_update_space(["k"], [R])
     p = gen_iposet(us)
     for s in us.states:
         for s2 in us.states:
@@ -154,26 +180,24 @@ def test_proper_states_are_discrete():
 
 
 def test_merge_su_clauses():
-    us = dt_toy_space()
-    empty, full = "{}", "{k=r}"
-    assert merge_su(us, Proper(empty), Proper(empty)) == Proper(empty)
-    assert merge_su(us, Proper(empty), Proper(full)) is UNDEFINED
-    assert merge_su(us, Pair(empty, "add-k"), Proper(full)) == Proper(full)
-    assert merge_su(us, Pair(empty, "add-k"), Proper(empty)) is UNDEFINED
-    assert merge_su(us, Pair(empty, "add-nothing"), Pair(empty, "del-k")) == Pair(empty, "del-k")
-    assert merge_su(us, Pair(empty, "add-k"), Pair(full, "add-k")) is UNDEFINED  # distinct origins
+    us = delta_update_space(["k"], [R])
+    assert merge_su(us, Proper(EMPTY), Proper(EMPTY)) == Proper(EMPTY)
+    assert merge_su(us, Proper(EMPTY), Proper(FULL)) is UNDEFINED
+    assert merge_su(us, Pair(EMPTY, ADD_K), Proper(FULL)) == Proper(FULL)
+    assert merge_su(us, Pair(EMPTY, ADD_K), Proper(EMPTY)) is UNDEFINED
+    assert merge_su(us, Pair(EMPTY, NOTHING), Pair(EMPTY, DEL_K)) == Pair(EMPTY, DEL_K)
+    assert merge_su(us, Pair(EMPTY, ADD_K), Pair(FULL, ADD_K)) is UNDEFINED  # distinct origins
 
 
 def test_apply_su_clauses():
-    us = dt_toy_space()
-    empty, full = "{}", "{k=r}"
-    assert apply_su(us, Proper(full), empty) == full
-    assert apply_su(us, Pair(empty, "add-k"), empty) == full
-    assert apply_su(us, Pair(empty, "add-k"), full) is UNDEFINED  # origin mismatch
+    us = delta_update_space(["k"], [R])
+    assert apply_su(us, Proper(FULL), EMPTY) == FULL
+    assert apply_su(us, Pair(EMPTY, ADD_K), EMPTY) == FULL
+    assert apply_su(us, Pair(EMPTY, ADD_K), FULL) is UNDEFINED  # origin mismatch
 
 
 def test_su_initiator_is_well_behaved_and_satisfies_u_laws():
-    us = dt_toy_space()
+    us = delta_update_space(["k"], [R])
     lens = su_initiator(us)
     assert check_law(lens, LawId.WB).holds
 
@@ -188,9 +212,9 @@ def test_su_initiator_is_well_behaved_and_satisfies_u_laws():
 
 
 def test_su_initiator_put_failure_on_origin_mismatch():
-    us = dt_toy_space()
+    us = delta_update_space(["k"], [R])
     lens = su_initiator(us)
-    r = lens.put(Proper("{k=r}"), Pair("{}", "add-k"))
+    r = lens.put(Proper(FULL), Pair(EMPTY, ADD_K))
     assert is_failure(r)
 
 
@@ -217,7 +241,7 @@ def test_su_initiator_u_laws_hold_across_enumerated_spaces():
 
 
 def test_dt_toy_satisfies_all_conditions_and_is_duplicable():
-    us = dt_toy_space()
+    us = delta_update_space(["k"], [R])
     for which in ["G1", "G2", "G3"]:
         assert check_condition(us, which).ok, which
     assert check_duplicable(gen_iposet(us)).ok
@@ -268,7 +292,7 @@ def test_conditions_hold_vacuously_without_updates():
 
 def test_unknown_condition_name():
     with pytest.raises(ValueError):
-        check_condition(dt_toy_space(), "G4")
+        check_condition(delta_update_space(["k"], [R]), "G4")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +344,7 @@ def test_non_associative_merge_reported_with_witness_triple():
 
 
 def test_state_elimination_passes_on_dt_toy():
-    report = check_state_elimination(dt_toy_space())
+    report = check_state_elimination(delta_update_space(["k"], [R]))
     assert report.ok, str(report)
 
 
@@ -338,7 +362,7 @@ def test_erase_maps_pairs_to_updates():
 
 
 def test_erased_merge_agrees_under_erasure_on_dt_toy():
-    us = dt_toy_space()
+    us = delta_update_space(["k"], [R])
     gen = gen_iposet(us)
     erased = erased_iposet(us)
     for a, b in itertools.product(gen.elements, repeat=2):
@@ -416,7 +440,7 @@ def assert_erasure_matches_oracle(us):
 
 def test_erasure_matches_oracle_on_enumerated_spaces_and_fixtures():
     spaces = list(enumerate_update_spaces())
-    spaces += [g1_violation_space(), g2_violation_space(), g3_violation_space(), dt_toy_space()]
+    spaces += [g1_violation_space(), g2_violation_space(), g3_violation_space(), delta_update_space(["k"], [R])]
     for us in spaces:
         assert_erasure_matches_oracle(us)
 
@@ -452,12 +476,71 @@ def test_erasure_matches_oracle_on_three_update_spaces(us):
 
 
 # ---------------------------------------------------------------------------
+# the task deltas as an instance of the recipe
+# ---------------------------------------------------------------------------
+
+TODAY = "2025-04-01"
+DESK_IDS = ["a", "b"]
+DESK = [TaskRecord(False, "write", TODAY), TaskRecord(True, "rest", "2025-04-02")]
+
+
+def unwrap(x):
+    return x.update if isinstance(x, Upd) else x.state
+
+
+class RecipeIdent(FilterDomain):
+    """``domain`` with the recipe's identical updates: a delta with no
+    moves is one for every table it sits below, deletes included."""
+
+    def __init__(self, domain):
+        super().__init__(domain.name, domain.select)
+
+    def ident(self, a, b):
+        if isinstance(a, Delta) and isinstance(b, dict):
+            return not a.moves and self.le(a, b)
+        return super().ident(a, b)
+
+
+def test_task_deltas_are_the_recipe_instance_but_for_deleting_absent_ids():
+    us = delta_update_space(DESK_IDS, DESK)
+    source = enumerate_dt_universe(DESK_IDS, DESK)
+    erased, desk = erased_iposet(us), materialize(dt_domain(), source)
+
+    # order and merge are the delta domain's, element for element
+    assert len(desk.elements) == 25
+    assert [unwrap(x) for x in erased.elements] == desk.elements
+    assert [(unwrap(a), unwrap(b)) for a, b in erased.le_pairs()] == desk.le_pairs()
+    assert [tuple(map(unwrap, t)) for t in erased.merge_triples()] == desk.merge_triples()
+
+    # the recipe also counts a delta deleting only absent ids as an identical update
+    recipe_ids, desk_ids = [(unwrap(a), unwrap(b)) for a, b in erased.id_pairs()], desk.id_pairs()
+    deletes_absent = [(u, t) for u in us.updates for t in us.states if u.deletes and apply_dt(u, t) == t]
+    assert [p for p in desk_ids if p not in recipe_ids] == []
+    assert [p for p in recipe_ids if p not in desk_ids] == deletes_absent
+    assert len(deletes_absent) == 11
+
+    # which all four filters would break: deleting an id the view does not
+    # show is not a no-op on the source
+    witness = ({"b": DESK[1]}, Delta(deletes={"b"}))
+    for variant in ["plain", "elaborated"]:
+        views = [enumerate_og_universe(DESK_IDS, DESK), enumerate_dtdt_universe(DESK_IDS, DESK, TODAY)]
+        for lens, view in zip([filter_ongoing(variant), filter_today(variant, TODAY)], views):
+            view = view if variant == "elaborated" else source
+            assert check_law(lens, LawId.PS_ACCEPTABILITY, source, view).holds
+            recipe = PSLens(RecipeIdent(lens.source), RecipeIdent(lens.view), lens.get, lens.put, lens.name)
+            report = check_law(recipe, LawId.PS_ACCEPTABILITY, source, view)
+            assert not report.holds, (variant, lens.name)
+            assert (report.counterexample["s"], report.counterexample["v"]) == witness
+            assert recheck_counterexample(recipe, report, source, view)
+
+
+# ---------------------------------------------------------------------------
 # text format
 # ---------------------------------------------------------------------------
 
 
 def test_update_space_text_round_trip():
-    us = dt_toy_space()
+    us = g1_violation_space()
     text = dump_update_space(us)
     again = load_update_space(text, name=us.name)
     assert again.states == us.states and again.updates == us.updates
