@@ -46,7 +46,6 @@ from .tasks import (
     dump_tasks,
     load_delta,
     load_tasks,
-    refresh_views,
     task_pipeline,
 )
 
@@ -63,11 +62,11 @@ class LawSuiteFailure(Exception):
 class Session:
     """One synchronization session.
 
-    ``views`` always equals the pipeline's forward image of ``source``:
-    :func:`new_session` computes it with the pipeline's ``get``, and a
-    ``put`` refreshes it from the ids the staged deltas name
-    (:func:`~pslens.tasks.refresh_views`).  The staged deltas are what
-    the next ``put`` will propagate.
+    The views are not stored: ``views`` is the pipeline's ``get`` of the
+    whole source, and ``views_of(ids)`` the ``get`` of just the rows
+    ``ids`` name.  Each filter keeps or drops a row on its own, so the
+    latter is the full views restricted to ``ids`` at O(|ids|) cost.
+    The staged deltas are what the next ``put`` will propagate.
 
     ``text.patch(source, unsaved)`` always renders as
     ``dump_tasks(source)``: ``text`` is the canonical text of the source
@@ -79,7 +78,6 @@ class Session:
     variant: str
     today: str
     source: dict
-    views: tuple
     staged_og: object
     staged_dt: object
     text: TaskText = field(repr=False)
@@ -89,6 +87,13 @@ class Session:
     def pipeline(self) -> PSLens:
         return _pipeline(self.variant, self.today)
 
+    @property
+    def views(self) -> tuple[dict, dict]:
+        return self.pipeline.get(self.source)
+
+    def views_of(self, ids) -> tuple[dict, dict]:
+        return self.pipeline.get({k: self.source[k] for k in ids if k in self.source})
+
 
 @functools.cache
 def _pipeline(variant: str, today: str) -> PSLens:
@@ -96,9 +101,9 @@ def _pipeline(variant: str, today: str) -> PSLens:
 
 
 def new_session(variant: str, today: str, source: Optional[dict] = None) -> Session:
+    _pipeline(variant, today)  # an unknown variant or a bad date fails here
     source = {} if source is None else source
-    views = _pipeline(variant, today).get(source)
-    return Session(variant, today, source, views, Delta(), Delta(), TaskText.of(source))
+    return Session(variant, today, source, Delta(), Delta(), TaskText.of(source))
 
 
 def _render_tasks(t: dict, indent: str = "  ") -> list[str]:
@@ -145,7 +150,6 @@ def _parse_edit(session: Session, args: list[str]):
         raise CommandError("usage: edit og|dt add|del|complete|postpone|file ...")
     side, action, rest = args[0], args[1], args[2:]
     elaborated = session.variant == "elaborated"
-    og_view, dt_view = session.views
 
     if action == "add":
         if len(rest) != 3:
@@ -165,6 +169,7 @@ def _parse_edit(session: Session, args: list[str]):
         if len(rest) != 1:
             raise CommandError("usage: edit og complete <id>")
         key = rest[0]
+        og_view = session.views_of((key,))[0]
         if key not in og_view:
             raise CommandError(f"no task {key!r} in the ongoing view")
         incoming = Delta(moves={key: replace(og_view[key], done=True)})
@@ -174,6 +179,7 @@ def _parse_edit(session: Session, args: list[str]):
         if len(rest) != 2:
             raise CommandError("usage: edit dt postpone <id> <new-due>")
         key, due = rest
+        dt_view = session.views_of((key,))[1]
         if key not in dt_view:
             raise CommandError(f"no task {key!r} in the today view")
         if due == session.today:
@@ -217,7 +223,10 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         except ValueError as exc:
             raise CommandError(str(exc)) from None
         i = ("og", "dt").index(side)
-        merged = _side_domains(session)[i].merge((session.staged_og, session.staged_dt)[i], incoming)
+        domain = _side_domains(session)[i]
+        if not domain.contains(incoming):
+            raise CommandError(f"the {side} delta is outside the {domain.name} domain")
+        merged = domain.merge((session.staged_og, session.staged_dt)[i], incoming)
         if merged is UNDEFINED:
             raise CommandError(f"conflicting edits staged for the {side} view")
         if side == "og":
@@ -231,20 +240,11 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         if is_failure(result):
             return session, [f"{result}", "session unchanged"]
         ids = session.staged_og.ids | session.staged_dt.ids
-        views = refresh_views(session.views, result, ids, session.today)
-        fresh = Session(
-            session.variant, session.today, result, views, Delta(), Delta(), session.text, session.unsaved | ids
-        )
-        og_dom, dt_dom = _side_domains(session)
+        fresh = Session(session.variant, session.today, result, Delta(), Delta(), session.text, session.unsaved | ids)
         out = [f"source now has {len(result)} task(s)"]
-        out.append(
-            "og delta preserved in refreshed view: "
-            + ("yes" if og_dom.le(session.staged_og, fresh.views[0]) else "NO")
-        )
-        out.append(
-            "dt delta preserved in refreshed view: "
-            + ("yes" if dt_dom.le(session.staged_dt, fresh.views[1]) else "NO")
-        )
+        staged = (session.staged_og, session.staged_dt)
+        for side, domain, delta, view in zip(("og", "dt"), _side_domains(session), staged, fresh.views_of(ids)):
+            out.append(f"{side} delta preserved in refreshed view: " + ("yes" if domain.le(delta, view) else "NO"))
         return fresh, out
 
     if cmd == "reset":

@@ -416,7 +416,7 @@ def check_laws(
         return witnesses[law]
 
     reports = []
-    for law in laws or list(LawId):
+    for law in list(LawId) if laws is None else laws:
         if law in _COMPOSITES:
             failed = next((part for part in _COMPOSITES[law] if scan(part) is not None), None)
             witness = None if failed is None else {"_law": failed.value, **scan(failed)}

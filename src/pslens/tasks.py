@@ -370,28 +370,6 @@ def task_pipeline(variant: str, today: str) -> PSLens:
     )
 
 
-def refresh_views(views: tuple[dict, dict], t: Mapping, ids: Collection, today: str) -> tuple[dict, dict]:
-    """``task_pipeline(variant, today).get(t)`` for either variant, given
-    the ``views`` of a table that differs from ``t`` only on ``ids``.
-
-    Incremental view maintenance for the two filters: each view is
-    copied, and only the named ids are looked up in ``t``, so the cost
-    is O(|ids|) beyond the copies.  After a successful ``put`` of a
-    staged delta pair, the ids the two deltas name are enough: a filter
-    ``put`` keeps a delta's ids (moves become upserts), ``dup`` merges
-    by union, and :func:`apply_dt` changes only those ids.
-    """
-    named = {k: t[k] for k in ids if k in t}
-    fresh = []
-    for domain, view in zip((_DTOG, dtdt_domain(today)), views):
-        kept = view.copy()
-        for k in ids:
-            kept.pop(k, None)
-        kept.update(domain.select(named))
-        fresh.append(kept)
-    return tuple(fresh)
-
-
 # ---------------------------------------------------------------------------
 # Bounded enumeration (for exhaustive desk-scale checking)
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pslens.cli import CommandError, LawSuiteFailure, main, new_session, run_command, run_lines
-from pslens.tasks import Delta, TaskRecord, dump_tasks, load_tasks
+from pslens.tasks import Delta, TaskRecord, dt_domain, dtdt_domain, dtog_domain, dump_tasks, load_tasks
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "golden"
@@ -84,6 +84,18 @@ def test_load_and_edit_file_keep_a_lone_carriage_return_in_a_name(tmp_path):
     assert out == ["loaded 1 task(s)"] and session.source == {"a": TaskRecord(False, "x\ry", TODAY)}
     session, _ = run_command(session, f"edit og file {delta}")
     assert session.staged_og == Delta({"b": TaskRecord(False, "u\rv", TODAY)})
+
+
+def test_edit_file_refuses_a_delta_outside_the_view_domain_at_the_edit(tmp_path):
+    delta = tmp_path / "tomorrow.delta"
+    delta.write_text('upsert b false "x" 2025-04-02\n')
+    with pytest.raises(CommandError, match="the dt delta is outside the due-2025-04-01-view domain"):
+        run_command(new_session("elaborated", TODAY), f"edit dt file {delta}")
+    # plain deltas live in the source's domain: the edit stages, and the put refuses
+    session, out = run_command(new_session("plain", TODAY), f"edit dt file {delta}")
+    assert out == ["staged for dt view"]
+    _, out = run_command(session, "put")
+    assert "GuardFailed" in out[0] and out[1:] == ["session unchanged"]
 
 
 def test_crlf_task_files_and_scripts_still_work(tmp_path):
@@ -351,7 +363,10 @@ SESSION_STEPS = st.one_of(
     seed=0,
     steps=[("add", "og", "new20", TODAY), ("put",), ("save",), ("del", "og", "new20"), ("put",), ("save",)],
 )
-def test_views_equal_the_pipeline_get_of_the_source_after_every_step(tmp_path_factory, variant, rows, seed, steps):
+def test_preserved_lines_are_le_of_the_staged_deltas_after_every_put(tmp_path_factory, variant, rows, seed, steps):
+    """Each successful ``put`` prints, per view, whether the delta staged
+    before it is below the full view of the new source."""
+    domains = {"plain": (dt_domain(), dt_domain()), "elaborated": (dtog_domain(), dtdt_domain(TODAY))}[variant]
     saved = tmp_path_factory.mktemp("steps") / "saved.tasks"
     rng = random.Random(seed)
     source = {f"t{i:04d}": TaskRecord(rng.random() < 0.3, f"task {i}", rng.choice(DUES)) for i in range(rows)}
@@ -368,11 +383,16 @@ def test_views_equal_the_pipeline_get_of_the_source_after_every_step(tmp_path_fa
             line = f"edit dt postpone {args[0]} {args[1]}"
         else:
             line = f"save {saved}" if kind == "save" else "put"
+        before = session
         try:
-            session, _ = run_command(session, line)
+            session, out = run_command(session, line)
         except CommandError:
-            pass  # a conflicting or out-of-variant edit; the session is unchanged
-        assert session.views == session.pipeline.get(session.source), line
+            continue  # a conflicting or out-of-variant edit; the session is unchanged
+        if kind == "put" and session is not before:
+            staged = (before.staged_og, before.staged_dt)
+            verdicts = ["yes" if d.le(delta, view) else "NO" for d, delta, view in zip(domains, staged, session.views)]
+            expected = [f"{side} delta preserved in refreshed view: {v}" for side, v in zip(("og", "dt"), verdicts)]
+            assert out[1:] == expected, line
         if kind == "save":
             assert saved.read_bytes() == dump_tasks(session.source).encode() and not session.unsaved
 

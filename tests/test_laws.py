@@ -141,6 +141,10 @@ def test_check_laws_runs_every_law():
     assert all(r.holds for r in reports)
 
 
+
+def test_check_laws_of_no_laws_is_no_reports():
+    assert check_laws(identity_lens(lift_omega(discrete([1]))), []) == []
+
 # ---------------------------------------------------------------------------
 # coincidence and collapse lemmas, executable
 # ---------------------------------------------------------------------------

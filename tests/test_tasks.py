@@ -36,7 +36,6 @@ from pslens.tasks import (
     is_task_id,
     load_delta,
     load_tasks,
-    refresh_views,
     task_pipeline,
     tasks_domain,
     upsert,
@@ -521,6 +520,8 @@ def test_pipeline_well_behaved_on_tiny_universe():
     assert report.holds, str(report)
 
 
+# the domains of the two staged view deltas, per variant
+VIEW_DOMAINS = {"plain": (dt_domain(), dt_domain()), "elaborated": (dtog_domain(), dtdt_domain(TODAY))}
 VIEW_RECORDS = [rec(False, "n", TODAY), rec(True, "m", APR2), rec(False, "o", APR2), rec(True, "p", TODAY)]
 
 
@@ -542,15 +543,20 @@ def defined_staged_puts(variant):
 
 
 @pytest.mark.parametrize("variant", ["plain", "elaborated"])
-def test_refresh_from_the_named_ids_is_the_get_of_the_put(variant):
-    """The refresh lemma, exhaustively on 2-id universes: after a defined
-    ``put`` of a staged delta pair, refreshing the old views from the ids
-    the two deltas name gives the ``get`` of the new source, view by view."""
+def test_get_of_the_named_rows_is_the_views_at_the_named_ids(variant):
+    """The per-row lemma, exhaustively on 2-id universes: after a defined
+    ``put`` of a staged delta pair, the ``get`` of the new source's rows
+    at the ids the two deltas name is each full view restricted to those
+    ids, and each staged delta is preserved in the one exactly when it is
+    in the other (the CLI's "preserved" lines read the restricted views)."""
     checked = 0
     for lens, s, og, dt, out in defined_staged_puts(variant):
-        refreshed = refresh_views(lens.get(s), out, og.ids | dt.ids, TODAY)
-        for i, (got, want) in enumerate(zip(refreshed, lens.get(out))):
-            assert got == want, (i, s, og, dt)
+        ids = og.ids | dt.ids
+        restricted = lens.get({k: out[k] for k in ids if k in out})
+        full = lens.get(out)
+        for i, (domain, got, view, delta) in enumerate(zip(VIEW_DOMAINS[variant], restricted, full, (og, dt))):
+            assert got == {k: r for k, r in view.items() if k in ids}, (i, s, og, dt)
+            assert domain.le(delta, got) == domain.le(delta, view), (i, s, og, dt)
         checked += 1
     assert checked > 1000
 
@@ -576,16 +582,20 @@ class NoScan(dict):
     keys = values = items = __iter__
 
 
-def test_refresh_looks_up_only_the_named_ids():
-    lens = task_pipeline("elaborated", TODAY)
+@pytest.mark.parametrize("variant", ["plain", "elaborated"])
+def test_views_of_and_view_edits_look_up_only_the_named_ids(variant):
     source = {f"t{i:04d}": rec(i % 3 == 0, f"task {i}", (TODAY, APR2)[i % 2]) for i in range(1000)}
-    og = Delta({"new": EGG}, {"t0001"}, {"t0002": rec(True, "task 2", TODAY)})
-    dt = Delta({"t0004": STRETCH}, {"t0003"}, {"t0008": rec(False, "task 8", APR2)})
-    out = lens.put(source, (og, dt))
-    refreshed = refresh_views(lens.get(source), NoScan(out), og.ids | dt.ids, TODAY)
-    assert refreshed == lens.get(out)
+    scanned = new_session(variant, TODAY, source)
+    session = dataclasses.replace(scanned, source=NoScan(source))
+    ids = {"t0001", "t0002", "t0003", "absent"}
+    assert session.views_of(ids) == tuple({k: r for k, r in view.items() if k in ids} for view in scanned.views)
     with pytest.raises(AssertionError, match="whole-table scan"):
-        lens.get(NoScan(out))
+        session.views
+    if variant == "elaborated":
+        session, _ = run_command(session, "edit og complete t0001")
+        session, _ = run_command(session, f"edit dt postpone t0002 {APR2}")
+        assert session.staged_og == Delta(moves={"t0001": rec(True, "task 1", APR2)})
+        assert session.staged_dt == Delta(moves={"t0002": rec(False, "task 2", APR2)})
 
 
 def test_text_patch_looks_up_only_the_changed_ids():
