@@ -3,8 +3,10 @@
 Every law is evaluated as its literal quantified formula over a
 universe: the full carriers for enumerable domains, or caller-supplied
 sample lists for infinite ones (in which case the report says so and
-claims nothing beyond the samples).  A failing report always carries a
-concrete counterexample that can be re-substituted into the formula.
+claims nothing beyond the samples).  Each law is written once, as a
+scanner over one range per quantified variable.  A failing report always
+carries a concrete counterexample, which :func:`recheck_counterexample`
+confirms by running the law's scanner at the witness alone.
 
 The catalog in :func:`fixture_lenses` collects the standard lawful
 primitives together with three deliberately deviant lenses:
@@ -107,14 +109,12 @@ class _Space:
 
     def __init__(self, domain: IPoset, values: list):
         self.domain = domain
-        self._index = ElementIndex(values)
-        self.values = self._index.values
+        index = ElementIndex(values)
+        self.values = index.values
+        self.locate: Callable[[Any], int] = index.intern
         self.n = len(self.values)
         self._le: dict[tuple[int, int], bool] = {}
         self._id: dict[tuple[int, int], bool] = {}
-
-    def locate(self, v: Any) -> int:
-        return self._index.intern(v)
 
     def le(self, i: int, j: int) -> bool:
         key = (i, j)
@@ -141,7 +141,7 @@ class _Ctx:
         self.exhaustive = exhaustive
         self._get: dict[int, int] = {}
         self._put: dict[tuple[int, int], Any] = {}
-        self._image: dict[int, list[tuple[int, int]]] = {}
+        self._image: dict[tuple[int, range], list[tuple[int, int]]] = {}
 
     @property
     def universe(self) -> str:
@@ -177,17 +177,18 @@ class _Ctx:
             self._put[key] = hit
         return hit
 
-    def image(self, j: int) -> list[tuple[int, int]]:
-        """The image of ``put(-, v)``: ``(s0, put(s0, v))`` for the first
-        source giving each distinct defined result, in source order."""
-        hit = self._image.get(j)
+    def image(self, j: int, sources: range) -> list[tuple[int, int]]:
+        """The image of ``put(-, v)`` over ``sources``: ``(s0, put(s0, v))`` for
+        the first source giving each distinct defined result, in order."""
+        key = (j, sources)
+        hit = self._image.get(key)
         if hit is None:
             first: dict[int, int] = {}
-            for i in range(self.S.n):
+            for i in sources:
                 r = self.put(i, j)
                 if not is_failure(r):
                     first.setdefault(r, i)
-            hit = self._image[j] = [(i, r) for r, i in first.items()]
+            hit = self._image[key] = [(i, r) for r, i in first.items()]
         return hit
 
     def sv(self, i: int) -> Any:
@@ -197,9 +198,9 @@ class _Ctx:
         return self.V.values[j]
 
 
-def _scan_classical_consistency(c: _Ctx) -> Optional[dict]:
-    for i in range(c.S.n):
-        for j in range(c.V.n):
+def _scan_classical_consistency(c: _Ctx, ss: range, vs: range) -> Optional[dict]:
+    for i in ss:
+        for j in vs:
             r = c.put(i, j)
             if is_failure(r):
                 continue
@@ -208,8 +209,8 @@ def _scan_classical_consistency(c: _Ctx) -> Optional[dict]:
     return None
 
 
-def _scan_classical_acceptability(c: _Ctx) -> Optional[dict]:
-    for i in range(c.S.n):
+def _scan_classical_acceptability(c: _Ctx, ss: range) -> Optional[dict]:
+    for i in ss:
         r = c.put(i, c.get(i))
         if is_failure(r) or r != i:
             got = r if is_failure(r) else c.sv(r)
@@ -217,9 +218,9 @@ def _scan_classical_acceptability(c: _Ctx) -> Optional[dict]:
     return None
 
 
-def _scan_stability(c: _Ctx) -> Optional[dict]:
-    for i in range(c.S.n):
-        for j in range(c.V.n):
+def _scan_stability(c: _Ctx, s0s: range, vs: range) -> Optional[dict]:
+    for i in s0s:
+        for j in vs:
             s = c.put(i, j)
             if is_failure(s):
                 continue
@@ -230,10 +231,10 @@ def _scan_stability(c: _Ctx) -> Optional[dict]:
     return None
 
 
-def _scan_ps_consistency(c: _Ctx) -> Optional[dict]:
-    for j in range(c.V.n):
-        for i, r in c.image(j):
-            for i2 in range(c.S.n):
+def _scan_ps_consistency(c: _Ctx, ss: range, vs: range, s1s: range) -> Optional[dict]:
+    for j in vs:
+        for i, r in c.image(j, ss):
+            for i2 in s1s:
                 if not c.S.le(r, i2):
                     continue
                 if not c.V.le(j, c.get(i2)):
@@ -247,10 +248,10 @@ def _scan_ps_consistency(c: _Ctx) -> Optional[dict]:
     return None
 
 
-def _scan_ps_acceptability(c: _Ctx) -> Optional[dict]:
-    for i in range(c.S.n):
+def _scan_ps_acceptability(c: _Ctx, ss: range, vs: range) -> Optional[dict]:
+    for i in ss:
         g = c.get(i)
-        for j in range(c.V.n):
+        for j in vs:
             if not c.V.ident(j, g):
                 continue
             r = c.put(i, j)
@@ -260,14 +261,14 @@ def _scan_ps_acceptability(c: _Ctx) -> Optional[dict]:
     return None
 
 
-def _scan_ps_stability(c: _Ctx) -> Optional[dict]:
-    for j in range(c.V.n):
-        for i0, s in c.image(j):
-            for i2 in range(c.S.n):  # s'
+def _scan_ps_stability(c: _Ctx, s0s: range, vs: range, s1s: range, v2s: range) -> Optional[dict]:
+    for j in vs:
+        for i0, s in c.image(j, s0s):
+            for i2 in s1s:  # s'
                 if not c.S.le(s, i2):
                     continue
                 g2 = c.get(i2)
-                for j2 in range(c.V.n):  # v''
+                for j2 in v2s:  # v''
                     if not (c.V.le(j, j2) and c.V.ident(j2, g2)):
                         continue
                     s2 = c.put(i2, j2)
@@ -285,9 +286,9 @@ def _scan_ps_stability(c: _Ctx) -> Optional[dict]:
     return None
 
 
-def _scan_get_monotone(c: _Ctx) -> Optional[dict]:
-    for i in range(c.S.n):
-        for i2 in range(c.S.n):
+def _scan_get_monotone(c: _Ctx, ss: range, s1s: range) -> Optional[dict]:
+    for i in ss:
+        for i2 in s1s:
             if c.S.le(i, i2) and not c.V.le(c.get(i), c.get(i2)):
                 return {
                     "s": c.sv(i),
@@ -298,8 +299,8 @@ def _scan_get_monotone(c: _Ctx) -> Optional[dict]:
     return None
 
 
-def _scan_view_stability(c: _Ctx) -> Optional[dict]:
-    for i in range(c.S.n):
+def _scan_view_stability(c: _Ctx, ss: range) -> Optional[dict]:
+    for i in ss:
         g = c.get(i)
         r = c.put(i, g)
         if is_failure(r) or c.get(r) != g:
@@ -308,14 +309,12 @@ def _scan_view_stability(c: _Ctx) -> Optional[dict]:
     return None
 
 
-def _scan_put_determines_get(c: _Ctx) -> Optional[dict]:
-    for i in range(c.S.n):
-        pool = [j for j in range(c.V.n) if any(c.S.le(r, i) for _, r in c.image(j))]
-        best = None
-        for j in pool:
-            if all(c.V.le(j2, j) for j2 in pool):
-                best = j
-                break
+def _scan_put_determines_get(c: _Ctx, ss: range) -> Optional[dict]:
+    # V_s = {v | put(s0, v) <= s for some s0} ranges over the whole universe
+    images = [(j, c.image(j, range(c.S.n))) for j in range(c.V.n)]
+    for i in ss:
+        pool = [j for j, image in images if any(c.S.le(r, i) for _, r in image)]
+        best = next((j for j in pool if all(c.V.le(j2, j) for j2 in pool)), None)
         if best is None or c.get(i) != best:
             return {
                 "s": c.sv(i),
@@ -326,9 +325,9 @@ def _scan_put_determines_get(c: _Ctx) -> Optional[dict]:
     return None
 
 
-def _scan_wputget(c: _Ctx) -> Optional[dict]:
-    for i in range(c.S.n):
-        for j in range(c.V.n):
+def _scan_wputget(c: _Ctx, s0s: range, vs: range) -> Optional[dict]:
+    for i in s0s:
+        for j in vs:
             s = c.put(i, j)
             if is_failure(s):
                 continue
@@ -339,23 +338,64 @@ def _scan_wputget(c: _Ctx) -> Optional[dict]:
     return None
 
 
-_SCANNERS: dict[LawId, Callable[[_Ctx], Optional[dict]]] = {
-    LawId.CLASSICAL_CONSISTENCY: _scan_classical_consistency,
-    LawId.CLASSICAL_ACCEPTABILITY: _scan_classical_acceptability,
-    LawId.STABILITY: _scan_stability,
-    LawId.PS_CONSISTENCY: _scan_ps_consistency,
-    LawId.PS_ACCEPTABILITY: _scan_ps_acceptability,
-    LawId.PS_STABILITY: _scan_ps_stability,
-    LawId.GET_MONOTONE: _scan_get_monotone,
-    LawId.VIEW_STABILITY: _scan_view_stability,
-    LawId.PUT_DETERMINES_GET: _scan_put_determines_get,
-    LawId.WPUTGET: _scan_wputget,
+def _scan_putput(c: _Ctx, s0s: range, v1s: range, v2s: range) -> Optional[dict]:
+    for i in s0s:
+        for j1 in v1s:
+            s1 = c.put(i, j1)
+            if is_failure(s1):
+                continue
+            for j2 in v2s:
+                s2 = c.put(s1, j2)
+                if is_failure(s2):
+                    continue
+                r = c.put(i, j2)
+                if is_failure(r) or r != s2:
+                    got = r if is_failure(r) else c.sv(r)
+                    return {
+                        "s0": c.sv(i),
+                        "v1": c.vv(j1),
+                        "s1": c.sv(s1),
+                        "v2": c.vv(j2),
+                        "s2": c.sv(s2),
+                        "shortcut put": got,
+                    }
+    return None
+
+
+# Each law's one written formula, by name: a scanner takes one range of
+# indices per quantified variable, named here by its witness key ("s..."
+# over sources, "v..." over views), and returns the witness dict of the
+# first false instance, or None.  "putput" is informational, not a LawId.
+_SCANNERS: dict[str, tuple[Callable[..., Optional[dict]], tuple[str, ...]]] = {
+    "classical-consistency": (_scan_classical_consistency, ("s", "v'")),
+    "classical-acceptability": (_scan_classical_acceptability, ("s",)),
+    "stability": (_scan_stability, ("s0", "v")),
+    "ps-consistency": (_scan_ps_consistency, ("s", "v'", "s'")),
+    "ps-acceptability": (_scan_ps_acceptability, ("s", "v")),
+    "ps-stability": (_scan_ps_stability, ("s0", "v", "s'", "v''")),
+    "get-monotone": (_scan_get_monotone, ("s", "s'")),
+    "view-stability": (_scan_view_stability, ("s",)),
+    "put-determines-get": (_scan_put_determines_get, ("s",)),
+    "wputget": (_scan_wputget, ("s0", "v")),
+    "putput": (_scan_putput, ("s0", "v1", "v2")),
 }
 
 _COMPOSITES: dict[LawId, tuple[LawId, ...]] = {
     LawId.WEAK_WB: (LawId.PS_ACCEPTABILITY, LawId.PS_CONSISTENCY),
     LawId.WB: (LawId.PS_ACCEPTABILITY, LawId.PS_CONSISTENCY, LawId.PS_STABILITY),
 }
+
+
+def _scan(c: _Ctx, name: str, at: Optional[dict] = None) -> Optional[dict]:
+    """Run the named scanner over ``c``'s whole universe, or only at the
+    elements that the witness ``at`` names."""
+    scanner, variables = _SCANNERS[name]
+    ranges = []
+    for var in variables:
+        space = c.S if var[0] == "s" else c.V
+        i = None if at is None else space.locate(at[var])
+        ranges.append(range(space.n) if i is None else range(i, i + 1))
+    return scanner(c, *ranges)
 
 
 def _universe_for(lens: PSLens, source: Optional[list], view: Optional[list]) -> tuple[list, list, bool]:
@@ -412,7 +452,7 @@ def check_laws(
 
     def scan(law: LawId) -> Optional[dict]:
         if law not in witnesses:
-            witnesses[law] = _SCANNERS[law](ctx)
+            witnesses[law] = _scan(ctx, law.value)
         return witnesses[law]
 
     reports = []
@@ -435,62 +475,21 @@ def recheck_counterexample(
 ) -> bool:
     """Re-substitute a report's counterexample into the law's formula.
 
-    Returns True when the law instance indeed evaluates to false at the
-    witness, i.e. the counterexample is genuine.
+    Runs the law's own scanner at the witness alone and returns True when
+    that instance is false, i.e. the counterexample is genuine.
+    ``put-determines-get`` takes a maximum over the whole universe, so it
+    is rerun on ``source`` and ``view`` instead.  Like :func:`check_laws`,
+    raises ``ValueError("broken lens ...")`` when ``get`` or ``put``
+    leaves its carrier.
     """
     if report.holds or report.counterexample is None:
         raise ValueError("report carries no counterexample")
     w = dict(report.counterexample)
     law = LawId(w.pop("_law")) if "_law" in w else report.law
-    S, V = lens.source, lens.view
-    get, put = lens.get, lens.put
-
-    def defined(x):
-        return not is_failure(x)
-
-    if law is LawId.CLASSICAL_CONSISTENCY:
-        r = put(w["s"], w["v'"])
-        return defined(r) and not (get(r) == w["v'"])
-    if law is LawId.CLASSICAL_ACCEPTABILITY:
-        r = put(w["s"], get(w["s"]))
-        return not (defined(r) and r == w["s"])
-    if law is LawId.STABILITY:
-        s = put(w["s0"], w["v"])
-        if not defined(s):
-            return False
-        r = put(s, get(s))
-        return not (defined(r) and r == s)
-    if law is LawId.PS_CONSISTENCY:
-        r = put(w["s"], w["v'"])
-        return defined(r) and S.le(r, w["s'"]) and not V.le(w["v'"], get(w["s'"]))
-    if law is LawId.PS_ACCEPTABILITY:
-        if not V.ident(w["v"], get(w["s"])):
-            return False
-        r = put(w["s"], w["v"])
-        return not (defined(r) and S.ident(r, w["s"]))
-    if law is LawId.PS_STABILITY:
-        s = put(w["s0"], w["v"])
-        if not defined(s) or not S.le(s, w["s'"]):
-            return False
-        if not (V.le(w["v"], w["v''"]) and V.ident(w["v''"], get(w["s'"]))):
-            return False
-        s2 = put(w["s'"], w["v''"])
-        return defined(s2) and not S.le(s, s2)
-    if law is LawId.GET_MONOTONE:
-        return S.le(w["s"], w["s'"]) and not V.le(get(w["s"]), get(w["s'"]))
-    if law is LawId.VIEW_STABILITY:
-        r = put(w["s"], get(w["s"]))
-        return not (defined(r) and get(r) == get(w["s"]))
-    if law is LawId.WPUTGET:
-        s = put(w["s0"], w["v"])
-        if not defined(s):
-            return False
-        r = put(w["s0"], get(s))
-        return not (defined(r) and r == s)
     if law is LawId.PUT_DETERMINES_GET:
         rerun = check_law(lens, law, source, view)
         return (not rerun.holds) and rerun.counterexample["s"] == w["s"]
-    raise ValueError(f"cannot recheck {law}")
+    return _scan(_Ctx(lens, [], [], False), law.value, w) is not None
 
 
 def check_composition_closure(
@@ -548,28 +547,8 @@ def putput_probe(
     """
     src, vw, exhaustive = _universe_for(lens, source, view)
     c = _Ctx(lens, src, vw, exhaustive)
-    for i in range(c.S.n):
-        for j1 in range(c.V.n):
-            s1 = c.put(i, j1)
-            if is_failure(s1):
-                continue
-            for j2 in range(c.V.n):
-                s2 = c.put(s1, j2)
-                if is_failure(s2):
-                    continue
-                r = c.put(i, j2)
-                if is_failure(r) or r != s2:
-                    got = r if is_failure(r) else c.sv(r)
-                    witness = {
-                        "s0": c.sv(i),
-                        "v1": c.vv(j1),
-                        "s1": c.sv(s1),
-                        "v2": c.vv(j2),
-                        "s2": c.sv(s2),
-                        "shortcut put": got,
-                    }
-                    return ProbeReport("putput", False, witness, c.universe)
-    return ProbeReport("putput", True, None, c.universe)
+    witness = _scan(c, "putput")
+    return ProbeReport("putput", witness is None, witness, c.universe)
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +684,7 @@ def fixture_lenses() -> dict[str, LensFixture]:
 
 
 def run_fixture_suite(names: Optional[list[str]] = None) -> tuple[list[str], bool]:
-    """Evaluate every fixture's designated laws.
+    """Evaluate the designated laws of the named fixtures (all by default).
 
     Returns printable lines and an overall flag that is False when any
     expected-lawful lens fails or any counterexample fixture passes its
@@ -713,7 +692,7 @@ def run_fixture_suite(names: Optional[list[str]] = None) -> tuple[list[str], boo
     ``ValueError``, raised before any law is checked.
     """
     catalog = fixture_lenses()
-    picked = names or list(catalog)
+    picked = list(catalog) if names is None else names
     for name in picked:
         if name not in catalog:
             raise ValueError(f"unknown fixture {name!r}")

@@ -7,7 +7,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pslens.iposet import ElementIndex, FiniteIPoset, IPosetError, discrete
-from pslens.laws import LawId, _Ctx, _universe_for, check_law, check_laws, fixture_lenses
+from pslens.laws import (
+    LawId,
+    LawReport,
+    ProbeReport,
+    _Ctx,
+    _universe_for,
+    check_law,
+    check_laws,
+    fixture_lenses,
+    putput_probe,
+    recheck_counterexample,
+)
 from pslens.lens import PSLens, is_failure
 from pslens.tasks import (
     TaskRecord,
@@ -177,6 +188,191 @@ def test_put_image_laws_match_literal_scanners_on_closure_pool(closure_pool):
 def test_put_image_laws_match_literal_scanners_on_sampled_task_universe():
     for lens, source, view in sampled_task_cases():
         failures_against_literal(lens, source, view)
+
+
+# ---------------------------------------------------------------------------
+# recheck_counterexample and putput_probe against their value-level oracles
+# ---------------------------------------------------------------------------
+# Both are calls into the law scanners.  The two functions below are their
+# bodies from before that, kept verbatim as the oracles.
+
+
+def value_level_recheck(
+    lens,
+    report,
+    source=None,
+    view=None,
+):
+    """Re-substitute a report's counterexample into the law's formula.
+
+    Returns True when the law instance indeed evaluates to false at the
+    witness, i.e. the counterexample is genuine.
+    """
+    if report.holds or report.counterexample is None:
+        raise ValueError("report carries no counterexample")
+    w = dict(report.counterexample)
+    law = LawId(w.pop("_law")) if "_law" in w else report.law
+    S, V = lens.source, lens.view
+    get, put = lens.get, lens.put
+
+    def defined(x):
+        return not is_failure(x)
+
+    if law is LawId.CLASSICAL_CONSISTENCY:
+        r = put(w["s"], w["v'"])
+        return defined(r) and not (get(r) == w["v'"])
+    if law is LawId.CLASSICAL_ACCEPTABILITY:
+        r = put(w["s"], get(w["s"]))
+        return not (defined(r) and r == w["s"])
+    if law is LawId.STABILITY:
+        s = put(w["s0"], w["v"])
+        if not defined(s):
+            return False
+        r = put(s, get(s))
+        return not (defined(r) and r == s)
+    if law is LawId.PS_CONSISTENCY:
+        r = put(w["s"], w["v'"])
+        return defined(r) and S.le(r, w["s'"]) and not V.le(w["v'"], get(w["s'"]))
+    if law is LawId.PS_ACCEPTABILITY:
+        if not V.ident(w["v"], get(w["s"])):
+            return False
+        r = put(w["s"], w["v"])
+        return not (defined(r) and S.ident(r, w["s"]))
+    if law is LawId.PS_STABILITY:
+        s = put(w["s0"], w["v"])
+        if not defined(s) or not S.le(s, w["s'"]):
+            return False
+        if not (V.le(w["v"], w["v''"]) and V.ident(w["v''"], get(w["s'"]))):
+            return False
+        s2 = put(w["s'"], w["v''"])
+        return defined(s2) and not S.le(s, s2)
+    if law is LawId.GET_MONOTONE:
+        return S.le(w["s"], w["s'"]) and not V.le(get(w["s"]), get(w["s'"]))
+    if law is LawId.VIEW_STABILITY:
+        r = put(w["s"], get(w["s"]))
+        return not (defined(r) and get(r) == get(w["s"]))
+    if law is LawId.WPUTGET:
+        s = put(w["s0"], w["v"])
+        if not defined(s):
+            return False
+        r = put(w["s0"], get(s))
+        return not (defined(r) and r == s)
+    if law is LawId.PUT_DETERMINES_GET:
+        rerun = check_law(lens, law, source, view)
+        return (not rerun.holds) and rerun.counterexample["s"] == w["s"]
+    raise ValueError(f"cannot recheck {law}")
+
+
+def literal_putput_probe(lens, source=None, view=None):
+    src, vw, exhaustive = _universe_for(lens, source, view)
+    c = _Ctx(lens, src, vw, exhaustive)
+    for i in range(c.S.n):
+        for j1 in range(c.V.n):
+            s1 = c.put(i, j1)
+            if is_failure(s1):
+                continue
+            for j2 in range(c.V.n):
+                s2 = c.put(s1, j2)
+                if is_failure(s2):
+                    continue
+                r = c.put(i, j2)
+                if is_failure(r) or r != s2:
+                    got = r if is_failure(r) else c.sv(r)
+                    witness = {
+                        "s0": c.sv(i),
+                        "v1": c.vv(j1),
+                        "s1": c.sv(s1),
+                        "v2": c.vv(j2),
+                        "s2": c.sv(s2),
+                        "shortcut put": got,
+                    }
+                    return ProbeReport("putput", False, witness, c.universe)
+    return ProbeReport("putput", True, None, c.universe)
+
+
+# each law's quantified variables, by their witness keys
+QUANTIFIED = {
+    LawId.CLASSICAL_CONSISTENCY: ("s", "v'"),
+    LawId.CLASSICAL_ACCEPTABILITY: ("s",),
+    LawId.STABILITY: ("s0", "v"),
+    LawId.PS_CONSISTENCY: ("s", "v'", "s'"),
+    LawId.PS_ACCEPTABILITY: ("s", "v"),
+    LawId.PS_STABILITY: ("s0", "v", "s'", "v''"),
+    LawId.GET_MONOTONE: ("s", "s'"),
+    LawId.VIEW_STABILITY: ("s",),
+    LawId.PUT_DETERMINES_GET: ("s",),
+    LawId.WPUTGET: ("s0", "v"),
+}
+
+# every put lands on 2, so it fails ps-consistency and put-determines-get
+COLLAPSE = PSLens(discrete([0, 1, 2]), discrete(["a", "b"]), get=lambda s: "a", put=lambda s, v: 2)
+
+
+def rechecks_against_oracle(lens, source=None, view=None):
+    """Assert recheck agrees with the value-level oracle on every failing
+    report of ``lens``; return how many reports were compared."""
+    failing = [r for r in check_laws(lens, source=source, view=view) if not r.holds]
+    for report in failing:
+        expected = value_level_recheck(lens, report, source, view)
+        assert recheck_counterexample(lens, report, source, view) == expected, (lens.name, report.law)
+    return len(failing)
+
+
+def test_recheck_agrees_with_value_level_oracle():
+    catalog = [f.lens for f in fixture_lenses().values()] + [COLLAPSE]
+    assert sum(rechecks_against_oracle(lens) for lens in catalog) >= 10
+
+
+def test_recheck_agrees_with_value_level_oracle_on_closure_pool(closure_pool):
+    for _, lens in closure_pool[::7]:
+        rechecks_against_oracle(lens)
+
+
+def test_recheck_agrees_with_value_level_oracle_on_sampled_task_universe():
+    assert sum(rechecks_against_oracle(lens, source, view) for lens, source, view in sampled_task_cases()) > 0
+
+
+def test_recheck_agrees_with_value_level_oracle_on_perturbed_witnesses():
+    # each quantified variable moved to each other element of its carrier
+    verdicts = []
+    for lens in [f.lens for f in fixture_lenses().values()] + [COLLAPSE]:
+        for report in check_laws(lens):
+            if report.holds:
+                continue
+            w = report.counterexample
+            law = LawId(w["_law"]) if "_law" in w else report.law
+            for var in QUANTIFIED[law]:
+                carrier = lens.source.elements if var[0] == "s" else lens.view.elements
+                for x in carrier:
+                    if x == w[var]:
+                        continue
+                    moved = LawReport(report.law, False, {**w, var: x}, report.universe)
+                    expected = value_level_recheck(lens, moved)
+                    assert recheck_counterexample(lens, moved) == expected, (lens.name, report.law, var, x)
+                    verdicts.append(expected)
+    # a recheck that always confirmed would fail here
+    assert True in verdicts and False in verdicts
+
+
+def putput_against_oracle(lens, source=None, view=None):
+    probe, expected = putput_probe(lens, source, view), literal_putput_probe(lens, source, view)
+    assert probe == expected, lens.name
+    return not probe.holds
+
+
+def test_putput_probe_agrees_with_literal_loop():
+    lenses = [f.lens for f in fixture_lenses().values()] + [COLLAPSE]
+    assert sum(putput_against_oracle(lens) for lens in lenses) >= 1
+
+
+def test_putput_probe_agrees_with_literal_loop_on_closure_pool(closure_pool):
+    for _, lens in closure_pool[::7]:
+        putput_against_oracle(lens)
+
+
+def test_putput_probe_agrees_with_literal_loop_on_sampled_task_universe():
+    for lens, source, view in sampled_task_cases():
+        putput_against_oracle(lens, source, view)
 
 
 def test_reports_own_their_counterexamples():

@@ -45,6 +45,13 @@ def test_fixture_suite_all_verdicts_as_designated():
     assert ok, "\n".join(lines)
 
 
+def test_fixture_suite_runs_exactly_the_named_fixtures():
+    assert run_fixture_suite([]) == ([], True)
+    lines, ok = run_fixture_suite(["bad"])
+    assert ok and len(lines) == 3 and all(line.startswith("bad: ") for line in lines)
+    assert len(run_fixture_suite(None)[0]) == len(run_fixture_suite()[0]) == 12
+
+
 def test_bad_lens_witness_matches_the_two_counter_steps():
     bad = fixture_lenses()["bad"].lens
     report = check_law(bad, LawId.PS_STABILITY)
