@@ -142,6 +142,8 @@ class IPoset:
     contract is assumed.  ``elements`` is a list for enumerable (finite)
     domains and ``None`` otherwise.  ``least`` is the distinguished
     bottom element, or ``None`` when the domain is not lower-bounded.
+    Finite tables, and products and sums of them, also answer ``le`` and
+    ``ident`` from bit rows (:meth:`rows`); other domains give ``None``.
     """
 
     name: str = ""
@@ -165,9 +167,13 @@ class IPoset:
     def contains(self, x: Any) -> bool:
         raise NotImplementedError
 
+    def rows(self) -> Optional[tuple[list[int], list[int]]]:
+        """Read-only ``(up, id_up)``, an int per element: bit ``j`` of row ``i`` is ``le``/``ident`` of ``e_i, e_j``."""
+        return None
+
     def __repr__(self) -> str:
         label = self.name or self.__class__.__name__
-        n = len(self.elements) if self.elements is not None else "inf"
+        n = "inf" if (els := self.elements) is None else len(els)
         return f"<{label}: {n} elements>"
 
 
@@ -259,8 +265,11 @@ class FiniteIPoset(IPoset):
             self._index.append(e, i)
         self._elements = self._index.values
         self.name = name
-        self._le = {(self._idx(a), self._idx(b)) for a, b in le}
-        self._id = {(self._idx(a), self._idx(b)) for a, b in id_rel}
+        n = len(self._elements)
+        self._up, self._id_up = [0] * n, [0] * n
+        for rows, pairs in ((self._up, le), (self._id_up, id_rel)):
+            for a, b in pairs:
+                rows[self._idx(a)] |= 1 << self._idx(b)
         self._merge: Optional[dict] = None
         if merge is not None:
             self._merge = {}
@@ -271,8 +280,7 @@ class FiniteIPoset(IPoset):
                     raise IPosetError(f"merge not functional at {(a, b)!r}")
                 self._merge[key] = ri
         self.has_merge = self._merge is not None
-        k = _least(range(len(self._elements)), lambda i, j: (i, j) in self._le)
-        self.least = None if k is None else self._elements[k]
+        self.least = next((e for e, row in zip(self._elements, self._up) if row == (1 << n) - 1), None)
         if validate:
             report = verify_iposet(self)
             if not report.ok:
@@ -289,10 +297,10 @@ class FiniteIPoset(IPoset):
         return self._elements
 
     def le(self, a: Any, b: Any) -> bool:
-        return (self._idx(a), self._idx(b)) in self._le
+        return bool(self._up[self._idx(a)] >> self._idx(b) & 1)
 
     def ident(self, a: Any, b: Any) -> bool:
-        return (self._idx(a), self._idx(b)) in self._id
+        return bool(self._id_up[self._idx(a)] >> self._idx(b) & 1)
 
     def merge(self, a: Any, b: Any) -> Any:
         if self._merge is None:
@@ -303,13 +311,14 @@ class FiniteIPoset(IPoset):
     def contains(self, x: Any) -> bool:
         return self._index.index(x) >= 0
 
+    def rows(self) -> tuple[list[int], list[int]]:
+        return self._up, self._id_up
+
     def le_pairs(self) -> list[tuple]:
-        e = self._elements
-        return [(e[i], e[j]) for i, j in sorted(self._le)]
+        return _row_pairs(self._elements, self._up)
 
     def id_pairs(self) -> list[tuple]:
-        e = self._elements
-        return [(e[i], e[j]) for i, j in sorted(self._id)]
+        return _row_pairs(self._elements, self._id_up)
 
     def merge_triples(self) -> list[tuple]:
         if self._merge is None:
@@ -328,6 +337,10 @@ def _require_enumerable(p: IPoset) -> list:
     if els is None:
         raise InvalidArgsError(f"{p!r} is not enumerable")
     return els
+
+
+def _row_pairs(els: list, rows: list[int]) -> list[tuple]:
+    return [(a, b) for a, row in zip(els, rows) for j, b in enumerate(els) if row >> j & 1]
 
 
 def _least(xs: Sequence, le: Callable[[Any, Any], bool]) -> Optional[int]:
@@ -508,17 +521,21 @@ class ProductIPoset(IPoset):
         self.has_merge = left.has_merge and right.has_merge
         if left.least is not None and right.least is not None:
             self.least = (left.least, right.least)
-        self._elements: Optional[list] = None
 
     @property
     def elements(self) -> Optional[list]:
-        if self.left.elements is None or self.right.elements is None:
+        ls, rs = self.left.elements, self.right.elements
+        return None if ls is None or rs is None else [(a, b) for a in ls for b in rs]
+
+    def rows(self) -> Optional[tuple[list[int], list[int]]]:
+        """Pair ``(a_i, b_j)`` sits at ``i * |R| + j``; its row is ``b_j``'s
+        row repeated at each block ``k`` set in ``a_i``'s row."""
+        lr, rr = self.left.rows(), self.right.rows()
+        if lr is None or rr is None:
             return None
-        if self._elements is None:
-            self._elements = [
-                (a, b) for a in self.left.elements for b in self.right.elements
-            ]
-        return self._elements
+        m = len(rr[0])
+        spread = [[sum(1 << k * m for k in range(row.bit_length()) if row >> k & 1) for row in rel] for rel in lr]
+        return tuple([s * r for s in blocks for r in rel] for blocks, rel in zip(spread, rr))
 
     def _split(self, x: Any) -> tuple:
         if not (isinstance(x, tuple) and len(x) == 2):
@@ -560,17 +577,19 @@ class SumIPoset(IPoset):
         self.right = right
         self.name = name
         self.has_merge = left.has_merge and right.has_merge
-        self._elements: Optional[list] = None
 
     @property
     def elements(self) -> Optional[list]:
-        if self.left.elements is None or self.right.elements is None:
+        ls, rs = self.left.elements, self.right.elements
+        return None if ls is None or rs is None else [InL(a) for a in ls] + [InR(b) for b in rs]
+
+    def rows(self) -> Optional[tuple[list[int], list[int]]]:
+        """The left rows, then the right rows shifted past the left carrier."""
+        lr, rr = self.left.rows(), self.right.rows()
+        if lr is None or rr is None:
             return None
-        if self._elements is None:
-            self._elements = [InL(a) for a in self.left.elements] + [
-                InR(b) for b in self.right.elements
-            ]
-        return self._elements
+        n = len(lr[0])
+        return tuple(left + [row << n for row in right] for left, right in zip(lr, rr))
 
     def le(self, a: Any, b: Any) -> bool:
         if isinstance(a, InL) and isinstance(b, InL):
@@ -701,7 +720,7 @@ def structurally_equal(p: IPoset, q: IPoset) -> bool:
     if isinstance(p, SumIPoset) and isinstance(q, SumIPoset):
         return structurally_equal(p.left, q.left) and structurally_equal(p.right, q.right)
     if isinstance(p, FiniteIPoset) and isinstance(q, FiniteIPoset):
-        return (p.elements, p._le, p._id, p._merge) == (q.elements, q._le, q._id, q._merge)
+        return (p.elements, p._up, p._id_up, p._merge) == (q.elements, q._up, q._id_up, q._merge)
     return False
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from .iposet import (
     ElementIndex,
@@ -100,14 +100,17 @@ class LawReport:
 
 
 class _Space:
-    """Sample list with memoized order/ident relations, indexed by int.
+    """Sample list with order/ident relations, indexed by int.
 
     Values computed during checking (get/put results) are appended past
     the quantifier range ``n`` so relations involving them memoize too.
     Elements are located at their first structurally equal position.
+    On a whole carrier with :meth:`IPoset.rows` (finite tables, their
+    products and sums), every located value is a carrier element, so
+    ``le``/``ident`` read the rows; otherwise each pair is memoized.
     """
 
-    def __init__(self, domain: IPoset, values: list):
+    def __init__(self, domain: IPoset, values: list, exhaustive: bool):
         self.domain = domain
         index = ElementIndex(values)
         self.values = index.values
@@ -115,6 +118,12 @@ class _Space:
         self.n = len(self.values)
         self._le: dict[tuple[int, int], bool] = {}
         self._id: dict[tuple[int, int], bool] = {}
+        rows = domain.rows() if exhaustive else None
+        self.up = None if rows is None else rows[0]
+        if rows is not None:
+            up, id_up = rows
+            self.le = lambda i, j: up[i] >> j & 1
+            self.ident = lambda i, j: id_up[i] >> j & 1
 
     def le(self, i: int, j: int) -> bool:
         key = (i, j)
@@ -130,17 +139,30 @@ class _Space:
             hit = self._id[key] = self.domain.ident(self.values[i], self.values[j])
         return hit
 
+    def above(self, i: int, js: range) -> Iterator[int]:
+        """The ``j`` in ``js`` with ``le(i, j)``, in ascending order."""
+        if self.up is None:
+            yield from (j for j in js if self.le(i, j))
+            return
+        mask = self.up[i] >> js.start & ((1 << len(js)) - 1)
+        while mask:
+            low = mask & -mask
+            yield js.start + low.bit_length() - 1
+            mask ^= low
+
 
 class _Ctx:
     """One lens pinned to a source/view universe, with get/put memos."""
 
     def __init__(self, lens: PSLens, source: list, view: list, exhaustive: bool):
         self.lens = lens
-        self.S = _Space(lens.source, source)
-        self.V = _Space(lens.view, view)
+        self.S = _Space(lens.source, source, exhaustive)
+        self.V = _Space(lens.view, view, exhaustive)
         self.exhaustive = exhaustive
         self._get: dict[int, int] = {}
-        self._put: dict[tuple[int, int], Any] = {}
+        # where both carriers are tabled, put(i, j) memoizes at slot i * |V| + j
+        self._stride = self.V.n if self.S.up is not None and self.V.up is not None else 0
+        self._put: Any = [None] * (self.S.n * self.V.n) if self._stride else {}
         self._image: dict[tuple[int, range], list[tuple[int, int]]] = {}
 
     @property
@@ -161,8 +183,8 @@ class _Ctx:
 
     def put(self, i: int, j: int) -> Any:
         """Source index for a defined put, else the PutFailure."""
-        key = (i, j)
-        hit = self._put.get(key)
+        key = i * self._stride + j if self._stride else (i, j)
+        hit = self._put[key] if self._stride else self._put.get(key)
         if hit is None:
             out = self.lens.put(self.S.values[i], self.V.values[j])
             if is_failure(out):
@@ -234,9 +256,7 @@ def _scan_stability(c: _Ctx, s0s: range, vs: range) -> Optional[dict]:
 def _scan_ps_consistency(c: _Ctx, ss: range, vs: range, s1s: range) -> Optional[dict]:
     for j in vs:
         for i, r in c.image(j, ss):
-            for i2 in s1s:
-                if not c.S.le(r, i2):
-                    continue
+            for i2 in c.S.above(r, s1s):
                 if not c.V.le(j, c.get(i2)):
                     return {
                         "s": c.sv(i),
@@ -264,12 +284,10 @@ def _scan_ps_acceptability(c: _Ctx, ss: range, vs: range) -> Optional[dict]:
 def _scan_ps_stability(c: _Ctx, s0s: range, vs: range, s1s: range, v2s: range) -> Optional[dict]:
     for j in vs:
         for i0, s in c.image(j, s0s):
-            for i2 in s1s:  # s'
-                if not c.S.le(s, i2):
-                    continue
+            for i2 in c.S.above(s, s1s):  # s'
                 g2 = c.get(i2)
-                for j2 in v2s:  # v''
-                    if not (c.V.le(j, j2) and c.V.ident(j2, g2)):
+                for j2 in c.V.above(j, v2s):  # v''
+                    if not c.V.ident(j2, g2):
                         continue
                     s2 = c.put(i2, j2)
                     if is_failure(s2):
@@ -438,9 +456,11 @@ def check_laws(
 
     All requested laws share one memoized context for the lens and
     universe: each ``get``, each ``put``, each image of ``put(-, v)`` and
-    each order or identical-update query is evaluated at most once, and
-    each law's scanner runs at most once, so ``weak-wb`` and ``wb`` reuse
-    the witnesses of their conjuncts.  Values are located in the
+    each law's scanner is evaluated at most once, so ``weak-wb`` and
+    ``wb`` reuse the witnesses of their conjuncts.  On whole carriers of
+    finite tables and their products and sums, order and identical-update
+    queries read the domains' bit rows; otherwise each is asked of the
+    domain at most once.  Values are located in the
     universe through a hash where they are hashable and by structural
     equality otherwise, so domains need no hashing contract.  The reports
     are the ones :func:`check_law` gives law by law, each with its own

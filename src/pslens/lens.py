@@ -50,7 +50,7 @@ class PutFailure:
     stage: tuple[str, ...] = ()
 
     def at_stage(self, label: str) -> "PutFailure":
-        return replace(self, stage=(label,) + self.stage)
+        return PutFailure(self.reason, self.witness, (label,) + self.stage)
 
     def __str__(self) -> str:
         where = "/".join(self.stage) or "-"

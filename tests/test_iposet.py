@@ -629,10 +629,10 @@ def value_check_duplicable(p):
 
 
 def value_find_least(p):
-    n = len(p.elements)
-    for i in range(n):
-        if all((i, j) in p._le for j in range(n)):
-            return p.elements[i]
+    els = p.elements
+    for a in els:
+        if all(p.le(a, b) for b in els):
+            return a
     return None
 
 
@@ -777,3 +777,62 @@ def test_checks_on_products_and_sums_match_their_materialized_carrier():
             assert dup == check_duplicable(table).violations
             failing += bool(dup)
     assert failing == 6
+
+
+# ---------------------------------------------------------------------------
+# Bit rows
+# ---------------------------------------------------------------------------
+
+
+def assert_rows_match_relations(p):
+    """Bit ``j`` of ``up[i]`` (``id_up[i]``) is ``le`` (``ident``) of the
+    ``i``-th and ``j``-th elements, over every ordered pair."""
+    els = p.elements
+    up, id_up = p.rows()
+    assert len(up) == len(id_up) == len(els), p
+    for (i, a), (j, b) in itertools.product(enumerate(els), repeat=2):
+        assert bool(up[i] >> j & 1) == p.le(a, b), (p, a, b)
+        assert bool(id_up[i] >> j & 1) == p.ident(a, b), (p, a, b)
+    assert all(row >> len(els) == 0 for row in up + id_up), p
+
+
+def row_domains():
+    """The closure family's domains, their lifts, and nested products and sums of them."""
+    points = [discrete([0], name="point"), discrete([0, 1]), discrete([0, 1, 2])]
+    pair = product_iposet(lift_omega(discrete([1])), lift_omega(discrete([2])), name="pair-omega")
+    tables = points + [chain(3), diamond(), powerset_iposet({"a", "b"}), pair]
+    tables += [lift_omega(p, bottom="bottom") for p in tables]
+    nested = [
+        sum_iposet(product_iposet(chain(3), diamond()), powerset_iposet({"a", "b"})),
+        product_iposet(sum_iposet(points[1], diamond()), product_iposet(chain(2), pair)),
+        sum_iposet(sum_iposet(points[0], chain(3)), product_iposet(diamond(), points[2])),
+    ]
+    # unvalidated two-element tables: rows follow the relations, axioms or not
+    invalid = [FiniteIPoset(*t, None, validate=False) for t in itertools.islice(two_element_tables(), 0, None, 32)]
+    invalid += [q for p in invalid for q in (product_iposet(p, chain(2)), sum_iposet(chain(2), p))]
+    return packaged_fixture_domains() + tables + nested + invalid
+
+
+def test_rows_agree_with_le_and_ident_on_every_pair():
+    domains = row_domains()
+    assert len(domains) == 46
+    for p in domains:
+        assert_rows_match_relations(p)
+
+
+def test_rows_are_none_over_an_abstract_component():
+    infinite = restrict_iposet(dt_domain(), lambda x: True)
+    for abstract in (dt_domain(), infinite):
+        assert abstract.rows() is None
+        for p in (product_iposet(abstract, chain(2)), sum_iposet(chain(2), abstract)):
+            assert p.rows() is None
+            assert product_iposet(chain(2), p).rows() is None
+
+
+def test_product_and_sum_carriers_are_fresh_lists():
+    for p in (product_iposet(chain(2), diamond()), sum_iposet(chain(2), diamond())):
+        first = p.elements
+        assert p.elements == first and p.elements is not first
+        kept = list(first)
+        first.clear()
+        assert p.elements == kept and all(p.contains(x) for x in kept)

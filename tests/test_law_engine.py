@@ -1,17 +1,20 @@
 """Law engine: the shared per-lens context and the element index behind it."""
 
+import collections
 import copy
+import dataclasses
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pslens.iposet import ElementIndex, FiniteIPoset, IPosetError, discrete
+from pslens.iposet import ElementIndex, FiniteIPoset, IPoset, IPosetError, discrete, lift_omega, powerset_iposet
 from pslens.laws import (
     LawId,
     LawReport,
     ProbeReport,
     _Ctx,
+    _scan,
     _universe_for,
     check_law,
     check_laws,
@@ -19,7 +22,7 @@ from pslens.laws import (
     putput_probe,
     recheck_counterexample,
 )
-from pslens.lens import PSLens, is_failure
+from pslens.lens import PSLens, compose, constant_lens, dup_lens, identity_lens, is_failure, product_lens
 from pslens.tasks import (
     TaskRecord,
     enumerate_dt_universe,
@@ -33,10 +36,47 @@ TODAY = "2025-04-01"
 RECORDS = [TaskRecord(False, "n", TODAY), TaskRecord(True, "m", "2025-04-02")]
 
 
+class CountingDomain(IPoset):
+    """Forwards every query to ``inner``, counting ``le`` and ``ident``;
+    ``rows`` is passed through, or hidden when ``tabled`` is false."""
+
+    def __init__(self, inner, tabled=True):
+        self.inner, self.name, self.least, self.has_merge = inner, inner.name, inner.least, inner.has_merge
+        self.tabled = tabled
+        self.calls = collections.Counter()
+
+    @property
+    def elements(self):
+        return self.inner.elements
+
+    def rows(self):
+        return self.inner.rows() if self.tabled else None
+
+    def le(self, a, b):
+        self.calls["le"] += 1
+        return self.inner.le(a, b)
+
+    def ident(self, a, b):
+        self.calls["ident"] += 1
+        return self.inner.ident(a, b)
+
+    def merge(self, a, b):
+        return self.inner.merge(a, b)
+
+    def contains(self, x):
+        return self.inner.contains(x)
+
+
+def counted(lens, tabled=True):
+    return dataclasses.replace(lens, source=CountingDomain(lens.source, tabled), view=CountingDomain(lens.view, tabled))
+
+
 def assert_same_as_law_by_law(lens, source=None, view=None):
     # LawReport equality compares law, holds, counterexample and universe
     together = check_laws(lens, source=source, view=view)
     assert together == [check_law(lens, law, source, view) for law in LawId]
+    # the bit rows of an exhaustive check give what the pairwise memo gives
+    assert together == check_laws(counted(lens, tabled=False), source=source, view=view)
 
 
 @pytest.mark.parametrize("name", sorted(fixture_lenses()))
@@ -373,6 +413,51 @@ def test_putput_probe_agrees_with_literal_loop_on_closure_pool(closure_pool):
 def test_putput_probe_agrees_with_literal_loop_on_sampled_task_universe():
     for lens, source, view in sampled_task_cases():
         putput_against_oracle(lens, source, view)
+
+
+# ---------------------------------------------------------------------------
+# Bit rows on exhaustive universes, the pairwise memo elsewhere
+# ---------------------------------------------------------------------------
+
+
+def product_and_compose_lens():
+    a, b = lift_omega(discrete([1, 2]), name="two-omega"), powerset_iposet({"x", "y"})
+    first = product_lens(identity_lens(a), dup_lens(b))
+    return compose(first, product_lens(constant_lens(a, lift_omega(discrete([1])), 1), identity_lens(first.view.right)))
+
+
+def test_exhaustive_checks_read_rows_and_ask_the_domain_nothing():
+    lenses = [product_and_compose_lens(), COLLAPSE] + [f.lens for f in fixture_lenses().values()]
+    failing = 0
+    for lens in lenses:
+        subject = counted(lens)
+        reports = check_laws(subject)
+        assert reports == check_laws(lens), lens.name
+        assert subject.source.calls + subject.view.calls == collections.Counter(), lens.name
+        failing += sum(not r.holds for r in reports)
+    assert failing >= 5
+
+
+def test_row_scanners_at_a_witness_give_it_back():
+    # recheck_counterexample runs the scanners on the pairwise memo; this runs them on rows, at one-element ranges
+    scanned = 0
+    for lens in [product_and_compose_lens(), COLLAPSE] + [f.lens for f in fixture_lenses().values()]:
+        for report in check_laws(lens):
+            w = dict(report.counterexample or {})
+            law = w.pop("_law", report.law.value)
+            if report.holds or law == LawId.PUT_DETERMINES_GET.value:
+                continue
+            c = _Ctx(lens, *_universe_for(lens, None, None))
+            assert c.S.up is not None and _scan(c, law, w) == w, (lens.name, law)
+            scanned += 1
+    assert scanned >= 5
+
+
+def test_sampled_checks_keep_the_pairwise_memo():
+    lens, source, view = sampled_task_cases()[3]  # the elaborated due-today filter
+    subject = counted(lens)
+    failures_against_literal(subject, source, view)
+    assert (subject.source.calls + subject.view.calls)["le"] > 0
 
 
 def test_reports_own_their_counterexamples():
