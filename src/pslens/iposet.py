@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 
@@ -144,11 +145,14 @@ class IPoset:
     bottom element, or ``None`` when the domain is not lower-bounded.
     Finite tables, and products and sums of them, also answer ``le`` and
     ``ident`` from bit rows (:meth:`rows`); other domains give ``None``.
+    ``shape``, made on first use, hashes a table's rows and merge table or
+    a product's or sum's parts; other domains have ``None``.
     """
 
     name: str = ""
     least: Any = None
     has_merge: bool = False
+    shape: Optional[int] = None
 
     @property
     def elements(self) -> Optional[list]:
@@ -313,6 +317,11 @@ class FiniteIPoset(IPoset):
 
     def rows(self) -> tuple[list[int], list[int]]:
         return self._up, self._id_up
+
+    @cached_property
+    def shape(self) -> int:
+        merge = None if self._merge is None else frozenset(self._merge.items())
+        return hash((tuple(self._up), tuple(self._id_up), merge))
 
     def le_pairs(self) -> list[tuple]:
         return _row_pairs(self._elements, self._up)
@@ -537,6 +546,8 @@ class ProductIPoset(IPoset):
         spread = [[sum(1 << k * m for k in range(row.bit_length()) if row >> k & 1) for row in rel] for rel in lr]
         return tuple([s * r for s in blocks for r in rel] for blocks, rel in zip(spread, rr))
 
+    shape = cached_property(lambda self: _compound_shape("product", self))
+
     def _split(self, x: Any) -> tuple:
         if not (isinstance(x, tuple) and len(x) == 2):
             raise IPosetError(f"{x!r} is not a pair")
@@ -590,6 +601,8 @@ class SumIPoset(IPoset):
             return None
         n = len(lr[0])
         return tuple(left + [row << n for row in right] for left, right in zip(lr, rr))
+
+    shape = cached_property(lambda self: _compound_shape("sum", self))
 
     def le(self, a: Any, b: Any) -> bool:
         if isinstance(a, InL) and isinstance(b, InL):
@@ -656,6 +669,10 @@ class RestrictedIPoset(IPoset):
         return self.base.contains(x) and self.pred(x)
 
 
+def _compound_shape(kind: str, p: ProductIPoset | SumIPoset) -> int:
+    return hash((kind, *(id(c) if c.shape is None else c.shape for c in (p.left, p.right))))
+
+
 def product_iposet(p: IPoset, q: IPoset, name: str = "") -> ProductIPoset:
     return ProductIPoset(p, q, name=name)
 
@@ -711,10 +728,14 @@ def structurally_equal(p: IPoset, q: IPoset) -> bool:
 
     Identical objects match; products and sums match component-wise;
     finite tables match by carrier and relations.  Distinct abstract
-    domains are never considered equal.
+    domains are never considered equal.  A differing or missing ``shape``
+    answers False (a table's shape skips the carrier, which may be
+    unhashable); equal shapes are always confirmed in full.
     """
     if p is q:
         return True
+    if p.shape is None or p.shape != q.shape:
+        return False
     if isinstance(p, ProductIPoset) and isinstance(q, ProductIPoset):
         return structurally_equal(p.left, q.left) and structurally_equal(p.right, q.right)
     if isinstance(p, SumIPoset) and isinstance(q, SumIPoset):

@@ -150,6 +150,15 @@ class _Space:
             yield js.start + low.bit_length() - 1
             mask ^= low
 
+    def reach(self, rs: list[int]) -> Callable[[int], Any]:
+        """Tests ``i`` for some ``r`` of ``rs`` with ``le(r, i)``; on rows, by one bit of the OR of their rows."""
+        if self.up is None:
+            return lambda i: any(self.le(r, i) for r in rs)
+        mask = 0
+        for r in rs:
+            mask |= self.up[r]
+        return lambda i: mask >> i & 1
+
 
 class _Ctx:
     """One lens pinned to a source/view universe, with get/put memos."""
@@ -329,9 +338,9 @@ def _scan_view_stability(c: _Ctx, ss: range) -> Optional[dict]:
 
 def _scan_put_determines_get(c: _Ctx, ss: range) -> Optional[dict]:
     # V_s = {v | put(s0, v) <= s for some s0} ranges over the whole universe
-    images = [(j, c.image(j, range(c.S.n))) for j in range(c.V.n)]
+    reaches = [(j, c.S.reach([r for _, r in c.image(j, range(c.S.n))])) for j in range(c.V.n)]
     for i in ss:
-        pool = [j for j, image in images if any(c.S.le(r, i) for _, r in image)]
+        pool = [j for j, reach in reaches if reach(i)]
         best = next((j for j in pool if all(c.V.le(j2, j) for j2 in pool)), None)
         if best is None or c.get(i) != best:
             return {

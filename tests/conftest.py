@@ -72,6 +72,18 @@ def _primitive_lenses(posets):
     return out
 
 
+def closure_candidates(posets):
+    """Primitive lenses over the small domains of ``posets`` (<= 3
+    elements), and all their pairwise products."""
+    small = [p for p in posets if len(p.elements) <= 3]
+    small_primitives = _primitive_lenses(small)
+    products = [
+        (f"({n1} x {n2})", product_lens(l1, l2))
+        for (n1, l1), (n2, l2) in itertools.product(small_primitives, repeat=2)
+    ]
+    return small_primitives, products
+
+
 @pytest.fixture(scope="session")
 def closure_pool():
     """Primitive lenses over every generated domain, plus all pairwise
@@ -79,13 +91,7 @@ def closure_pool():
     subfamily."""
     all_posets = generated_iposets()
     singles = _primitive_lenses(all_posets)
-
-    small = [p for p in all_posets if len(p.elements) <= 3]
-    small_primitives = _primitive_lenses(small)
-    products = [
-        (f"({n1} x {n2})", product_lens(l1, l2))
-        for (n1, l1), (n2, l2) in itertools.product(small_primitives, repeat=2)
-    ]
+    small_primitives, products = closure_candidates(all_posets)
     candidates = small_primitives + products
     compositions = [
         (f"({n1} ; {n2})", compose(l1, l2))

@@ -24,6 +24,8 @@ from pslens.iposet import (
     IPosetError,
     MissingMergeError,
     NonMonotonePredicateError,
+    ProductIPoset,
+    SumIPoset,
     ValidationReport,
     check_duplicable,
     discrete,
@@ -39,7 +41,7 @@ from pslens.iposet import (
     sum_iposet,
     verify_iposet,
 )
-from pslens.tasks import Delta, TaskRecord, delta_update_space, dt_domain, enumerate_dt_universe
+from pslens.tasks import Delta, TaskRecord, delta_update_space, dt_domain, dtog_domain, enumerate_dt_universe
 from pslens.updates import (
     enumerate_update_spaces,
     erased_iposet,
@@ -48,6 +50,8 @@ from pslens.updates import (
     g3_violation_space,
     gen_iposet,
 )
+
+from conftest import closure_candidates, generated_iposets
 
 # ---------------------------------------------------------------------------
 # Independent oracles (kept deliberately naive)
@@ -836,3 +840,117 @@ def test_product_and_sum_carriers_are_fresh_lists():
         kept = list(first)
         first.clear()
         assert p.elements == kept and all(p.contains(x) for x in kept)
+
+
+# ---------------------------------------------------------------------------
+# Structural equality and shape fingerprints
+# ---------------------------------------------------------------------------
+
+
+def value_structurally_equal(p, q):
+    """``structurally_equal`` as it was before shape fingerprints, kept as the oracle."""
+    if p is q:
+        return True
+    if isinstance(p, ProductIPoset) and isinstance(q, ProductIPoset):
+        return value_structurally_equal(p.left, q.left) and value_structurally_equal(p.right, q.right)
+    if isinstance(p, SumIPoset) and isinstance(q, SumIPoset):
+        return value_structurally_equal(p.left, q.left) and value_structurally_equal(p.right, q.right)
+    if isinstance(p, FiniteIPoset) and isinstance(q, FiniteIPoset):
+        return (p.elements, p._up, p._id_up, p._merge) == (q.elements, q._up, q._id_up, q._merge)
+    return False
+
+
+class Bare(IPoset):
+    """An abstract domain that never calls a base ``__init__``."""
+
+    def le(self, a, b):
+        return a == b
+
+    def ident(self, a, b):
+        return a == b
+
+    def contains(self, x):
+        return True
+
+
+def equality_domains():
+    """Generated domains built twice, their lifts, nested products and sums,
+    and the edge cases of table and abstract equality."""
+    first, second = generated_iposets(), generated_iposets()
+    tables = first + second + [lift_omega(p, bottom="bottom") for p in first + second]
+    picks = first[::3] + second[::3]
+    nested = [f(a, b) for f in (product_iposet, sum_iposet) for a, b in itertools.product(picks, repeat=2)]
+    nested += [product_iposet(p, first[0]) for p in nested[::9]] + [sum_iposet(second[0], p) for p in nested[::9]]
+    diag = [(0, 0), (1, 1)]
+    edges = [
+        discrete([0, 1]),
+        discrete([1, 2]),
+        discrete([1]),
+        discrete([True]),
+        discrete([frozenset({1})]),
+        discrete([{1}]),
+        FiniteIPoset([0, 1], diag, diag, None),
+        FiniteIPoset([0, 1], diag, diag, [(0, 0, 0), (1, 1, 1)]),
+    ]
+    a, b = Bare(), Bare()
+    filt, infinite = dtog_domain(), restrict_iposet(dt_domain(), lambda x: True)
+    abstract = [a, b, filt, infinite]
+    abstract += [product_iposet(x, first[0]) for x in (a, a, b, filt, filt)]
+    abstract += [sum_iposet(first[1], x) for x in (infinite, infinite, a)]
+    abstract += [product_iposet(product_iposet(a, first[0]), sum_iposet(first[1], infinite)) for _ in range(2)]
+    return tables + nested + edges + abstract
+
+
+def test_structural_equality_matches_the_value_oracle_on_every_pair():
+    domains = equality_domains()
+    matches = 0
+    for p, q in itertools.product(domains, repeat=2):
+        expected = value_structurally_equal(p, q)
+        assert structurally_equal(p, q) == expected, (p, q)
+        matches += expected and p is not q
+    assert matches > len(domains)  # separately built equal domains do match
+
+
+def test_structural_equality_matches_the_value_oracle_on_closure_candidates():
+    small_primitives, products = closure_candidates(generated_iposets())
+    candidates = [lens for _, lens in small_primitives + products]
+    assert len(candidates) == 702
+    views, sources = [l.view for l in candidates], [l.source for l in candidates]
+    got = [structurally_equal(v, s) for v in views for s in sources]
+    assert got == [value_structurally_equal(v, s) for v in views for s in sources]
+    assert sum(got) == 2915
+
+
+def test_shapes_are_computed_on_the_first_comparison_only():
+    built = [
+        FiniteIPoset([0, 1], [(0, 0), (0, 1), (1, 1)], [(0, 0), (0, 1), (1, 1)]),
+        materialize(chain(3), [0, 1, 2]),
+        gen_iposet(delta_update_space(["k"], [TaskRecord(False, "x", "2025-04-01")])),
+        discrete([0, 1]),
+    ]
+    pair = product_iposet(built[0], built[3])
+    assert all("shape" not in vars(p) for p in built + [pair])
+    assert not structurally_equal(pair, product_iposet(built[3], built[0]))
+    assert "shape" in vars(pair) and "shape" in vars(built[0]) and "shape" in vars(built[3])
+    assert all("shape" not in vars(p) for p in built[1:3])
+
+
+class CountedCarrier(FiniteIPoset):
+    """A table that counts the reads of its carrier."""
+
+    reads = 0
+
+    @property
+    def elements(self):
+        self.reads += 1
+        return self._elements
+
+
+def test_unequal_shapes_are_rejected_without_reading_carriers():
+    chained = CountedCarrier([0, 1], [(0, 0), (0, 1), (1, 1)], [(0, 0), (0, 1), (1, 1)])
+    flat = CountedCarrier([0, 1], [(0, 0), (1, 1)], [(0, 0), (1, 1)])
+    chained.reads = flat.reads = 0
+    assert not structurally_equal(chained, flat)
+    assert not structurally_equal(product_iposet(chained, chain(2)), product_iposet(flat, chain(2)))
+    assert not structurally_equal(sum_iposet(chain(2), chained), sum_iposet(chain(2), flat))
+    assert chained.reads == flat.reads == 0
