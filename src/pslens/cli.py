@@ -106,9 +106,8 @@ def new_session(variant: str, today: str, source: Optional[dict] = None) -> Sess
     return Session(variant, today, source, Delta(), Delta(), TaskText.of(source))
 
 
-def _render_tasks(t: dict, indent: str = "  ") -> list[str]:
-    lines = dump_tasks(t).split("\n")[:-1]
-    return [indent + line for line in lines] or [indent + "(empty)"]
+def _render_tasks(t: dict) -> list[str]:
+    return ["  " + line for line in dump_tasks(t).split("\n")[:-1]] or ["  (empty)"]
 
 
 def _load(path: str, parse, *args):

@@ -26,7 +26,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 
 class IPosetError(ValueError):
@@ -284,7 +284,7 @@ class FiniteIPoset(IPoset):
                     raise IPosetError(f"merge not functional at {(a, b)!r}")
                 self._merge[key] = ri
         self.has_merge = self._merge is not None
-        self.least = next((e for e, row in zip(self._elements, self._up) if row == (1 << n) - 1), None)
+        self.least = None if (k := _least((1 << n) - 1, self._up)) is None else self._elements[k]
         if validate:
             report = verify_iposet(self)
             if not report.ok:
@@ -348,13 +348,31 @@ def _require_enumerable(p: IPoset) -> list:
     return els
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _row_pairs(els: list, rows: list[int]) -> list[tuple]:
-    return [(a, b) for a, row in zip(els, rows) for j, b in enumerate(els) if row >> j & 1]
+    return [(a, els[j]) for a, row in zip(els, rows) for j in _bits(row)]
 
 
-def _least(xs: Sequence, le: Callable[[Any, Any], bool]) -> Optional[int]:
-    """Position of the first of ``xs`` that is ``le`` below all of them, or ``None``."""
-    return next((k for k, x in enumerate(xs) if all(le(x, y) for y in xs)), None)
+def _ask(rel: Callable[[Any, Any], bool], els: list) -> list[int]:
+    """``rel`` asked once per ordered pair of ``els``, as bit rows."""
+    return [sum(1 << j for j, b in enumerate(els) if rel(a, b)) for a in els]
+
+
+def _rows(p: IPoset, els: list) -> tuple[list[int], list[int]]:
+    """``p.rows()``, or for a domain without rows ``le`` and ``ident`` asked once per ordered pair of ``els``."""
+    return p.rows() or (_ask(p.le, els), _ask(p.ident, els))
+
+
+def _least(mask: int, up: list[int]) -> Optional[int]:
+    """The first position in ``mask`` whose row covers ``mask``, or ``None``."""
+    return next((i for i in _bits(mask) if up[i] & mask == mask), None)
 
 
 def join(p: IPoset, a: Any, b: Any) -> Any:
@@ -365,15 +383,9 @@ def join(p: IPoset, a: Any, b: Any) -> Any:
     upper bound exists.  Returns :data:`UNDEFINED` when there is no
     common upper bound or no least one.
     """
-    els = _require_enumerable(p)
-    ubs = [c for c in els if p.le(a, c) and p.le(b, c)]
-    k = _least(ubs, p.le)
+    ubs = [c for c in _require_enumerable(p) if p.le(a, c) and p.le(b, c)]
+    k = _least((1 << len(ubs)) - 1, _ask(p.le, ubs))
     return UNDEFINED if k is None else ubs[k]
-
-
-def _relations(p: IPoset, els: list) -> tuple[list[list[bool]], list[list[bool]]]:
-    """``p.le`` and ``p.ident`` asked once per ordered pair of ``els``, tabled by position."""
-    return [[p.le(a, b) for b in els] for a in els], [[p.ident(a, b) for b in els] for a in els]
 
 
 def verify_iposet(p: IPoset) -> ValidationReport:
@@ -383,50 +395,50 @@ def verify_iposet(p: IPoset) -> ValidationReport:
     (reflexive, antisymmetric, transitive), ``ident`` contained in
     ``le`` and reflexive, the least element being an identical update
     for everything, and soundness of the merge against the least upper
-    bounds of the order.  Each pair is asked of the domain once.
+    bounds of the order.  The domain's rows are read (:func:`_rows`).
     """
     els = _require_enumerable(p)
     if not els:
         raise InvalidArgsError("empty carrier")
     rep = ValidationReport(subject=f"iposet axioms for {p!r}")
-    le, ident = _relations(p, els)
-    n = len(els)
+    up, id_up = _rows(p, els)
     for i, a in enumerate(els):
-        if not le[i][i]:
+        if not up[i] >> i & 1:
             rep.add("le-reflexive", (a,))
-        if not ident[i][i]:
+        if not id_up[i] >> i & 1:
             rep.add("ident-reflexive", (a,))
-    for i, j in itertools.permutations(range(n), 2):
-        if le[i][j] and le[j][i]:
-            rep.add("le-antisymmetric", (els[i], els[j]))
-        if ident[i][j] and not le[i][j]:
-            rep.add("ident-subset-of-le", (els[i], els[j]))
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if le[i][j] and le[j][k] and not le[i][k]:
-            rep.add("le-transitive", (els[i], els[j], els[k]))
-    k = _least(range(n), lambda i, j: le[i][j])
+    for i, a in enumerate(els):
+        for j in _bits((up[i] | id_up[i]) & ~(1 << i)):
+            if not up[i] >> j & 1:
+                rep.add("ident-subset-of-le", (a, els[j]))
+            elif up[j] >> i & 1:
+                rep.add("le-antisymmetric", (a, els[j]))
+    for i, a in enumerate(els):
+        for j in _bits(up[i]):
+            for k in _bits(up[j] & ~up[i]):
+                rep.add("le-transitive", (a, els[j], els[k]))
+    full = (1 << len(els)) - 1
+    k = _least(full, up)
     if k is not None:
         omega = els[k]
         if p.least is not None and not (p.least == omega):
             rep.add("least-designated", (p.least, omega), "designated least differs")
-        for b, is_ident in zip(els, ident[k]):
-            if not is_ident:
-                rep.add("least-is-identical-update", (omega, b))
+        for j in _bits(full & ~id_up[k]):
+            rep.add("least-is-identical-update", (omega, els[j]))
     if p.has_merge:
-        _check_merge_sound(p, els, le, rep)
+        _check_merge_sound(p, els, up, rep)
     return rep
 
 
-def _check_merge_sound(p: IPoset, els: list, le: list[list[bool]], rep: ValidationReport) -> list[list]:
-    """Report each defined merge that differs from the least upper bound in ``le``; return all merges by position."""
+def _check_merge_sound(p: IPoset, els: list, up: list[int], rep: ValidationReport) -> list[list]:
+    """Report each defined merge that differs from the least upper bound in ``up``; return all merges by position."""
     merged = [[p.merge(a, b) for b in els] for a in els]
     for (i, a), (j, b) in itertools.product(enumerate(els), repeat=2):
         r = merged[i][j]
         if r is UNDEFINED:
             continue
-        ubs = [k for k in range(len(els)) if le[i][k] and le[j][k]]
-        k = _least(ubs, lambda x, y: le[x][y])
-        lub = UNDEFINED if k is None else els[ubs[k]]
+        k = _least(up[i] & up[j], up)
+        lub = UNDEFINED if k is None else els[k]
         if lub is UNDEFINED or not (lub == r):
             rep.add("merge-sound", (a, b, r), f"join is {lub!r}")
     return merged
@@ -438,23 +450,23 @@ def check_duplicable(p: IPoset) -> ValidationReport:
     Duplicability requires (i) merge to be sound for joins, and (ii) for
     every state ``z``, merge to be total and closed on the identical
     updates of ``z``.  This is exactly what the duplication lens needs
-    to combine per-view updates without losing identical ones.  Each
-    pair is asked once, and ``ident`` of merge results outside the carrier.
+    to combine per-view updates without losing identical ones.  Rows are
+    read (:func:`_rows`); ``ident`` is asked of merges outside the carrier.
     """
     els = _require_enumerable(p)
     if not p.has_merge:
         raise MissingMergeError(f"{p!r} has no merge operator")
     rep = ValidationReport(subject=f"duplicability of {p!r}")
-    le, ident = _relations(p, els)
-    merged = _check_merge_sound(p, els, le, rep)
+    up, id_up = _rows(p, els)
+    merged = _check_merge_sound(p, els, up, rep)
     carrier = ElementIndex(els)
     for k, z in enumerate(els):
-        ids = [(i, x) for i, (x, row) in enumerate(zip(els, ident)) if row[k]]
+        ids = [(i, x) for i, (x, row) in enumerate(zip(els, id_up)) if row >> k & 1]
         for (i, x), (j, y) in itertools.product(ids, repeat=2):
             r = merged[i][j]
             if r is UNDEFINED:
                 rep.add("ident-merge-total", (x, y, z), "merge undefined on identical updates")
-            elif not (ident[m][k] if (m := carrier.index(r)) >= 0 else p.ident(r, z)):
+            elif not (id_up[m] >> k & 1 if (m := carrier.index(r)) >= 0 else p.ident(r, z)):
                 rep.add("ident-merge-closed", (x, y, z), f"merge result {r!r} not identical update")
     return rep
 
@@ -466,8 +478,7 @@ def materialize(p: IPoset, elements: Iterable, name: str = "", on_escape: str = 
     are dropped from the table with ``on_escape="drop"``.
     """
     els = list(elements)
-    le = [(a, b) for a, b in itertools.product(els, repeat=2) if p.le(a, b)]
-    idr = [(a, b) for a, b in itertools.product(els, repeat=2) if p.ident(a, b)]
+    le, idr = _row_pairs(els, _ask(p.le, els)), _row_pairs(els, _ask(p.ident, els))
     merge = None
     if p.has_merge:
         merge = []
@@ -511,12 +522,11 @@ def lift_omega(p: IPoset, bottom: Any = OMEGA, name: str = "") -> FiniteIPoset:
     if bottom in els:
         raise InvalidArgsError(f"bottom {bottom!r} already in carrier")
     new_els = [bottom] + list(els)
-    pairs = list(itertools.product(els, repeat=2))
-    le = [(bottom, e) for e in new_els] + [(a, b) for a, b in pairs if p.le(a, b)]
-    idr = [(bottom, e) for e in new_els] + [(a, b) for a, b in pairs if p.ident(a, b)]
+    below = [(bottom, e) for e in new_els]
+    le, idr = (below + _row_pairs(els, rows) for rows in _rows(p, els))
     merge = [(bottom, e, e) for e in new_els] + [(e, bottom, e) for e in els]
     if p.has_merge:
-        merge += [(a, b, r) for a, b in pairs for r in [p.merge(a, b)] if r is not UNDEFINED]
+        merge += [(a, b, r) for a in els for b in els for r in [p.merge(a, b)] if r is not UNDEFINED]
     return FiniteIPoset(new_els, le, idr, merge, name=name or (p.name + "_lifted" if p.name else ""))
 
 
@@ -716,10 +726,11 @@ def restrict_iposet(p: IPoset, pred: Callable[[Any], bool], name: str = "") -> I
     els = p.elements
     if els is None:
         return RestrictedIPoset(p, pred, name=name)
-    for a, b in itertools.product(els, repeat=2):
-        if p.le(a, b) and pred(b) and not pred(a):
-            raise NonMonotonePredicateError(f"predicate not monotone at {(a, b)!r}")
-    sub = [e for e in els if pred(e)]
+    kept = sum(1 << i for i, e in enumerate(els) if pred(e))
+    for i, row in enumerate(_rows(p, els)[0]):
+        if row & kept and not kept >> i & 1:
+            raise NonMonotonePredicateError(f"predicate not monotone at {(els[i], els[next(_bits(row & kept))])!r}")
+    sub = [els[i] for i in _bits(kept)]
     return materialize(p, sub, name=name or (p.name + "_restricted" if p.name else ""), on_escape="drop")
 
 
@@ -834,20 +845,13 @@ def dump_iposet(p: IPoset) -> str:
         if not _is_bare_token(e):
             raise InvalidArgsError(f"element {e!r} is not a bare token")
     lines = [f"elem {e}" for e in els]
-    lines += sorted(
-        f"le {a} {b}" for a in els for b in els if a != b and p.le(a, b)
-    )
-    lines += sorted(
-        f"id {a} {b}" for a in els for b in els if a != b and p.ident(a, b)
-    )
+    for tag, rows in zip(("le", "id"), _rows(p, els)):
+        lines += sorted(f"{tag} {a} {b}" for a, b in _row_pairs(els, rows) if a != b)
     if p.has_merge:
-        lines += sorted(
-            f"merge {a} {b} {r}"
-            for a in els
-            for b in els
-            for r in [p.merge(a, b)]
-            if r is not UNDEFINED
-        )
+        merges = sorted(f"merge {a} {b} {r}" for a in els for b in els for r in [p.merge(a, b)] if r is not UNDEFINED)
+        if not merges:
+            raise InvalidArgsError(f"{p!r} has a merge table without entries, which the text format cannot write")
+        lines += merges
     return "\n".join(lines) + "\n"
 
 

@@ -29,6 +29,7 @@ from .iposet import (
     ElementIndex,
     FiniteIPoset,
     IPoset,
+    _bits,
     discrete,
     lift_omega,
     load_iposet,
@@ -142,13 +143,8 @@ class _Space:
     def above(self, i: int, js: range) -> Iterator[int]:
         """The ``j`` in ``js`` with ``le(i, j)``, in ascending order."""
         if self.up is None:
-            yield from (j for j in js if self.le(i, j))
-            return
-        mask = self.up[i] >> js.start & ((1 << len(js)) - 1)
-        while mask:
-            low = mask & -mask
-            yield js.start + low.bit_length() - 1
-            mask ^= low
+            return (j for j in js if self.le(i, j))
+        return _bits(self.up[i] & (1 << js.stop) - (1 << js.start))
 
     def reach(self, rs: list[int]) -> Callable[[int], Any]:
         """Tests ``i`` for some ``r`` of ``rs`` with ``le(r, i)``; on rows, by one bit of the OR of their rows."""

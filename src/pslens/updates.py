@@ -41,6 +41,7 @@ from .iposet import (
     FiniteIPoset,
     IPosetError,
     ValidationReport,
+    _bits,
     _is_bare_token,
     _read_declared,
     discrete,
@@ -139,10 +140,8 @@ def ran(us: UpdateSpace, s: Any, u: Any) -> list:
     """Possible results of ``u`` at origin ``s``: outcomes of any
     refinement ``u' >= u`` whose semantics is defined at ``s``."""
     out = []
-    for u2 in us.updates:
-        if not us.order.le(u, u2):
-            continue
-        r = us.apply_interp(u2, s)
+    for k in _bits(us.order.rows()[0][us._u(u)]):
+        r = us.apply_interp(us.order.elements[k], s)
         if r is not UNDEFINED and r not in out:
             out.append(r)
     return out

@@ -528,6 +528,37 @@ def test_iposet_text_round_trip():
     assert dump_iposet(q) == text
 
 
+def test_dump_refuses_a_merge_table_without_entries():
+    # the grammar has no line for an empty merge table: without merge lines, a file loads with no merge
+    p = FiniteIPoset(["a"], [("a", "a")], [("a", "a")], [])
+    assert p.has_merge and not load_iposet("elem a\n").has_merge
+    with pytest.raises(InvalidArgsError, match="merge table without entries"):
+        dump_iposet(p)
+    # restriction drops every merge that leaves the sub-carrier, here all of them
+    chained = [("lo", "lo"), ("lo", "hi"), ("hi", "hi")]
+    two = FiniteIPoset(["lo", "hi"], chained, chained, [("lo", "hi", "hi")])
+    low = restrict_iposet(two, lambda x: x == "lo")
+    assert low.elements == ["lo"] and low.has_merge and not low.merge_triples()
+    with pytest.raises(InvalidArgsError, match="merge table without entries"):
+        dump_iposet(low)
+
+
+def test_every_written_domain_loads_back_equal():
+    bases = [discrete(["a"]), discrete(["x", "y", "z"]), chain(3), powerset_iposet({"a", "b"})]
+    bases += [powerset_iposet({"a"}, include_empty=True)]
+    domains = packaged_fixture_domains() + bases + [lift_omega(p, bottom="bottom") for p in bases]
+    written = 0
+    for p in domains:
+        if not all(isinstance(e, str) for e in p.elements):
+            with pytest.raises(InvalidArgsError, match="is not a bare token"):
+                dump_iposet(p)
+            continue
+        text = dump_iposet(p)
+        assert structurally_equal(load_iposet(text), p) and dump_iposet(load_iposet(text)) == text, p
+        written += 1
+    assert written == 9
+
+
 def test_iposet_text_parse_error():
     with pytest.raises(IPosetError):
         load_iposet("elem a\nwibble a b\n")
@@ -738,6 +769,33 @@ class OpenCarrier(Counting):
         return self.carrier
 
 
+class Designated(Counting):
+    """``inner`` with another designated ``least``, and with ``inner``'s rows when ``tabled``."""
+
+    def __init__(self, inner, least, tabled):
+        super().__init__(inner)
+        self.least, self.tabled = least, tabled
+
+    def rows(self):
+        return self.inner.rows() if self.tabled else None
+
+
+def test_checks_match_value_level_on_a_wrong_designated_least():
+    for tabled in (False, True):
+        p = Designated(chain(3), 2, tabled)
+        assert assert_checks_match_value_level(p)
+        assert [(v.axiom, v.witness) for v in verify_iposet(p).violations] == [("least-designated", (2, 0))]
+
+
+def test_checks_match_value_level_on_identicals_merging_outside_the_identicals():
+    # a and b are identical updates of z, but their join c is not
+    le = [("a", "c"), ("b", "c"), ("a", "z"), ("b", "z"), ("c", "z")] + [(e, e) for e in "abcz"]
+    p = with_join_merge(list("abcz"), le, [("a", "z"), ("b", "z")] + [(e, e) for e in "abcz"], name="open")
+    assert assert_checks_match_value_level(p) and verify_iposet(p).ok
+    closed = [(v.axiom, v.witness) for v in check_duplicable(p).violations]
+    assert closed == [("ident-merge-closed", ("a", "b", "z")), ("ident-merge-closed", ("b", "a", "z"))]
+
+
 def test_checks_ask_each_order_pair_once():
     p = chain(5)
     counted = Counting(p)
@@ -746,6 +804,30 @@ def test_checks_ask_each_order_pair_once():
     counted = Counting(p)
     assert check_duplicable(counted).violations == check_duplicable(p).violations == []
     assert counted.calls["le"] <= 25
+
+
+class CountedQueries(FiniteIPoset):
+    """A table that counts the ``le`` and ``ident`` queries it answers."""
+
+    calls = 0
+
+    def le(self, a, b):
+        self.calls += 1
+        return super().le(a, b)
+
+    def ident(self, a, b):
+        self.calls += 1
+        return super().ident(a, b)
+
+
+def test_whole_carrier_checks_read_a_tables_rows():
+    d = diamond()
+    p = CountedQueries(d.elements, d.le_pairs(), d.id_pairs(), d.merge_triples(), name="diamond")
+    p.calls = 0
+    assert verify_iposet(p).ok and check_duplicable(p).ok
+    assert lift_omega(p, bottom="bottom").le("bottom", "a")
+    assert dump_iposet(p) == dump_iposet(d)
+    assert p.calls == 0
 
 
 def test_check_duplicable_asks_each_merge_and_ident_pair_once():
