@@ -9,7 +9,9 @@ reach.  ``ran(s, u)`` is that reachability set: results of any
 refinement of ``u`` applied to ``s``.  The update poset is an ordinary
 domain, ``us.order`` (a :class:`~pslens.iposet.FiniteIPoset` whose
 identical updates are its order), validated by
-:func:`~pslens.iposet.verify_iposet` when the space is built.
+:func:`~pslens.iposet.verify_iposet` when the space is built.  The
+generated tables are laid out by position: the proper states, then one
+block of updates per origin, in update order.
 
 Duplicability of the generated domain reduces to three conditions on
 the update structure (checked by :func:`check_condition`):
@@ -24,7 +26,8 @@ associative (definedness included) implies G2.
 
 State elimination forgets the origin of each update: the origin-erased
 domain over ``S + U`` is the image of the generated domain under
-:func:`erase`, and origins may be dropped exactly when that image is a
+:func:`erase`, built as the same tables with every origin collapsed
+onto one block.  Origins may be dropped exactly when that image is a
 sound domain, which :func:`check_state_elimination` checks with
 :func:`~pslens.iposet.verify_iposet`.
 """
@@ -44,6 +47,7 @@ from .iposet import (
     _bits,
     _is_bare_token,
     _read_declared,
+    _row_pairs,
     discrete,
     verify_iposet,
 )
@@ -184,33 +188,35 @@ def apply_su(us: UpdateSpace, v: Any, s: Any) -> Any:
     raise UpdateSpaceError(f"not a generated-domain element: {v!r}")
 
 
-def _generated(us: UpdateSpace) -> FiniteIPoset:
-    """The tables of the generated domain, unvalidated: :func:`gen_iposet`
-    checks its order axioms and :func:`erased_iposet` takes its image."""
-    def le(a, b):
-        if isinstance(a, Proper) and isinstance(b, Proper):
-            return a.state == b.state
-        if isinstance(a, Pair) and isinstance(b, Pair):
-            return a.state == b.state and us.order.le(a.update, b.update)
-        if isinstance(a, Pair) and isinstance(b, Proper):
-            return b.state in ran(us, a.state, a.update)
-        return False
+def _recipe(us: UpdateSpace, blocks: list, name: str) -> FiniteIPoset:
+    """The recipe's tables by position, unvalidated.
 
-    def ident(a, b):
-        if isinstance(a, Pair) and isinstance(b, Proper):
-            return a.state == b.state and us.apply_interp(a.update, a.state) == b.state
-        return le(a, b)
-
-    carrier = [Proper(s) for s in us.states] + [Pair(s, u) for s in us.states for u in us.updates]
-    pairs = list(itertools.product(carrier, repeat=2))
-    return FiniteIPoset(
-        carrier,
-        [(a, b) for a, b in pairs if le(a, b)],
-        [(a, b) for a, b in pairs if ident(a, b)],
-        [(a, b, r) for a, b in pairs for r in [merge_su(us, a, b)] if r is not UNDEFINED],
-        name=us.name or "generated",
-        validate=False,
-    )
+    ``Proper(s_i)`` sits at position ``i``.  Each ``(origins, tagged)`` of
+    ``blocks`` then adds one block, ``tagged[k]`` standing for update
+    ``k`` and ordered by ``us.order``'s rows.  It sits below, and merges
+    into, the states that the refinements of update ``k`` reach from its
+    origins; it is an identical update for each origin that update ``k``
+    fixes; two of a block merge as their updates do.
+    """
+    order = us.order.rows()[0]
+    carrier = [Proper(s) for s in us.states]
+    up = [1 << i for i in range(len(carrier))]
+    id_up, merge = list(up), [(p, p, p) for p in carrier]
+    goes = {key: 1 << r for key, r in us._interp.items()}  # (update, origin) -> its result's bit
+    for origins, tagged in blocks:
+        base = len(carrier)
+        carrier += tagged
+        for k, x in enumerate(tagged):
+            reach = fix = 0
+            for i in origins:
+                for l in _bits(order[k]):
+                    reach |= goes.get((l, i), 0)
+                fix |= goes.get((k, i), 0) & 1 << i
+            up.append(order[k] << base | reach)
+            id_up.append(order[k] << base | fix)
+            merge += [t for j in _bits(reach) for t in ((x, carrier[j], carrier[j]), (carrier[j], x, carrier[j]))]
+        merge += [(tagged[k], tagged[l], tagged[m]) for (k, l), m in us.order._merge.items()]
+    return FiniteIPoset(carrier, _row_pairs(carrier, up), _row_pairs(carrier, id_up), merge, name=name, validate=False)
 
 
 def gen_iposet(us: UpdateSpace) -> FiniteIPoset:
@@ -220,22 +226,24 @@ def gen_iposet(us: UpdateSpace) -> FiniteIPoset:
     sits below exactly the proper states in its reachability set; proper
     states are discrete.  Identical updates follow the same rules except
     that ``Pair(s, u)`` is an identical update for ``Proper(s)`` only
-    when ``u`` literally fixes ``s``.  Merge is :func:`merge_su`.
+    when ``u`` literally fixes ``s``.  Merge is :func:`merge_su`.  The
+    tables are laid out by position: ``Proper(s_i)`` at ``i``, then one
+    block of pairs per origin, in update order.
 
     The construction guarantees the order axioms and containment of the
     identical updates in the order.  It does *not* guarantee merge
     soundness (that is equivalent to condition G1 and is what
     :func:`pslens.iposet.check_duplicable` examines), nor the
     bottom-is-identical-update convention: an update space may have an
-    update below everything that does not fix its origin, in which case
-    the generated domain must not be treated as lower-bounded.
+    update below everything that does not fix its origin, and then the
+    domain designates no ``least`` (it is not lower-bounded).
     """
-    out = _generated(us)
-    # Merge soundness and the bottom convention are out of the
-    # construction's guarantees (see docstring); only order axioms and
-    # identical-update containment are enforced here.
+    blocks = [([i], [Pair(s, u) for u in us.updates]) for i, s in enumerate(us.states)]
+    out = _recipe(us, blocks, us.name or "generated")
     tolerated = {"merge-sound", "least-is-identical-update"}
     report = verify_iposet(out)
+    if any(v.axiom == "least-is-identical-update" for v in report.violations):
+        out.least = None
     order_violations = [v for v in report.violations if v.axiom not in tolerated]
     if order_violations:
         raise IPosetError("generated domain broke an order axiom:\n" + "\n".join(map(str, order_violations)))
@@ -361,26 +369,15 @@ def erased_iposet(us: UpdateSpace) -> FiniteIPoset:
     """The origin-erased domain: the image of the generated domain
     (:func:`gen_iposet`) under :func:`erase`.
 
-    Its carrier is ``Proper(s)`` and ``Upd(u)`` in first-seen order, and
-    its order, identical updates and merge are the erased pairs and
-    triples of the generated tables.  So ``Upd(u)`` sits below every
-    proper state that ``u`` reaches from some origin, is an identical
-    update for the states it fixes, and merges as the updates of one
-    origin do.  The table is not validated: whether it is a sound domain
-    is exactly what :func:`check_state_elimination` examines.
+    It is the generated domain's build with every origin collapsed onto
+    one block: ``Proper(s)`` then ``Upd(u)``, in list order.  So
+    ``Upd(u)`` sits below every proper state that ``u`` reaches from
+    some origin, is an identical update for the states it fixes, and
+    merges as the updates of one origin do.  The table is not validated:
+    whether it is a sound domain is exactly what
+    :func:`check_state_elimination` examines.
     """
-    gen = _generated(us)
-    carrier = ElementIndex()
-    for x in gen.elements:
-        carrier.intern(erase(x))
-    return FiniteIPoset(
-        carrier.values,
-        [(erase(a), erase(b)) for a, b in gen.le_pairs()],
-        [(erase(a), erase(b)) for a, b in gen.id_pairs()],
-        [(erase(a), erase(b), erase(r)) for a, b, r in gen.merge_triples()],
-        name=gen.name + "-erased",
-        validate=False,
-    )
+    return _recipe(us, [(range(len(us.states)), [Upd(u) for u in us.updates])], (us.name or "generated") + "-erased")
 
 
 def check_state_elimination(us: UpdateSpace) -> ValidationReport:

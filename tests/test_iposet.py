@@ -43,6 +43,7 @@ from pslens.iposet import (
 )
 from pslens.tasks import Delta, TaskRecord, delta_update_space, dt_domain, dtog_domain, enumerate_dt_universe
 from pslens.updates import (
+    Pair,
     enumerate_update_spaces,
     erased_iposet,
     g1_violation_space,
@@ -680,7 +681,10 @@ def assert_checks_match_value_level(p):
     for new, old in reports:
         assert new == old, p
     if isinstance(p, FiniteIPoset):
-        assert p.least is value_find_least(p), p
+        least = value_find_least(p)
+        if isinstance(least, Pair) and not all(p.ident(least, b) for b in p.elements):
+            least = None  # a generated domain whose bottom moves its origin designates none
+        assert p.least is least, p
     return any(not new.ok for new, _ in reports)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from pslens.iposet import (
     UNDEFINED,
     FiniteIPoset,
+    InvalidArgsError,
     check_duplicable,
     discrete,
     materialize,
@@ -16,7 +17,7 @@ from pslens.iposet import (
     verify_iposet,
 )
 from pslens.laws import LawId, check_law, check_laws, recheck_counterexample
-from pslens.lens import PSLens, initiator, is_failure
+from pslens.lens import PSLens, constant_lens, initiator, is_failure
 from pslens.tasks import (
     Delta,
     FilterDomain,
@@ -155,6 +156,17 @@ def test_generated_domain_satisfies_order_axioms_for_every_enumerated_space():
         assert not [v for v in report.violations if v.axiom not in tolerated], us
         count += 1
     assert count >= 100
+
+
+def test_generated_domain_with_a_bottom_that_moves_its_origin_designates_no_least():
+    # Pair(s0, u0) is below everything (u1 refines u0 and reaches s0), but
+    # u0 does not fix s0, so it is no identical update for Proper(s0)
+    us = UpdateSpace(["s0"], ["u0", "u1"], [("u0", "u1")], [("u0", "u0", "u0"), ("u1", "u1", "u1")], [("u1", "s0", "s0")])
+    p = gen_iposet(us)
+    assert [v.witness for v in verify_iposet(p).violations] == [(Pair("s0", "u0"), Proper("s0"))]
+    assert p.least is None
+    with pytest.raises(InvalidArgsError, match="lower-bounded"):
+        constant_lens(p, discrete(["a"]), "a")
 
 
 def test_pair_is_identical_update_iff_interp_fixes_origin():
@@ -418,6 +430,36 @@ def oracle_erased_table(us):
     )
 
 
+def oracle_generated(us):
+    """The generated domain's tables from value-level closures (the
+    earlier ``updates._generated``, kept verbatim): ``le``, ``ident`` and
+    :func:`merge_su` asked on every ordered pair of the carrier."""
+    def le(a, b):
+        if isinstance(a, Proper) and isinstance(b, Proper):
+            return a.state == b.state
+        if isinstance(a, Pair) and isinstance(b, Pair):
+            return a.state == b.state and us.order.le(a.update, b.update)
+        if isinstance(a, Pair) and isinstance(b, Proper):
+            return b.state in ran(us, a.state, a.update)
+        return False
+
+    def ident(a, b):
+        if isinstance(a, Pair) and isinstance(b, Proper):
+            return a.state == b.state and us.apply_interp(a.update, a.state) == b.state
+        return le(a, b)
+
+    carrier = [Proper(s) for s in us.states] + [Pair(s, u) for s in us.states for u in us.updates]
+    pairs = list(itertools.product(carrier, repeat=2))
+    return FiniteIPoset(
+        carrier,
+        [(a, b) for a, b in pairs if le(a, b)],
+        [(a, b) for a, b in pairs if ident(a, b)],
+        [(a, b, r) for a, b in pairs for r in [merge_su(us, a, b)] if r is not UNDEFINED],
+        name=us.name or "generated",
+        validate=False,
+    )
+
+
 def oracle_respects_erased_ran(us):
     """Whether every defined update merge keeps the states both merged
     updates reach, origins forgotten."""
@@ -432,6 +474,9 @@ def oracle_respects_erased_ran(us):
 
 
 def assert_erasure_matches_oracle(us):
+    generated, oracle = gen_iposet(us), oracle_generated(us)
+    assert structurally_equal(generated, oracle), dump_update_space(us)
+    assert verify_iposet(generated) == verify_iposet(oracle), dump_update_space(us)
     expected = oracle_erased_table(us)
     assert structurally_equal(erased_iposet(us), expected), dump_update_space(us)
     expected_ok = oracle_respects_erased_ran(us) and verify_iposet(expected).ok
@@ -441,6 +486,7 @@ def assert_erasure_matches_oracle(us):
 def test_erasure_matches_oracle_on_enumerated_spaces_and_fixtures():
     spaces = list(enumerate_update_spaces())
     spaces += [g1_violation_space(), g2_violation_space(), g3_violation_space(), delta_update_space(["k"], [R])]
+    spaces.append(delta_update_space(DESK_IDS, DESK))
     for us in spaces:
         assert_erasure_matches_oracle(us)
 
@@ -502,25 +548,27 @@ class RecipeIdent(FilterDomain):
 
 
 def test_task_deltas_are_the_recipe_instance_but_for_deleting_absent_ids():
-    us = delta_update_space(DESK_IDS, DESK)
-    source = enumerate_dt_universe(DESK_IDS, DESK)
-    erased, desk = erased_iposet(us), materialize(dt_domain(), source)
+    for ids, n_elements, n_deletes_absent in [(DESK_IDS, 25, 11), (["a", "b", "c"], 91, 91)]:
+        us = delta_update_space(ids, DESK)
+        erased, desk = erased_iposet(us), materialize(dt_domain(), enumerate_dt_universe(ids, DESK))
 
-    # order and merge are the delta domain's, element for element
-    assert len(desk.elements) == 25
-    assert [unwrap(x) for x in erased.elements] == desk.elements
-    assert [(unwrap(a), unwrap(b)) for a, b in erased.le_pairs()] == desk.le_pairs()
-    assert [tuple(map(unwrap, t)) for t in erased.merge_triples()] == desk.merge_triples()
+        # order and merge are the delta domain's, element for element
+        assert len(desk.elements) == n_elements
+        assert [unwrap(x) for x in erased.elements] == desk.elements
+        assert [(unwrap(a), unwrap(b)) for a, b in erased.le_pairs()] == desk.le_pairs()
+        assert [tuple(map(unwrap, t)) for t in erased.merge_triples()] == desk.merge_triples()
 
-    # the recipe also counts a delta deleting only absent ids as an identical update
-    recipe_ids, desk_ids = [(unwrap(a), unwrap(b)) for a, b in erased.id_pairs()], desk.id_pairs()
-    deletes_absent = [(u, t) for u in us.updates for t in us.states if u.deletes and apply_dt(u, t) == t]
-    assert [p for p in desk_ids if p not in recipe_ids] == []
-    assert [p for p in recipe_ids if p not in desk_ids] == deletes_absent
-    assert len(deletes_absent) == 11
+        # the recipe also counts a delta deleting only absent ids as an identical update
+        recipe_ids, desk_ids = [(unwrap(a), unwrap(b)) for a, b in erased.id_pairs()], desk.id_pairs()
+        deletes_absent = [(u, t) for u in us.updates for t in us.states if u.deletes and apply_dt(u, t) == t]
+        assert [p for p in desk_ids if p not in recipe_ids] == []
+        assert [p for p in recipe_ids if p not in desk_ids] == deletes_absent
+        assert len(deletes_absent) == n_deletes_absent
+        assert check_state_elimination(us).ok
 
     # which all four filters would break: deleting an id the view does not
     # show is not a no-op on the source
+    source = enumerate_dt_universe(DESK_IDS, DESK)
     witness = ({"b": DESK[1]}, Delta(deletes={"b"}))
     for variant in ["plain", "elaborated"]:
         views = [enumerate_og_universe(DESK_IDS, DESK), enumerate_dtdt_universe(DESK_IDS, DESK, TODAY)]
