@@ -485,8 +485,8 @@ def assert_erasure_matches_oracle(us):
 
 def test_erasure_matches_oracle_on_enumerated_spaces_and_fixtures():
     spaces = list(enumerate_update_spaces())
-    spaces += [g1_violation_space(), g2_violation_space(), g3_violation_space(), delta_update_space(["k"], [R])]
-    spaces.append(delta_update_space(DESK_IDS, DESK))
+    spaces += [g1_violation_space(), g2_violation_space(), g3_violation_space()]
+    spaces += [delta_update_space(["k"], [R]), delta_update_space(DESK_IDS, DESK)]
     for us in spaces:
         assert_erasure_matches_oracle(us)
 
