@@ -253,42 +253,35 @@ class FiniteIPoset(IPoset):
     raises :class:`IPosetError` on the first report of violations.
     """
 
-    def __init__(
-        self,
-        elements: Iterable,
-        le: Iterable[tuple],
-        id_rel: Iterable[tuple],
-        merge: Optional[Iterable[tuple]] = None,
-        name: str = "",
-        validate: bool = True,
-    ):
-        self._index = ElementIndex()
-        for e in elements:
-            if (i := self._index.index(e)) >= 0:
-                raise IPosetError(f"duplicate element {e!r}")
-            self._index.append(e, i)
+    def __init__(self, elements: Iterable, le: Iterable[tuple], id_rel: Iterable[tuple],
+                 merge: Optional[Iterable[tuple]] = None, name: str = "", validate: bool = True):
+        self._index, self.name = _distinct(elements), name
         self._elements = self._index.values
-        self.name = name
-        n = len(self._elements)
-        self._up, self._id_up = [0] * n, [0] * n
-        for rows, pairs in ((self._up, le), (self._id_up, id_rel)):
+        rows = [0] * len(self._elements), [0] * len(self._elements)
+        for row, pairs in zip(rows, (le, id_rel)):
             for a, b in pairs:
-                rows[self._idx(a)] |= 1 << self._idx(b)
-        self._merge: Optional[dict] = None
-        if merge is not None:
-            self._merge = {}
-            for a, b, r in merge:
-                key = (self._idx(a), self._idx(b))
-                ri = self._idx(r)
-                if self._merge.get(key, ri) != ri:
-                    raise IPosetError(f"merge not functional at {(a, b)!r}")
-                self._merge[key] = ri
-        self.has_merge = self._merge is not None
-        self.least = None if (k := _least((1 << n) - 1, self._up)) is None else self._elements[k]
-        if validate:
-            report = verify_iposet(self)
-            if not report.ok:
-                raise IPosetError(str(report))
+                row[self._idx(a)] |= 1 << self._idx(b)
+        table = None if merge is None else {}
+        for a, b, r in merge or ():
+            key, ri = (self._idx(a), self._idx(b)), self._idx(r)
+            if table.setdefault(key, ri) != ri:
+                raise IPosetError(f"merge not functional at {(a, b)!r}")
+        self._place(*rows, table, validate)
+
+    @classmethod
+    def _of(cls, index: ElementIndex, up: list, id_up: list, merge: Optional[dict], name: str = "", validate=True):
+        """The positional entry: ``index`` holds a carrier without equal elements, ``up``/``id_up``
+        are its rows (:meth:`rows`) and ``merge`` maps ``(i, j)`` to the position of ``e_i + e_j``."""
+        p = cls.__new__(cls)
+        p._index, p._elements, p.name = index, index.values, name
+        return p._place(up, id_up, merge, validate)
+
+    def _place(self, up: list, id_up: list, merge: Optional[dict], validate: bool) -> FiniteIPoset:
+        self._up, self._id_up, self._merge, self.has_merge = up, id_up, merge, merge is not None
+        self.least = None if (k := _least((1 << len(up)) - 1, up)) is None else self._elements[k]
+        if validate and not (report := verify_iposet(self)).ok:
+            raise IPosetError(str(report))
+        return self
 
     def _idx(self, x: Any) -> int:
         i = self._index.index(x)
@@ -356,6 +349,16 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _distinct(elements: Iterable) -> ElementIndex:
+    """An index of ``elements``, refusing a value equal to an earlier one."""
+    index = ElementIndex()
+    for e in elements:
+        if (i := index.index(e)) >= 0:
+            raise IPosetError(f"duplicate element {e!r}")
+        index.append(e, i)
+    return index
+
+
 def _row_pairs(els: list, rows: list[int]) -> list[tuple]:
     return [(a, els[j]) for a, row in zip(els, rows) for j in _bits(row)]
 
@@ -368,6 +371,18 @@ def _ask(rel: Callable[[Any, Any], bool], els: list) -> list[int]:
 def _rows(p: IPoset, els: list) -> tuple[list[int], list[int]]:
     """``p.rows()``, or for a domain without rows ``le`` and ``ident`` asked once per ordered pair of ``els``."""
     return p.rows() or (_ask(p.le, els), _ask(p.ident, els))
+
+
+def _merges(p: IPoset, els: list) -> tuple[dict, list]:
+    """``p``'s merge by position, ``(i, j) -> k``, and the values ``k`` indexes: ``els``, then each
+    result outside ``els``.  A table gives its own dict; any other domain is asked once per ordered pair."""
+    if isinstance(p, FiniteIPoset) and els is p.elements:
+        return p._merge, els
+    values, merges = ElementIndex(els), {}
+    for (i, a), (j, b) in itertools.product(enumerate(els), repeat=2):
+        if (r := p.merge(a, b)) is not UNDEFINED:
+            merges[i, j] = values.intern(r)
+    return merges, values.values
 
 
 def _least(mask: int, up: list[int]) -> Optional[int]:
@@ -430,18 +445,14 @@ def verify_iposet(p: IPoset) -> ValidationReport:
     return rep
 
 
-def _check_merge_sound(p: IPoset, els: list, up: list[int], rep: ValidationReport) -> list[list]:
-    """Report each defined merge that differs from the least upper bound in ``up``; return all merges by position."""
-    merged = [[p.merge(a, b) for b in els] for a in els]
-    for (i, a), (j, b) in itertools.product(enumerate(els), repeat=2):
-        r = merged[i][j]
-        if r is UNDEFINED:
-            continue
+def _check_merge_sound(p: IPoset, els: list, up: list[int], rep: ValidationReport) -> tuple[dict, list]:
+    """Report each defined merge that differs from the least upper bound in ``up``; return :func:`_merges`."""
+    merges, values = _merges(p, els)
+    for (i, j), m in sorted(merges.items()):
         k = _least(up[i] & up[j], up)
-        lub = UNDEFINED if k is None else els[k]
-        if lub is UNDEFINED or not (lub == r):
-            rep.add("merge-sound", (a, b, r), f"join is {lub!r}")
-    return merged
+        if k != m and (k is None or not (els[k] == values[m])):
+            rep.add("merge-sound", (els[i], els[j], values[m]), f"join is {UNDEFINED if k is None else els[k]!r}")
+    return merges, values
 
 
 def check_duplicable(p: IPoset) -> ValidationReport:
@@ -458,16 +469,15 @@ def check_duplicable(p: IPoset) -> ValidationReport:
         raise MissingMergeError(f"{p!r} has no merge operator")
     rep = ValidationReport(subject=f"duplicability of {p!r}")
     up, id_up = _rows(p, els)
-    merged = _check_merge_sound(p, els, up, rep)
-    carrier = ElementIndex(els)
+    merges, values = _check_merge_sound(p, els, up, rep)
     for k, z in enumerate(els):
-        ids = [(i, x) for i, (x, row) in enumerate(zip(els, id_up)) if row >> k & 1]
-        for (i, x), (j, y) in itertools.product(ids, repeat=2):
-            r = merged[i][j]
-            if r is UNDEFINED:
-                rep.add("ident-merge-total", (x, y, z), "merge undefined on identical updates")
-            elif not (id_up[m] >> k & 1 if (m := carrier.index(r)) >= 0 else p.ident(r, z)):
-                rep.add("ident-merge-closed", (x, y, z), f"merge result {r!r} not identical update")
+        ids = [i for i, row in enumerate(id_up) if row >> k & 1]
+        for i, j in itertools.product(ids, repeat=2):
+            m = merges.get((i, j))
+            if m is None:
+                rep.add("ident-merge-total", (els[i], els[j], z), "merge undefined on identical updates")
+            elif not (id_up[m] >> k & 1 if m < len(els) else p.ident(values[m], z)):
+                rep.add("ident-merge-closed", (els[i], els[j], z), f"merge result {values[m]!r} not identical update")
     return rep
 
 
@@ -478,21 +488,14 @@ def materialize(p: IPoset, elements: Iterable, name: str = "", on_escape: str = 
     are dropped from the table with ``on_escape="drop"``.
     """
     els = list(elements)
-    le, idr = _row_pairs(els, _ask(p.le, els)), _row_pairs(els, _ask(p.ident, els))
-    merge = None
+    rows, merge = (_ask(p.le, els), _ask(p.ident, els)), None
     if p.has_merge:
-        merge = []
-        carrier = ElementIndex(els)
-        for a, b in itertools.product(els, repeat=2):
-            r = p.merge(a, b)
-            if r is UNDEFINED:
-                continue
-            if carrier.index(r) < 0:
-                if on_escape == "drop":
-                    continue
-                raise InvalidArgsError(f"merge result {r!r} escapes the sub-carrier")
-            merge.append((a, b, r))
-    return FiniteIPoset(els, le, idr, merge, name=name or f"{p.name or 'domain'}@{len(els)}")
+        merge, values = _merges(p, els)
+        if len(values) > len(els):
+            if on_escape != "drop":
+                raise InvalidArgsError(f"merge result {values[len(els)]!r} escapes the sub-carrier")
+            merge = {key: m for key, m in merge.items() if m < len(els)}
+    return FiniteIPoset._of(_distinct(els), *rows, merge, name=name or f"{p.name or 'domain'}@{len(els)}")
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +509,9 @@ def discrete(elements: Iterable, name: str = "") -> FiniteIPoset:
     Carries the diagonal merge ``x + x = x``, which is the only sound
     total-on-identicals choice, so discrete domains are duplicable.
     """
-    els = list(elements)
-    diag = [(e, e) for e in els]
-    return FiniteIPoset(els, diag, diag, [(e, e, e) for e in els], name=name)
+    index = _distinct(elements)
+    diag = [1 << i for i in range(len(index.values))]
+    return FiniteIPoset._of(index, diag, list(diag), {(i, i): i for i in range(len(diag))}, name=name)
 
 
 def lift_omega(p: IPoset, bottom: Any = OMEGA, name: str = "") -> FiniteIPoset:
@@ -521,13 +524,16 @@ def lift_omega(p: IPoset, bottom: Any = OMEGA, name: str = "") -> FiniteIPoset:
     els = _require_enumerable(p)
     if bottom in els:
         raise InvalidArgsError(f"bottom {bottom!r} already in carrier")
-    new_els = [bottom] + list(els)
-    below = [(bottom, e) for e in new_els]
-    le, idr = (below + _row_pairs(els, rows) for rows in _rows(p, els))
-    merge = [(bottom, e, e) for e in new_els] + [(e, bottom, e) for e in els]
+    index, n = _distinct([bottom, *els]), len(els) + 1
+    up, id_up = ([(1 << n) - 1] + [row << 1 for row in rows] for rows in _rows(p, els))
+    # the bottom is position 0 and e_i is i + 1, so no two merge keys meet
+    merge = {(0, k): k for k in range(n)} | {(k, 0): k for k in range(1, n)}
     if p.has_merge:
-        merge += [(a, b, r) for a in els for b in els for r in [p.merge(a, b)] if r is not UNDEFINED]
-    return FiniteIPoset(new_els, le, idr, merge, name=name or (p.name + "_lifted" if p.name else ""))
+        merges, values = _merges(p, els)
+        if len(values) > len(els):
+            raise IPosetError(f"merge result {values[len(els)]!r} is not a carrier element of {p!r}")
+        merge |= {(i + 1, j + 1): m + 1 for (i, j), m in merges.items()}
+    return FiniteIPoset._of(index, up, id_up, merge, name=name or (p.name + "_lifted" if p.name else ""))
 
 
 class ProductIPoset(IPoset):
@@ -701,13 +707,10 @@ def powerset_iposet(base: Iterable, include_empty: bool = False, name: str = "")
     universe = frozenset(base)
     sizes = range(0 if include_empty else 1, len(universe) + 1)
     els = [frozenset(c) for n in sizes for c in itertools.combinations(sorted(universe), n)]
-    le = [(a, b) for a, b in itertools.product(els, repeat=2) if a >= b]
-    merge = []
-    for a, b in itertools.product(els, repeat=2):
-        r = a & b
-        if r or include_empty:
-            merge.append((a, b, r))
-    return FiniteIPoset(els, le, le, merge, name=name or f"powerset({set(universe)!r})")
+    at = {e: i for i, e in enumerate(els)}  # distinct by construction, and hashable
+    up = [sum(1 << j for j, b in enumerate(els) if a >= b) for a in els]
+    merge = {(i, j): at[a & b] for (i, a), (j, b) in itertools.product(enumerate(els), repeat=2) if a & b or include_empty}
+    return FiniteIPoset._of(ElementIndex(els), up, list(up), merge, name=name or f"powerset({set(universe)!r})")
 
 
 def restrict_iposet(p: IPoset, pred: Callable[[Any], bool], name: str = "") -> IPoset:
@@ -820,20 +823,27 @@ def _read_directives(text: str, arity: dict[str, int], error: type) -> Iterator[
             yield lineno, tokens[0], tuple(tokens[1:])
 
 
-def _read_declared(text: str, kinds: dict[str, tuple], error: type) -> dict[str, list[tuple]]:
+def _read_declared(text: str, kinds: dict[str, tuple], error: type, functions: dict[str, str]) -> dict[str, list[tuple]]:
     """Per tag in ``kinds``, the argument tuples of its lines in order.
 
     ``kinds`` gives the kind of each argument of a tag; a line whose tag
-    is a kind declares its argument.  An argument that no line declares
-    raises ``error`` naming the first line that uses it.
+    is a kind declares its argument.  A tag in ``functions`` gives its
+    last argument as a function of the others.  An argument that no line
+    declares, a second declaration and a second function line with
+    another result raise ``error`` naming the line.
     """
     lines = list(_read_directives(text, {tag: len(k) for tag, k in kinds.items()}, error))
     declared = {(tag, *args) for _, tag, args in lines}
+    seen: dict[tuple, Any] = {}  # a declaration's line, and a function line's result by its other arguments
     out: dict[str, list[tuple]] = {tag: [] for tag in kinds}
     for lineno, tag, args in lines:
         for kind, x in zip(kinds[tag], args):
             if (kind, x) not in declared:
                 raise error(f"line {lineno}: no {kind} line declares {x!r}")
+        if kinds[tag] == (tag,) and seen.setdefault((tag, *args), lineno) != lineno:
+            raise error(f"line {lineno}: duplicate {tag} {args[0]!r}")
+        if tag in functions and seen.setdefault((tag, *args[:-1]), args[-1]) != args[-1]:
+            raise error(f"line {lineno}: {functions[tag]} not functional at {args[:-1]!r}")
         out[tag].append(args)
     return out
 
@@ -848,7 +858,8 @@ def dump_iposet(p: IPoset) -> str:
     for tag, rows in zip(("le", "id"), _rows(p, els)):
         lines += sorted(f"{tag} {a} {b}" for a, b in _row_pairs(els, rows) if a != b)
     if p.has_merge:
-        merges = sorted(f"merge {a} {b} {r}" for a in els for b in els for r in [p.merge(a, b)] if r is not UNDEFINED)
+        merge, values = _merges(p, els)
+        merges = sorted(f"merge {els[i]} {els[j]} {values[m]}" for (i, j), m in merge.items())
         if not merges:
             raise InvalidArgsError(f"{p!r} has a merge table without entries, which the text format cannot write")
         lines += merges
@@ -858,8 +869,7 @@ def dump_iposet(p: IPoset) -> str:
 def load_iposet(text: str, name: str = "") -> FiniteIPoset:
     """Parse the text format back into a validated finite domain."""
     kinds = {"elem": ("elem",), "le": ("elem",) * 2, "id": ("elem",) * 2, "merge": ("elem",) * 3}
-    lines = _read_declared(text, kinds, IPosetError)
+    lines = _read_declared(text, kinds, IPosetError, {"merge": "merge"})
     els = [e for (e,) in lines["elem"]]
-    le = lines["le"] + [(e, e) for e in els]
-    idr = lines["id"] + [(e, e) for e in els]
+    le, idr = (lines[tag] + [(e, e) for e in els] for tag in ("le", "id"))
     return FiniteIPoset(els, le, idr, lines["merge"] or None, name=name)

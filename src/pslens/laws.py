@@ -101,59 +101,43 @@ class LawReport:
 
 
 class _Space:
-    """Sample list with order/ident relations, indexed by int.
+    """Sample list with the bit rows of its order and identical updates, indexed by int.
 
-    Values computed during checking (get/put results) are appended past
-    the quantifier range ``n`` so relations involving them memoize too.
-    Elements are located at their first structurally equal position.
-    On a whole carrier with :meth:`IPoset.rows` (finite tables, their
-    products and sums), every located value is a carrier element, so
-    ``le``/``ident`` read the rows; otherwise each pair is memoized.
+    A whole carrier with :meth:`IPoset.rows` keeps the domain's rows, and every value located in it
+    is a carrier element.  Otherwise each value (a sample, kept once, or a get/put result, appended
+    past the quantifier range ``n``) adds its row, asking the domain of each new ordered pair once.
     """
 
     def __init__(self, domain: IPoset, values: list, exhaustive: bool):
         self.domain = domain
-        index = ElementIndex(values)
-        self.values = index.values
-        self.locate: Callable[[Any], int] = index.intern
-        self.n = len(self.values)
-        self._le: dict[tuple[int, int], bool] = {}
-        self._id: dict[tuple[int, int], bool] = {}
         rows = domain.rows() if exhaustive else None
-        self.up = None if rows is None else rows[0]
-        if rows is not None:
-            up, id_up = rows
-            self.le = lambda i, j: up[i] >> j & 1
-            self.ident = lambda i, j: id_up[i] >> j & 1
+        self._index = ElementIndex(values if rows else ())
+        self.values = self._index.values
+        self.up, self.id_up = rows or ([], [])
+        for v in () if rows else values:
+            self.locate(v)
+        self.n = len(self.values)
 
-    def le(self, i: int, j: int) -> bool:
-        key = (i, j)
-        hit = self._le.get(key)
-        if hit is None:
-            hit = self._le[key] = self.domain.le(self.values[i], self.values[j])
-        return hit
+    def locate(self, x: Any) -> int:
+        i = self._index.index(x)
+        if i < 0:
+            i, vs = self._index.append(x, i), self.values
+            self.up, self.id_up = (
+                [row | 1 << i if rel(v, x) else row for row, v in zip(rows, vs)]
+                + [sum(1 << j for j, v in enumerate(vs) if rel(x, v))]
+                for rows, rel in ((self.up, self.domain.le), (self.id_up, self.domain.ident))
+            )
+        return i
 
-    def ident(self, i: int, j: int) -> bool:
-        key = (i, j)
-        hit = self._id.get(key)
-        if hit is None:
-            hit = self._id[key] = self.domain.ident(self.values[i], self.values[j])
-        return hit
+    def le(self, i: int, j: int) -> int:
+        return self.up[i] >> j & 1
+
+    def ident(self, i: int, j: int) -> int:
+        return self.id_up[i] >> j & 1
 
     def above(self, i: int, js: range) -> Iterator[int]:
         """The ``j`` in ``js`` with ``le(i, j)``, in ascending order."""
-        if self.up is None:
-            return (j for j in js if self.le(i, j))
         return _bits(self.up[i] & (1 << js.stop) - (1 << js.start))
-
-    def reach(self, rs: list[int]) -> Callable[[int], Any]:
-        """Tests ``i`` for some ``r`` of ``rs`` with ``le(r, i)``; on rows, by one bit of the OR of their rows."""
-        if self.up is None:
-            return lambda i: any(self.le(r, i) for r in rs)
-        mask = 0
-        for r in rs:
-            mask |= self.up[r]
-        return lambda i: mask >> i & 1
 
 
 class _Ctx:
@@ -165,8 +149,8 @@ class _Ctx:
         self.V = _Space(lens.view, view, exhaustive)
         self.exhaustive = exhaustive
         self._get: dict[int, int] = {}
-        # where both carriers are tabled, put(i, j) memoizes at slot i * |V| + j
-        self._stride = self.V.n if self.S.up is not None and self.V.up is not None else 0
+        # an exhaustive universe appends no value, so put(i, j) memoizes at slot i * |V| + j
+        self._stride = self.V.n if exhaustive else 0
         self._put: Any = [None] * (self.S.n * self.V.n) if self._stride else {}
         self._image: dict[tuple[int, range], list[tuple[int, int]]] = {}
 
@@ -333,10 +317,14 @@ def _scan_view_stability(c: _Ctx, ss: range) -> Optional[dict]:
 
 
 def _scan_put_determines_get(c: _Ctx, ss: range) -> Optional[dict]:
-    # V_s = {v | put(s0, v) <= s for some s0} ranges over the whole universe
-    reaches = [(j, c.S.reach([r for _, r in c.image(j, range(c.S.n))])) for j in range(c.V.n)]
+    # V_s = {v | put(s0, v) <= s for some s0} ranges over the whole universe: s_i is
+    # above some put(-, v_j) when bit i of reach[j], the OR of their rows, is set
+    reach = [0] * c.V.n
+    for j in range(c.V.n):
+        for _, r in c.image(j, range(c.S.n)):
+            reach[j] |= c.S.up[r]
     for i in ss:
-        pool = [j for j, reach in reaches if reach(i)]
+        pool = [j for j in range(c.V.n) if reach[j] >> i & 1]
         best = next((j for j in pool if all(c.V.le(j2, j) for j2 in pool)), None)
         if best is None or c.get(i) != best:
             return {
@@ -462,10 +450,10 @@ def check_laws(
     All requested laws share one memoized context for the lens and
     universe: each ``get``, each ``put``, each image of ``put(-, v)`` and
     each law's scanner is evaluated at most once, so ``weak-wb`` and
-    ``wb`` reuse the witnesses of their conjuncts.  On whole carriers of
-    finite tables and their products and sums, order and identical-update
-    queries read the domains' bit rows; otherwise each is asked of the
-    domain at most once.  Values are located in the
+    ``wb`` reuse the witnesses of their conjuncts.  Order and
+    identical-update queries read bit rows: a whole carrier's own
+    (:meth:`IPoset.rows`) where it has them, and otherwise each ordered
+    pair asked of the domain once.  Values are located in the
     universe through a hash where they are hashable and by structural
     equality otherwise, so domains need no hashing contract.  The reports
     are the ones :func:`check_law` gives law by law, each with its own

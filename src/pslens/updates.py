@@ -45,9 +45,10 @@ from .iposet import (
     IPosetError,
     ValidationReport,
     _bits,
+    _distinct,
     _is_bare_token,
+    _merges,
     _read_declared,
-    _row_pairs,
     discrete,
     verify_iposet,
 )
@@ -105,23 +106,18 @@ class UpdateSpace:
     def __post_init__(self):
         if not self.states:
             raise UpdateSpaceError("an update space needs at least one state")
-        self._state_index = ElementIndex(self.states)
-        for i, s in enumerate(self.states):
-            if self._state_index.index(s) != i:
-                raise UpdateSpaceError(f"duplicate state {s!r}")
         le = list(self.u_le) + [(u, u) for u in self.updates]
         name = (self.name or "update space") + "-updates"
         try:  # an empty carrier has nothing to validate (and verify_iposet refuses it)
+            self._state_index = _distinct(self.states)
             self.order = FiniteIPoset(self.updates, le, le, self.u_merge, name=name, validate=bool(self.updates))
         except IPosetError as e:
             raise UpdateSpaceError(str(e)) from e
         self._interp = {}
         for u, s, s2 in self.interp:
-            key = (self._u(u), self._s(s))
-            s2i = self._s(s2)
-            if self._interp.get(key, s2i) != s2i:
+            key, s2i = (self._u(u), self._s(s)), self._s(s2)
+            if self._interp.setdefault(key, s2i) != s2i:
                 raise UpdateSpaceError(f"interpretation not functional at {(u, s)!r}")
-            self._interp[key] = s2i
 
     def _u(self, u) -> int:
         i = self.order._index.index(u)
@@ -199,14 +195,15 @@ def _recipe(us: UpdateSpace, blocks: list, name: str) -> FiniteIPoset:
     fixes; two of a block merge as their updates do.
     """
     order = us.order.rows()[0]
+    updates = _merges(us.order, us.order.elements)[0]
     carrier = [Proper(s) for s in us.states]
     up = [1 << i for i in range(len(carrier))]
-    id_up, merge = list(up), [(p, p, p) for p in carrier]
+    id_up, merge = list(up), {(i, i): i for i in range(len(carrier))}
     goes = {key: 1 << r for key, r in us._interp.items()}  # (update, origin) -> its result's bit
     for origins, tagged in blocks:
         base = len(carrier)
         carrier += tagged
-        for k, x in enumerate(tagged):
+        for k in range(len(tagged)):
             reach = fix = 0
             for i in origins:
                 for l in _bits(order[k]):
@@ -214,9 +211,13 @@ def _recipe(us: UpdateSpace, blocks: list, name: str) -> FiniteIPoset:
                 fix |= goes.get((k, i), 0) & 1 << i
             up.append(order[k] << base | reach)
             id_up.append(order[k] << base | fix)
-            merge += [t for j in _bits(reach) for t in ((x, carrier[j], carrier[j]), (carrier[j], x, carrier[j]))]
-        merge += [(tagged[k], tagged[l], tagged[m]) for (k, l), m in us.order._merge.items()]
-    return FiniteIPoset(carrier, _row_pairs(carrier, up), _row_pairs(carrier, id_up), merge, name=name, validate=False)
+            merge.update(t for j in _bits(reach) for t in (((base + k, j), j), ((j, base + k), j)))
+        merge.update(((base + k, base + l), base + m) for (k, l), m in updates.items())
+    # distinct by construction: the space refused equal states, and us.order equal updates
+    index = ElementIndex()
+    for x in carrier:
+        index.append(x, -1)
+    return FiniteIPoset._of(index, up, id_up, merge, name=name, validate=False)
 
 
 def gen_iposet(us: UpdateSpace) -> FiniteIPoset:
@@ -517,7 +518,7 @@ def load_update_space(text: str, name: str = "") -> UpdateSpace:
     """Parse the text format back into a validated update space."""
     st, up = ("state",), ("update",)
     kinds = {"state": st, "update": up, "ule": up * 2, "umerge": up * 3, "interp": up + st * 2}
-    lines = _read_declared(text, kinds, UpdateSpaceError)
+    lines = _read_declared(text, kinds, UpdateSpaceError, {"umerge": "merge", "interp": "interpretation"})
     states = [s for (s,) in lines["state"]]
     updates = [u for (u,) in lines["update"]]
     return UpdateSpace(states, updates, lines["ule"], lines["umerge"], lines["interp"], name=name)

@@ -7,6 +7,7 @@ fixture, valid or broken.
 
 import collections
 import itertools
+import re
 from importlib import resources
 
 import pytest
@@ -577,6 +578,32 @@ def test_load_iposet_names_the_line_of_an_undeclared_element():
     with pytest.raises(IPosetError, match="^line 2: no elem line declares 'b'$"):
         load_iposet("elem a\nle a b\n")
     assert load_iposet("le a b\nid a b\nelem a\nelem b\n").le("a", "b")  # declared later in the file
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("elem a\nelem a\n", "line 2: duplicate elem 'a'"),
+        ("elem a\n# again\nelem b\nelem a\nmerge a a a\n", "line 4: duplicate elem 'a'"),
+        ("elem a\nelem b\nle a b\nmerge a b b\nmerge a b a\n", "line 5: merge not functional at ('a', 'b')"),
+        ("elem a\nmerge a a a\nelem b\nmerge a b b\nmerge b a b\n\nmerge a b a\n", "line 7: merge not functional at ('a', 'b')"),
+    ],
+)
+def test_load_iposet_names_the_line_of_a_repeated_declaration_or_merge(text, message):
+    with pytest.raises(IPosetError, match=f"^{re.escape(message)}$"):
+        load_iposet(text)
+
+
+def test_load_iposet_accepts_a_repeated_line_that_agrees():
+    p = load_iposet("elem a\nelem b\nle a b\nle a b\nid a b\nmerge a b b\nmerge a b b\nmerge a a a\nmerge b b b\nmerge b a b\n")
+    assert p.merge("a", "b") == "b" and p.le("a", "b")
+
+
+def test_the_constructor_keeps_its_own_errors():
+    with pytest.raises(IPosetError, match="^duplicate element 'a'$"):
+        FiniteIPoset(["a", "a"], [], [])
+    with pytest.raises(IPosetError, match=r"^merge not functional at \('a', 'a'\)$"):
+        FiniteIPoset(["a", "b"], [], [], [("a", "a", "a"), ("a", "a", "b")], validate=False)
 
 
 tokens = st.text(alphabet='ab#"\t \u2028\x1c', max_size=3) | st.text(max_size=3)

@@ -75,7 +75,7 @@ def assert_same_as_law_by_law(lens, source=None, view=None):
     # LawReport equality compares law, holds, counterexample and universe
     together = check_laws(lens, source=source, view=view)
     assert together == [check_law(lens, law, source, view) for law in LawId]
-    # the bit rows of an exhaustive check give what the pairwise memo gives
+    # a domain's own bit rows give what rows asked of it pair by pair give
     assert together == check_laws(counted(lens, tabled=False), source=source, view=view)
 
 
@@ -416,7 +416,7 @@ def test_putput_probe_agrees_with_literal_loop_on_sampled_task_universe():
 
 
 # ---------------------------------------------------------------------------
-# Bit rows on exhaustive universes, the pairwise memo elsewhere
+# A domain's own bit rows on exhaustive universes, rows asked pair by pair elsewhere
 # ---------------------------------------------------------------------------
 
 
@@ -439,7 +439,7 @@ def test_exhaustive_checks_read_rows_and_ask_the_domain_nothing():
 
 
 def test_row_scanners_at_a_witness_give_it_back():
-    # recheck_counterexample runs the scanners on the pairwise memo; this runs them on rows, at one-element ranges
+    # recheck_counterexample runs the scanners on rows grown from the witness; this runs them on the carrier's rows
     scanned = 0
     for lens in [product_and_compose_lens(), COLLAPSE] + [f.lens for f in fixture_lenses().values()]:
         for report in check_laws(lens):

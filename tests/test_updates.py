@@ -1,6 +1,7 @@
 """State-update-pair construction: generated domains, conditions, erasure."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -617,6 +618,26 @@ def test_load_update_space_names_the_line_of_an_undeclared_name(line, kind, name
 def test_load_update_space_rejects_duplicates(text):
     with pytest.raises(UpdateSpaceError, match="duplicate"):
         load_update_space(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("state s\nstate s\nupdate u\n", "line 2: duplicate state 's'"),
+        ("state s\nupdate u\n# u again\nupdate u\n", "line 4: duplicate update 'u'"),
+        ("state s\nstate t\nupdate u\ninterp u s t\ninterp u t t\ninterp u s s\n", "line 6: interpretation not functional at ('u', 's')"),
+        ("state s\nupdate u\nupdate v\numerge u v v\numerge u v u\n", "line 5: merge not functional at ('u', 'v')"),
+    ],
+)
+def test_load_update_space_names_the_line_of_a_repeated_declaration_or_table_line(text, message):
+    with pytest.raises(UpdateSpaceError, match=f"^{re.escape(message)}$"):
+        load_update_space(text)
+
+
+def test_load_update_space_accepts_repeated_lines_that_agree():
+    text = "state s\nstate t\nupdate u\ninterp u s t\ninterp u s t\numerge u u u\numerge u u u\nule u u\nule u u\n"
+    us = load_update_space(text)
+    assert us.apply_interp("u", "s") == "t" and us.order.merge("u", "u") == "u"
 
 
 @pytest.mark.parametrize(
