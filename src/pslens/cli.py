@@ -18,7 +18,8 @@ are skipped, and ``'`` and ``\\`` outside double quotes are ordinary.
     laws [fixture]                  run the law suite
 
 A failed ``put`` reports the reason and leaves the session untouched.
-Files are UTF-8 both ways; a ``save`` that fails leaves its target as it was.
+Files are UTF-8 both ways; a ``save`` that cannot encode the table leaves its
+target as it was, one that fails while writing may leave it partly overwritten.
 Exit codes: 0 success, 1 command error, 2 law-suite failure.
 """
 

@@ -142,7 +142,8 @@ class IPoset:
     Elements are compared by structural equality only; no hashing
     contract is assumed.  ``elements`` is a list for enumerable (finite)
     domains and ``None`` otherwise.  ``least`` is the distinguished
-    bottom element, or ``None`` when the domain is not lower-bounded.
+    bottom element, an identical update relative to every element (the
+    empty intention), or ``None`` when the domain is not lower-bounded.
     Finite tables, and products and sums of them, also answer ``le`` and
     ``ident`` from bit rows (:meth:`rows`); other domains give ``None``.
     ``shape``, made on first use, hashes a table's rows and merge table or
@@ -248,8 +249,10 @@ class FiniteIPoset(IPoset):
     """Explicitly tabled finite domain, validated eagerly.
 
     ``le`` and ``id_rel`` are given as iterables of element pairs and
-    ``merge`` as an iterable of ``(a, b, result)`` triples.  Unless
-    ``validate=False``, construction runs :func:`verify_iposet` and
+    ``merge`` as an iterable of ``(a, b, result)`` triples.  ``least`` is
+    the first element below every element, designated only when it is an
+    identical update relative to every element too; else ``None``.
+    Unless ``validate=False``, construction runs :func:`verify_iposet` and
     raises :class:`IPosetError` on the first report of violations.
     """
 
@@ -278,7 +281,8 @@ class FiniteIPoset(IPoset):
 
     def _place(self, up: list, id_up: list, merge: Optional[dict], validate: bool) -> FiniteIPoset:
         self._up, self._id_up, self._merge, self.has_merge = up, id_up, merge, merge is not None
-        self.least = None if (k := _least((1 << len(up)) - 1, up)) is None else self._elements[k]
+        k = _least(full := (1 << len(up)) - 1, up)
+        self.least = None if k is None or id_up[k] & full != full else self._elements[k]
         if validate and not (report := verify_iposet(self)).ok:
             raise IPosetError(str(report))
         return self

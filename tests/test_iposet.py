@@ -44,7 +44,6 @@ from pslens.iposet import (
 )
 from pslens.tasks import Delta, TaskRecord, delta_update_space, dt_domain, dtog_domain, enumerate_dt_universe
 from pslens.updates import (
-    Pair,
     enumerate_update_spaces,
     erased_iposet,
     g1_violation_space,
@@ -230,10 +229,11 @@ def test_eager_validation_rejects_broken_tables():
 def test_missing_least_identity_is_reported():
     els = ["w", "x"]
     le = [("w", "w"), ("x", "x"), ("w", "x")]
-    idr = [("w", "w"), ("x", "x")]  # w is least but not an identical update for x
+    idr = [("w", "w"), ("x", "x")]  # w is below x but not an identical update for x
     p = FiniteIPoset(els, le, idr, validate=False)
     report = verify_iposet(p)
     assert any(v.axiom == "least-is-identical-update" for v in report.violations)
+    assert p.least is None and FiniteIPoset(els, le, le).least == "w"  # designated only when identical
 
 
 def two_element_tables():
@@ -709,8 +709,8 @@ def assert_checks_match_value_level(p):
         assert new == old, p
     if isinstance(p, FiniteIPoset):
         least = value_find_least(p)
-        if isinstance(least, Pair) and not all(p.ident(least, b) for b in p.elements):
-            least = None  # a generated domain whose bottom moves its origin designates none
+        if least is not None and not all(p.ident(least, b) for b in p.elements):
+            least = None  # a bottom that is no identical update of every element is not designated
         assert p.least is least, p
     return any(not new.ok for new, _ in reports)
 

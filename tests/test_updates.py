@@ -146,25 +146,48 @@ def test_ran_matches_oracle_on_dt_toy():
 # ---------------------------------------------------------------------------
 
 
-def test_generated_domain_satisfies_order_axioms_for_every_enumerated_space():
-    # merge soundness is G1's business, and an accidental global least
-    # need not satisfy the bottom convention; everything else must hold
+def update_spaces():
+    """The enumerated spaces, the three necessity fixtures and the delta spaces at 1 and 2 ids."""
+    spaces = list(enumerate_update_spaces())
+    spaces += [g1_violation_space(), g2_violation_space(), g3_violation_space()]
+    return spaces + [delta_update_space(["k"], [R]), delta_update_space(DESK_IDS, DESK)]
+
+
+def assert_generated_order_axioms(us):
+    """The recipe alone makes the generated domain an order with its
+    identical updates inside it, and designates only a bottom that is an
+    identical update of every element.  Merge soundness is G1's
+    business, and a bottom that moves its origin is only reported."""
+    p = gen_iposet(us)
     tolerated = {"merge-sound", "least-is-identical-update"}
-    count = 0
-    for us in enumerate_update_spaces():
-        p = gen_iposet(us)
-        report = verify_iposet(p)
-        assert not [v for v in report.violations if v.axiom not in tolerated], us
-        count += 1
-    assert count >= 100
+    assert not [v for v in verify_iposet(p).violations if v.axiom not in tolerated], dump_update_space(us)
+    assert p.least is None or all(p.ident(p.least, x) for x in p.elements), dump_update_space(us)
+
+
+def test_generated_domain_satisfies_order_axioms_for_every_enumerated_space():
+    spaces = update_spaces()
+    assert len(spaces) == 271
+    for us in spaces:
+        assert_generated_order_axioms(us)
+
+
+def moving_bottom_space():
+    # u0 is below everything (u1 refines u0 and reaches s0), but u0 fixes
+    # no state, so it is no identical update for Proper(s0)
+    return UpdateSpace(["s0"], ["u0", "u1"], [("u0", "u1")], [("u0", "u0", "u0"), ("u1", "u1", "u1")], [("u1", "s0", "s0")])
 
 
 def test_generated_domain_with_a_bottom_that_moves_its_origin_designates_no_least():
-    # Pair(s0, u0) is below everything (u1 refines u0 and reaches s0), but
-    # u0 does not fix s0, so it is no identical update for Proper(s0)
-    us = UpdateSpace(["s0"], ["u0", "u1"], [("u0", "u1")], [("u0", "u0", "u0"), ("u1", "u1", "u1")], [("u1", "s0", "s0")])
-    p = gen_iposet(us)
+    p = gen_iposet(moving_bottom_space())
     assert [v.witness for v in verify_iposet(p).violations] == [(Pair("s0", "u0"), Proper("s0"))]
+    assert p.least is None
+    with pytest.raises(InvalidArgsError, match="lower-bounded"):
+        constant_lens(p, discrete(["a"]), "a")
+
+
+def test_erased_domain_with_a_bottom_that_moves_a_state_designates_no_least():
+    p = erased_iposet(moving_bottom_space())
+    assert [v.witness for v in verify_iposet(p).violations] == [(Upd("u0"), Proper("s0"))]
     assert p.least is None
     with pytest.raises(InvalidArgsError, match="lower-bounded"):
         constant_lens(p, discrete(["a"]), "a")
@@ -485,10 +508,7 @@ def assert_erasure_matches_oracle(us):
 
 
 def test_erasure_matches_oracle_on_enumerated_spaces_and_fixtures():
-    spaces = list(enumerate_update_spaces())
-    spaces += [g1_violation_space(), g2_violation_space(), g3_violation_space()]
-    spaces += [delta_update_space(["k"], [R]), delta_update_space(DESK_IDS, DESK)]
-    for us in spaces:
+    for us in update_spaces():
         assert_erasure_matches_oracle(us)
 
 
@@ -520,6 +540,11 @@ def three_update_spaces(draw):
 @given(three_update_spaces())
 def test_erasure_matches_oracle_on_three_update_spaces(us):
     assert_erasure_matches_oracle(us)
+
+
+@given(three_update_spaces())
+def test_generated_domain_satisfies_order_axioms_on_three_update_spaces(us):
+    assert_generated_order_axioms(us)
 
 
 # ---------------------------------------------------------------------------
