@@ -9,9 +9,11 @@ reach.  ``ran(s, u)`` is that reachability set: results of any
 refinement of ``u`` applied to ``s``.  The update poset is an ordinary
 domain, ``us.order`` (a :class:`~pslens.iposet.FiniteIPoset` whose
 identical updates are its order), validated by
-:func:`~pslens.iposet.verify_iposet` when the space is built.  The
-generated tables are laid out by position: the proper states, then one
-block of updates per origin, in update order.
+:func:`~pslens.iposet.verify_iposet` when the space is built.  The space
+also builds its reach rows then: for each update and origin, the
+positions ``ran`` reaches, as a list in ``ran``'s order and as a bit
+mask.  The generated tables are laid out by position: the proper
+states, then one block of updates per origin, in update order.
 
 Duplicability of the generated domain reduces to three conditions on
 the update structure (checked by :func:`check_condition`):
@@ -22,7 +24,9 @@ the update structure (checked by :func:`check_condition`):
 
 Two easier sufficient conditions are also checkable: a fine-enough
 update space implies G1, and a merge defined on comparable pairs and
-associative (definedness included) implies G2.
+associative (definedness included) implies G2.  ``ran``, the recipe and
+the conditions read the reach rows, ``us.order``'s rows and its merge
+by position, so the conditions compare positions, not values.
 
 State elimination forgets the origin of each update: the origin-erased
 domain over ``S + U`` is the image of the generated domain under
@@ -118,6 +122,11 @@ class UpdateSpace:
             key, s2i = (self._u(u), self._s(s)), self._s(s2)
             if self._interp.setdefault(key, s2i) != s2i:
                 raise UpdateSpaceError(f"interpretation not functional at {(u, s)!r}")
+        # reach rows: _ran[k][i] lists the positions of ran(s_i, u_k) in its order, _reach[k][i] is their mask
+        goes = self._interp.get
+        self._ran = [[list(dict.fromkeys(r for l in _bits(row) if (r := goes((l, i))) is not None))
+                      for i in range(len(self.states))] for row in self.order.rows()[0]]
+        self._reach = [[sum(1 << r for r in rs) for rs in per_state] for per_state in self._ran]
 
     def _u(self, u) -> int:
         i = self.order._index.index(u)
@@ -138,13 +147,9 @@ class UpdateSpace:
 
 def ran(us: UpdateSpace, s: Any, u: Any) -> list:
     """Possible results of ``u`` at origin ``s``: outcomes of any
-    refinement ``u' >= u`` whose semantics is defined at ``s``."""
-    out = []
-    for k in _bits(us.order.rows()[0][us._u(u)]):
-        r = us.apply_interp(us.order.elements[k], s)
-        if r is not UNDEFINED and r not in out:
-            out.append(r)
-    return out
+    refinement ``u' >= u`` whose semantics is defined at ``s``, read off
+    the space's reach rows (refinements ascending, each result once)."""
+    return [us.states[r] for r in us._ran[us._u(u)][us._s(s)]]
 
 
 def merge_su(us: UpdateSpace, a: Any, b: Any) -> Any:
@@ -191,24 +196,23 @@ def _recipe(us: UpdateSpace, blocks: list, name: str) -> FiniteIPoset:
     ``blocks`` then adds one block, ``tagged[k]`` standing for update
     ``k`` and ordered by ``us.order``'s rows.  It sits below, and merges
     into, the states that the refinements of update ``k`` reach from its
-    origins; it is an identical update for each origin that update ``k``
-    fixes; two of a block merge as their updates do.
+    origins (the OR of their reach masks); it is an identical update for
+    each origin that update ``k`` fixes; two of a block merge as their
+    updates do.
     """
     order = us.order.rows()[0]
     updates = _merges(us.order, us.order.elements)[0]
     carrier = [Proper(s) for s in us.states]
     up = [1 << i for i in range(len(carrier))]
     id_up, merge = list(up), {(i, i): i for i in range(len(carrier))}
-    goes = {key: 1 << r for key, r in us._interp.items()}  # (update, origin) -> its result's bit
     for origins, tagged in blocks:
         base = len(carrier)
         carrier += tagged
         for k in range(len(tagged)):
             reach = fix = 0
             for i in origins:
-                for l in _bits(order[k]):
-                    reach |= goes.get((l, i), 0)
-                fix |= goes.get((k, i), 0) & 1 << i
+                reach |= us._reach[k][i]
+                fix |= (us._interp.get((k, i)) == i) << i
             up.append(order[k] << base | reach)
             id_up.append(order[k] << base | fix)
             merge.update(t for j in _bits(reach) for t in (((base + k, j), j), ((j, base + k), j)))
@@ -264,33 +268,39 @@ def su_initiator(us: UpdateSpace) -> PSLens:
 
 
 def check_condition(us: UpdateSpace, which: str) -> ValidationReport:
-    """Check one of the duplicability conditions G1, G2, G3."""
+    """Check one of the duplicability conditions G1, G2, G3.
+
+    The quantifiers run over positions, reading the space's reach rows,
+    ``us.order``'s rows and its merge by position; a witness names the
+    states and updates, met in ``ran``'s order and the updates' order.
+    """
     rep = ValidationReport(subject=f"{which} on {us.name or 'update space'}")
+    S, U, reach = us.states, us.updates, us._reach
+    order, merges = us.order.rows()[0], _merges(us.order, us.order.elements)[0]
     if which == "G1":
-        for u1, u2 in itertools.product(us.updates, repeat=2):
-            u = us.order.merge(u1, u2)
-            if u is UNDEFINED:
+        for k1, k2 in itertools.product(range(len(U)), repeat=2):
+            if (m := merges.get((k1, k2))) is None:
                 continue
-            for s in us.states:
-                reach = ran(us, s, u)
-                for s2 in ran(us, s, u1):
-                    if s2 in ran(us, s, u2) and s2 not in reach:
-                        rep.add("G1-ran-respected", (s, u1, u2, s2), "shared result lost by merged update")
+            for i in range(len(S)):
+                lost = reach[k1][i] & reach[k2][i] & ~reach[m][i]
+                for r in us._ran[k1][i] if lost else ():
+                    if lost >> r & 1:
+                        rep.add("G1-ran-respected", (S[i], U[k1], U[k2], S[r]), "shared result lost by merged update")
     elif which == "G2":
-        for u in us.updates:
-            down = [u2 for u2 in us.updates if us.order.le(u2, u)]
+        for k in range(len(U)):
+            down = [j for j, row in enumerate(order) if row >> k & 1]
             for a, b in itertools.product(down, repeat=2):
-                if us.order.merge(a, b) is UNDEFINED:
-                    rep.add("G2-total-on-downsets", (a, b, u), "merge undefined below a common bound")
+                if (a, b) not in merges:
+                    rep.add("G2-total-on-downsets", (U[a], U[b], U[k]), "merge undefined below a common bound")
     elif which == "G3":
-        for s in us.states:
-            fixing = [u for u in us.updates if us.apply_interp(u, s) == s]
+        for i, s in enumerate(S):
+            fixing = [k for k in range(len(U)) if us._interp.get((k, i)) == i]
             for a, b in itertools.product(fixing, repeat=2):
-                r = us.order.merge(a, b)
-                if r is UNDEFINED:
-                    rep.add("G3-total-on-fixers", (a, b, s), "identical updates cannot merge")
-                elif not (us.apply_interp(r, s) == s):
-                    rep.add("G3-closed-on-fixers", (a, b, s), f"merged update moves the state via {r!r}")
+                m = merges.get((a, b))
+                if m is None:
+                    rep.add("G3-total-on-fixers", (U[a], U[b], s), "identical updates cannot merge")
+                elif us._interp.get((m, i)) != i:
+                    rep.add("G3-closed-on-fixers", (U[a], U[b], s), f"merged update moves the state via {U[m]!r}")
     else:
         raise ValueError(f"unknown condition {which!r}; expected G1, G2 or G3")
     return rep
@@ -304,36 +314,34 @@ def check_sufficient(us: UpdateSpace, which: str) -> ValidationReport:
     merge is defined on comparable updates and associative including
     definedness; implies G2.  When the sufficient condition holds on the
     fixture, the implied condition is re-checked and any failure is
-    reported (it would indicate a checker bug).
+    reported (it would indicate a checker bug).  Like
+    :func:`check_condition`, it reads the reach rows and positions.
     """
     rep = ValidationReport(subject=f"{which} on {us.name or 'update space'}")
+    S, U, reach = us.states, us.updates, us._reach
+    order, merges = us.order.rows()[0], _merges(us.order, us.order.elements)[0]
     if which == "fine-enough":
         implied = "G1"
-        for s in us.states:
-            for u1, u2 in itertools.combinations_with_replacement(us.updates, 2):
-                shared = [s2 for s2 in ran(us, s, u1) if s2 in ran(us, s, u2)]
-                for s2 in shared:
-                    refinements = [
-                        u
-                        for u in us.updates
-                        if us.order.le(u1, u) and us.order.le(u2, u) and s2 in ran(us, s, u)
-                    ]
-                    if not refinements:
-                        rep.add("fine-enough", (s, u1, u2, s2), "no common refinement reaches the shared result")
+        for i, s in enumerate(S):
+            for k1, k2 in itertools.combinations_with_replacement(range(len(U)), 2):
+                missed = reach[k1][i] & reach[k2][i]
+                for k in _bits(order[k1] & order[k2]) if missed else ():
+                    missed &= ~reach[k][i]
+                for r in us._ran[k1][i] if missed else ():
+                    if missed >> r & 1:
+                        rep.add("fine-enough", (s, U[k1], U[k2], S[r]), "no common refinement reaches the shared result")
     elif which == "associative-join":
         implied = "G2"
-        for u1, u2 in itertools.product(us.updates, repeat=2):
-            if (us.order.le(u1, u2) or us.order.le(u2, u1)) and us.order.merge(u1, u2) is UNDEFINED:
-                rep.add("comparable-merge-defined", (u1, u2))
-        for u1, u2, u3 in itertools.product(us.updates, repeat=3):
-            m23 = us.order.merge(u2, u3)
-            left = us.order.merge(u1, m23) if m23 is not UNDEFINED else UNDEFINED
-            m12 = us.order.merge(u1, u2)
-            right = us.order.merge(m12, u3) if m12 is not UNDEFINED else UNDEFINED
-            if (left is UNDEFINED) != (right is UNDEFINED) or (
-                left is not UNDEFINED and not (left == right)
-            ):
-                rep.add("merge-associative", (u1, u2, u3), f"{left!r} vs {right!r}")
+        for k1, k2 in itertools.product(range(len(U)), repeat=2):
+            if (order[k1] >> k2 & 1 or order[k2] >> k1 & 1) and (k1, k2) not in merges:
+                rep.add("comparable-merge-defined", (U[k1], U[k2]))
+        for k1, k2, k3 in itertools.product(range(len(U)), repeat=3):
+            m23, m12 = merges.get((k2, k3)), merges.get((k1, k2))
+            left = None if m23 is None else merges.get((k1, m23))
+            right = None if m12 is None else merges.get((m12, k3))
+            if left != right:
+                left, right = (UNDEFINED if k is None else U[k] for k in (left, right))
+                rep.add("merge-associative", (U[k1], U[k2], U[k3]), f"{left!r} vs {right!r}")
     else:
         raise ValueError(f"unknown sufficient condition {which!r}")
     if rep.ok:

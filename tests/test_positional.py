@@ -2,9 +2,10 @@
 
 Builders hand ``FiniteIPoset`` rows and a merge dict keyed by position,
 the merge checks read merges by position (``iposet._merges``), and every
-law universe has bit rows.  The oracles below are the earlier pair-based
-builders, the value-matrix merge check and the per-pair-memo law space,
-kept verbatim apart from their names.
+law universe has bit rows, and the duplicability conditions of update
+spaces read reach rows.  The oracles below are the earlier pair-based
+builders, the value-matrix merge check, the value-level condition loops
+and the per-pair-memo law space, kept verbatim apart from their names.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import time
 from importlib import resources
 
 import pytest
+from hypothesis import given
 
 from pslens.iposet import (
     OMEGA,
@@ -58,7 +60,11 @@ from pslens.updates import (
     Pair,
     Proper,
     Upd,
+    UpdateSpace,
+    check_condition,
     check_state_elimination,
+    check_sufficient,
+    dump_update_space,
     enumerate_update_spaces,
     erased_iposet,
     g1_violation_space,
@@ -70,6 +76,7 @@ from pslens.updates import (
 )
 
 from conftest import _chain, closure_candidates, generated_iposets
+from test_updates import three_update_spaces
 
 TODAY = "2025-04-01"
 DESK = [TaskRecord(False, "write", TODAY), TaskRecord(True, "rest", "2025-04-02")]
@@ -492,6 +499,151 @@ def test_gen_iposet_at_three_ids_matches_ran_and_merge_su_on_sampled_pairs():
         assert got is UNDEFINED if expected is UNDEFINED else got == expected, (a, b)
         defined += expected is not UNDEFINED
     assert defined > 1000
+
+
+# ---------------------------------------------------------------------------
+# The duplicability conditions against the value-level loops
+# ---------------------------------------------------------------------------
+
+
+def value_ran(us, s, u):
+    """Possible results of ``u`` at origin ``s``: outcomes of any
+    refinement ``u' >= u`` whose semantics is defined at ``s``."""
+    out = []
+    for k in _bits(us.order.rows()[0][us._u(u)]):
+        r = us.apply_interp(us.order.elements[k], s)
+        if r is not UNDEFINED and r not in out:
+            out.append(r)
+    return out
+
+
+def value_check_condition(us, which):
+    """Check one of the duplicability conditions G1, G2, G3."""
+    rep = ValidationReport(subject=f"{which} on {us.name or 'update space'}")
+    if which == "G1":
+        for u1, u2 in itertools.product(us.updates, repeat=2):
+            u = us.order.merge(u1, u2)
+            if u is UNDEFINED:
+                continue
+            for s in us.states:
+                reach = value_ran(us, s, u)
+                for s2 in value_ran(us, s, u1):
+                    if s2 in value_ran(us, s, u2) and s2 not in reach:
+                        rep.add("G1-ran-respected", (s, u1, u2, s2), "shared result lost by merged update")
+    elif which == "G2":
+        for u in us.updates:
+            down = [u2 for u2 in us.updates if us.order.le(u2, u)]
+            for a, b in itertools.product(down, repeat=2):
+                if us.order.merge(a, b) is UNDEFINED:
+                    rep.add("G2-total-on-downsets", (a, b, u), "merge undefined below a common bound")
+    elif which == "G3":
+        for s in us.states:
+            fixing = [u for u in us.updates if us.apply_interp(u, s) == s]
+            for a, b in itertools.product(fixing, repeat=2):
+                r = us.order.merge(a, b)
+                if r is UNDEFINED:
+                    rep.add("G3-total-on-fixers", (a, b, s), "identical updates cannot merge")
+                elif not (us.apply_interp(r, s) == s):
+                    rep.add("G3-closed-on-fixers", (a, b, s), f"merged update moves the state via {r!r}")
+    else:
+        raise ValueError(f"unknown condition {which!r}; expected G1, G2 or G3")
+    return rep
+
+
+def value_check_sufficient(us, which):
+    """Check a sufficient condition and its implication.
+
+    ``fine-enough``: any two updates sharing a possible result refine to
+    a common upper update sharing it; implies G1.  ``associative-join``:
+    merge is defined on comparable updates and associative including
+    definedness; implies G2.  When the sufficient condition holds on the
+    fixture, the implied condition is re-checked and any failure is
+    reported (it would indicate a checker bug).
+    """
+    rep = ValidationReport(subject=f"{which} on {us.name or 'update space'}")
+    if which == "fine-enough":
+        implied = "G1"
+        for s in us.states:
+            for u1, u2 in itertools.combinations_with_replacement(us.updates, 2):
+                shared = [s2 for s2 in value_ran(us, s, u1) if s2 in value_ran(us, s, u2)]
+                for s2 in shared:
+                    refinements = [
+                        u
+                        for u in us.updates
+                        if us.order.le(u1, u) and us.order.le(u2, u) and s2 in value_ran(us, s, u)
+                    ]
+                    if not refinements:
+                        rep.add("fine-enough", (s, u1, u2, s2), "no common refinement reaches the shared result")
+    elif which == "associative-join":
+        implied = "G2"
+        for u1, u2 in itertools.product(us.updates, repeat=2):
+            if (us.order.le(u1, u2) or us.order.le(u2, u1)) and us.order.merge(u1, u2) is UNDEFINED:
+                rep.add("comparable-merge-defined", (u1, u2))
+        for u1, u2, u3 in itertools.product(us.updates, repeat=3):
+            m23 = us.order.merge(u2, u3)
+            left = us.order.merge(u1, m23) if m23 is not UNDEFINED else UNDEFINED
+            m12 = us.order.merge(u1, u2)
+            right = us.order.merge(m12, u3) if m12 is not UNDEFINED else UNDEFINED
+            if (left is UNDEFINED) != (right is UNDEFINED) or (
+                left is not UNDEFINED and not (left == right)
+            ):
+                rep.add("merge-associative", (u1, u2, u3), f"{left!r} vs {right!r}")
+    else:
+        raise ValueError(f"unknown sufficient condition {which!r}")
+    if rep.ok:
+        implied_rep = value_check_condition(us, implied)
+        for v in implied_rep.violations:
+            rep.add(f"implication-{implied}", v.witness, "sufficient condition held but implied condition failed")
+    return rep
+
+
+def unordered_ran_space():
+    """Two updates that share two results, reached in an order that is not
+    the states' order (``ran(s, a)`` is ``[t2, t1]``), and whose merge
+    reaches neither: G1 and fine-enough each report both lost results."""
+    updates = ["a", "b", "ab", "a2", "b2"]
+    le = [("a", "ab"), ("b", "ab"), ("a", "a2"), ("b", "b2")] + [(u, u) for u in updates]
+    merges = []
+    for x, y in itertools.product(updates, repeat=2):
+        bounds = [z for z in updates if (x, z) in le and (y, z) in le]
+        merges += [(x, y, z) for z in bounds if all((z, w) in le for w in bounds)]
+    return UpdateSpace(
+        states=["s", "t1", "t2"],
+        updates=updates,
+        u_le=le,
+        u_merge=merges,
+        interp=[("a", "s", "t2"), ("a2", "s", "t1"), ("b", "s", "t1"), ("b2", "s", "t2")],
+        name="unordered-ran",
+    )
+
+
+def assert_conditions_match_the_value_loops(us):
+    """Equal reports from every condition, and equal ``ran`` everywhere; the number of violations."""
+    violations = 0
+    for check, oracle, names in (
+        (check_condition, value_check_condition, ["G1", "G2", "G3"]),
+        (check_sufficient, value_check_sufficient, ["fine-enough", "associative-join"]),
+    ):
+        for which in names:
+            new, old = check(us, which), oracle(us, which)
+            assert new == old and str(new) == str(old), (which, dump_update_space(us))
+            violations += len(new.violations)
+    for s, u in itertools.product(us.states, us.updates):
+        assert ran(us, s, u) == value_ran(us, s, u), (s, u)
+    return violations
+
+
+def test_conditions_match_the_value_loops_on_every_update_space():
+    spaces = update_spaces() + [unordered_ran_space()]
+    assert sum(map(assert_conditions_match_the_value_loops, spaces)) > 100
+    report = check_condition(unordered_ran_space(), "G1")
+    # (a, b) walks ran(s, a) and (b, a) walks ran(s, b); the states' order would give t1, t2 twice
+    assert [v.witness[1:] for v in report.violations] == [("a", "b", "t2"), ("a", "b", "t1"), ("b", "a", "t1"), ("b", "a", "t2")]
+
+
+@given(three_update_spaces())
+def test_conditions_match_the_value_loops_on_three_update_spaces(us):
+    assert_conditions_match_the_value_loops(us)
 
 
 # ---------------------------------------------------------------------------

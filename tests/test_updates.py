@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import time
 
 import pytest
 from hypothesis import given
@@ -318,6 +319,18 @@ def test_conditions_imply_duplicability_on_enumerated_spaces():
     assert satisfied >= 20
 
 
+def test_duplicability_lemma_at_three_ids():
+    # the task deltas over 3 ids: 27 states and 64 updates, a generated domain of 1755 elements
+    us = delta_update_space(["a", "b", "c"], DESK)
+    start = time.perf_counter()
+    reports = [check_condition(us, w) for w in ["G1", "G2", "G3"]]
+    reports += [check_sufficient(us, w) for w in ["fine-enough", "associative-join"]]
+    seconds = time.perf_counter() - start
+    assert [str(r) for r in reports if not r.ok] == []
+    assert check_duplicable(gen_iposet(us)).ok
+    assert seconds <= 2.0  # about 25 s through the value-level loops; about 0.1 s on the reach rows
+
+
 def test_conditions_hold_vacuously_without_updates():
     us = UpdateSpace(["s1", "s2"], [], [], [], [], name="no-updates")
     for which in ["G1", "G2", "G3"]:
@@ -545,6 +558,12 @@ def test_erasure_matches_oracle_on_three_update_spaces(us):
 @given(three_update_spaces())
 def test_generated_domain_satisfies_order_axioms_on_three_update_spaces(us):
     assert_generated_order_axioms(us)
+
+
+@given(three_update_spaces())
+def test_conditions_imply_duplicability_on_three_update_spaces(us):
+    if all(check_condition(us, w).ok for w in ["G1", "G2", "G3"]):
+        assert check_duplicable(gen_iposet(us)).ok, dump_update_space(us)
 
 
 # ---------------------------------------------------------------------------
