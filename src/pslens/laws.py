@@ -491,12 +491,9 @@ def recheck_counterexample(
     Runs the law's own scanner at the witness alone and returns True when
     that instance is false, i.e. the counterexample is genuine.
     ``put-determines-get`` takes a maximum over the whole universe, so it
-    is rerun on ``source`` and ``view`` instead.  When both domains are
-    tables, the witness is located in the carriers' own rows; otherwise
-    rows are grown from the witness values alone (a product or sum
-    derives its rows on every call, which costs more than that).  Like
-    :func:`check_laws`, raises ``ValueError("broken lens ...")`` when
-    ``get`` or ``put`` leaves its carrier.
+    is rerun on ``source`` and ``view`` instead.  Like :func:`check_laws`,
+    raises ``ValueError("broken lens ...")`` when ``get`` or ``put``
+    leaves its carrier.
     """
     if report.holds or report.counterexample is None:
         raise ValueError("report carries no counterexample")
@@ -505,9 +502,7 @@ def recheck_counterexample(
     if law is LawId.PUT_DETERMINES_GET:
         rerun = check_law(lens, law, source, view)
         return (not rerun.holds) and rerun.counterexample["s"] == w["s"]
-    tables = isinstance(lens.source, FiniteIPoset) and isinstance(lens.view, FiniteIPoset)
-    carriers = (lens.source.elements, lens.view.elements) if tables else ([], [])
-    return _scan(_Ctx(lens, *carriers, tables), law.value, w) is not None
+    return _scan(_Ctx(lens, [], [], False), law.value, w) is not None
 
 
 def check_composition_closure(

@@ -1,9 +1,11 @@
-"""Shared fixtures: the generated lens family of acceptance criteria 4 and 5."""
+"""Shared fixtures: the generated lens family of acceptance criteria 4 and 5,
+and the hypothesis strategy of three-update spaces."""
 
 import collections
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from pslens.iposet import (
     UNDEFINED,
@@ -17,6 +19,7 @@ from pslens.iposet import (
     structurally_equal,
 )
 from pslens.lens import compose, constant_lens, dup_lens, identity_lens, product_lens, untag_s
+from pslens.updates import UpdateSpace
 
 
 def _chain(n, name):
@@ -107,3 +110,28 @@ def closure_pool():
     pool = singles + products + compositions
     assert len(pool) > 100
     return pool
+
+
+THREE_UPDATE_ORDERS = {
+    "vee": [("u0", "u2"), ("u1", "u2")],
+    "wedge": [("u0", "u1"), ("u0", "u2")],
+    "chain": [("u0", "u1"), ("u1", "u2"), ("u0", "u2")],
+}
+
+
+@st.composite
+def three_update_spaces(draw):
+    """Vee, wedge and chain orders on three updates with their join as
+    merge, over one to three states, with a random partial ``interp``."""
+    updates = ["u0", "u1", "u2"]
+    u_le = THREE_UPDATE_ORDERS[draw(st.sampled_from(sorted(THREE_UPDATE_ORDERS)))]
+    le = set(u_le) | {(u, u) for u in updates}
+    u_merge = []
+    for a, b in itertools.product(updates, repeat=2):
+        bounds = [c for c in updates if (a, c) in le and (b, c) in le]
+        u_merge += [(a, b, c) for c in bounds if all((c, d) in le for d in bounds)]
+    states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
+    outcomes = draw(st.lists(st.sampled_from([None] + states), min_size=3 * len(states), max_size=3 * len(states)))
+    slots = [(u, s) for u in updates for s in states]
+    interp = [(u, s, r) for (u, s), r in zip(slots, outcomes) if r is not None]
+    return UpdateSpace(states, updates, u_le, u_merge, interp)

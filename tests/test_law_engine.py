@@ -439,7 +439,7 @@ def test_exhaustive_checks_read_rows_and_ask_the_domain_nothing():
 
 
 def test_row_scanners_at_a_witness_give_it_back():
-    # recheck_counterexample grows rows from the witness unless both domains are tables; this reads the carriers' rows
+    # recheck_counterexample runs the scanners on rows grown from the witness; this runs them on the carrier's rows
     scanned = 0
     for lens in [product_and_compose_lens(), COLLAPSE] + [f.lens for f in fixture_lenses().values()]:
         for report in check_laws(lens):

@@ -75,8 +75,7 @@ from pslens.updates import (
     ran,
 )
 
-from conftest import _chain, closure_candidates, generated_iposets
-from test_updates import three_update_spaces
+from conftest import _chain, closure_candidates, generated_iposets, three_update_spaces
 
 TODAY = "2025-04-01"
 DESK = [TaskRecord(False, "write", TODAY), TaskRecord(True, "rest", "2025-04-02")]

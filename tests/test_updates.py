@@ -57,6 +57,8 @@ from pslens.updates import (
     su_initiator,
 )
 
+from conftest import three_update_spaces
+
 U_LAWS = [LawId.PS_ACCEPTABILITY, LawId.PS_CONSISTENCY]
 
 # the one-id instance of the task deltas: its two tables and three deltas
@@ -523,31 +525,6 @@ def assert_erasure_matches_oracle(us):
 def test_erasure_matches_oracle_on_enumerated_spaces_and_fixtures():
     for us in update_spaces():
         assert_erasure_matches_oracle(us)
-
-
-THREE_UPDATE_ORDERS = {
-    "vee": [("u0", "u2"), ("u1", "u2")],
-    "wedge": [("u0", "u1"), ("u0", "u2")],
-    "chain": [("u0", "u1"), ("u1", "u2"), ("u0", "u2")],
-}
-
-
-@st.composite
-def three_update_spaces(draw):
-    """Vee, wedge and chain orders on three updates with their join as
-    merge, over one to three states, with a random partial ``interp``."""
-    updates = ["u0", "u1", "u2"]
-    u_le = THREE_UPDATE_ORDERS[draw(st.sampled_from(sorted(THREE_UPDATE_ORDERS)))]
-    le = set(u_le) | {(u, u) for u in updates}
-    u_merge = []
-    for a, b in itertools.product(updates, repeat=2):
-        bounds = [c for c in updates if (a, c) in le and (b, c) in le]
-        u_merge += [(a, b, c) for c in bounds if all((c, d) in le for d in bounds)]
-    states = [f"s{i}" for i in range(draw(st.integers(1, 3)))]
-    outcomes = draw(st.lists(st.sampled_from([None] + states), min_size=3 * len(states), max_size=3 * len(states)))
-    slots = [(u, s) for u in updates for s in states]
-    interp = [(u, s, r) for (u, s), r in zip(slots, outcomes) if r is not None]
-    return UpdateSpace(states, updates, u_le, u_merge, interp)
 
 
 @given(three_update_spaces())
