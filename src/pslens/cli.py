@@ -30,7 +30,7 @@ import functools
 import io
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .iposet import UNDEFINED, _tokenize
@@ -172,7 +172,8 @@ def _parse_edit(session: Session, args: list[str]):
         og_view = session.views_of((key,))[0]
         if key not in og_view:
             raise CommandError(f"no task {key!r} in the ongoing view")
-        incoming = Delta(moves={key: replace(og_view[key], done=True)})
+        record = og_view[key]
+        incoming = Delta(moves={key: TaskRecord(True, record.name, record.due)})
     elif action == "postpone":
         if not (elaborated and side == "dt"):
             raise CommandError("postpone needs the elaborated pipeline and the dt view")
@@ -184,7 +185,8 @@ def _parse_edit(session: Session, args: list[str]):
             raise CommandError(f"no task {key!r} in the today view")
         if due == session.today:
             raise CommandError("postponing needs a different due date")
-        incoming = Delta(moves={key: replace(dt_view[key], due=due)})
+        record = dt_view[key]
+        incoming = Delta(moves={key: TaskRecord(record.done, record.name, due)})
     elif action == "file":
         if len(rest) != 1:
             raise CommandError("usage: edit og|dt file <path>")
@@ -229,9 +231,11 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         merged = domain.merge((session.staged_og, session.staged_dt)[i], incoming)
         if merged is UNDEFINED:
             raise CommandError(f"conflicting edits staged for the {side} view")
-        if side == "og":
-            return replace(session, staged_og=merged), ["staged for og view"]
-        return replace(session, staged_dt=merged), ["staged for dt view"]
+        og, dt = (merged, session.staged_dt) if side == "og" else (session.staged_og, merged)
+        return (
+            Session(session.variant, session.today, session.source, og, dt, session.text, session.unsaved),
+            [f"staged for {side} view"],
+        )
 
     if cmd == "put":
         if args:
@@ -249,7 +253,7 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
 
     if cmd == "reset":
         return (
-            replace(session, staged_og=Delta(), staged_dt=Delta()),
+            Session(session.variant, session.today, session.source, Delta(), Delta(), session.text, session.unsaved),
             ["staged deltas dropped"],
         )
 
@@ -263,7 +267,10 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
             raise CommandError(f"{args[0]}: {exc}") from None
         except OSError as exc:
             raise CommandError(str(exc)) from None
-        return replace(session, text=text, unsaved=frozenset()), [f"saved {args[0]}"]
+        return (
+            Session(session.variant, session.today, session.source, session.staged_og, session.staged_dt, text),
+            [f"saved {args[0]}"],
+        )
 
     if cmd == "laws":
         try:

@@ -91,6 +91,8 @@ class TaskRecord:
     due: str
 
     def __post_init__(self):
+        if type(self.done) is not bool:
+            raise ValueError(f"task done flag {self.done!r} is not a bool")
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("task name must be nonempty")
         check_date(self.due)
@@ -123,6 +125,10 @@ class Delta:
     in, so a realizing view lacks them.  The three id groups are
     pairwise disjoint by construction (rejected, not normalized, so no
     instruction silently wins).
+
+    A delta is checked once, where it enters: ``Delta(...)`` checks every
+    id and record (a ``str`` is not a collection of deletes), and
+    :meth:`_of` only the overlap of the id groups.
     """
 
     adds: dict
@@ -131,13 +137,24 @@ class Delta:
 
     def __init__(self, adds: Mapping = (), deletes: Iterable = (), moves: Mapping = ()):
         adds, moves = _check_table(adds, "adds"), _check_table(moves, "moves")
+        if isinstance(deletes, str):
+            raise ValueError(f"deletes must be a collection of task ids, not the string {deletes!r}")
         deletes = frozenset(deletes)
         _check_ids(deletes)
+        self._fill(adds, deletes, moves)
+
+    @classmethod
+    def _of(cls, adds: dict, deletes: frozenset, moves: dict) -> Delta:
+        """The unchecked positional entry, for a delta built from parts of checked
+        deltas: ``adds`` and ``moves`` are fresh task tables and ``deletes`` a
+        frozenset of task ids.  Overlapping id groups still raise ``ValueError``."""
+        return cls.__new__(cls)._fill(adds, deletes, moves)
+
+    def _fill(self, adds: dict, deletes: frozenset, moves: dict) -> Delta:
         if not (deletes.isdisjoint(adds) and deletes.isdisjoint(moves) and adds.keys().isdisjoint(moves)):
             raise ValueError("delta id groups overlap")
-        object.__setattr__(self, "adds", adds)
-        object.__setattr__(self, "deletes", deletes)
-        object.__setattr__(self, "moves", moves)
+        self.__dict__.update(adds=adds, deletes=deletes, moves=moves)  # frozen: no __setattr__
+        return self
 
     @property
     def ids(self) -> frozenset:
@@ -270,7 +287,7 @@ class FilterDomain(IPoset):
         if adds is None or moves is None:
             return UNDEFINED  # same id upserted with different records
         try:
-            return Delta(adds, a.deletes | b.deletes, moves)
+            return Delta._of(adds, a.deletes | b.deletes, moves)
         except ValueError:
             return UNDEFINED  # the union's id groups overlap
 
@@ -331,16 +348,16 @@ def filter_lens(view: FilterDomain, variant: str, name: str) -> PSLens:
         if isinstance(s, dict):
             return view.select(s)
         kept, rest = view.split(s.adds)
-        return Delta(kept, s.deletes, rest if elaborated else ())
+        return Delta._of(kept, s.deletes, rest if elaborated else {})
 
     def put(s, v):
         if not side.contains(v):
             return PutFailure(Reason.OUT_OF_DOMAIN, (s, v), (name,))
-        if not view.contains(v) or (isinstance(v, dict) and not isinstance(s, dict)):
+        if (side is not view and not view.contains(v)) or (isinstance(v, dict) and not isinstance(s, dict)):
             return PutFailure(Reason.GUARD_FAILED, (s, v), (name,))
         if isinstance(v, dict):
             return upsert(view.split(s)[1], v)
-        return Delta(upsert(v.adds, v.moves), v.deletes)
+        return Delta._of(upsert(v.adds, v.moves), v.deletes, {})
 
     return PSLens(_DT, side, get=get, put=put, name=name)
 

@@ -83,3 +83,40 @@ def test_check_accepts_every_committed_trajectory_file(tmp_path, capsys):
     assert trajectory.main(["--check", *committed]) == 0
     assert trajectory.main(["--check", str(bad)]) == 1
     assert "'seed' is missing" in capsys.readouterr().out
+
+
+def _point(tree, seed, passes, ops, p50, trace=0):
+    metrics = {**RESULT["metrics"], "ops_per_s": {"value": ops, "unit": "1/s"}, "op_ms_p50": {"value": p50, "unit": "ms"}}
+    return {**trajectory.parse_run(CANNED), "workload": "task-sync", "seed": seed, "trace": trace, "passes": passes,
+            "tree": tree, "metrics": metrics}
+
+
+def test_summary_pairs_runs_by_seed_and_order_and_counts_the_pairs_won(tmp_path, capsys):
+    points = [
+        _point("parent", 1, 10, 100, 1.0),
+        _point("change", 1, 11, 120, 0.9),
+        _point("change", 1, 13, 105, 1.0),  # pairs with the second parent run at seed 1
+        _point("parent", 1, 12, 110, 1.0),
+        _point("parent", 2, 14, 120, 1.0),
+        _point("change", 2, 15, 130, 0.8),
+        _point("parent", 2, 99, 1000, 9.0),  # no partner: left out
+        _point("change", 2, 99, 5000, 0.1, trace=1),  # traced: left out
+    ]
+    path = tmp_path / "BENCH_synthetic.json"
+    path.write_text(json.dumps(points))
+    assert trajectory.main(["--check", str(path)]) == 0
+    capsys.readouterr()
+    assert trajectory.main(["--summary", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == [
+        "#### task-sync: 3 pairs, seeds 1, 2",
+        "",
+        "| metric | parent median [q1, q3] | change median [q1, q3] | change vs parent | parent IQR | change won |",
+        "| --- | --- | --- | --- | --- | --- |",
+    ]
+    rows = {line.split(" | ")[0]: line for line in lines[4:] if line}
+    assert rows["| passes"] == "| passes | 12 [11, 13] | 13 [12, 14] | +8.3% | 16.7% |  |"
+    assert rows["| ops_per_s"] == "| ops_per_s | 110 [105, 115] | 120 [112.5, 125] | +9.1% | 9.1% | 2/3 |"
+    # lower is better, and a tie is not a win
+    assert rows["| op_ms_p50"] == "| op_ms_p50 | 1 [1, 1] | 0.9 [0.85, 0.95] | -10.0% | 0.0% | 2/3 |"
+    assert rows["| peak_rss_mb"] == "| peak_rss_mb | 30.95 [30.95, 30.95] | 30.95 [30.95, 30.95] | +0.0% | 0.0% | 0/3 |"

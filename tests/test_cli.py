@@ -345,8 +345,17 @@ SESSION_STEPS = st.one_of(
     st.tuples(st.just("complete"), KEYS),
     st.tuples(st.just("postpone"), KEYS, st.sampled_from(DUES[1:])),
     st.just(("put",)),
+    st.just(("reset",)),
     st.just(("save",)),
 )
+# the fields each command leaves as they were, kept as the very same objects
+KEPT = {
+    "edit og": ("variant", "today", "source", "staged_dt", "text", "unsaved"),
+    "edit dt": ("variant", "today", "source", "staged_og", "text", "unsaved"),
+    "put": ("variant", "today", "text"),
+    "reset": ("variant", "today", "source", "text", "unsaved"),
+    "save": ("variant", "today", "source", "staged_og", "staged_dt"),
+}
 
 
 @settings(max_examples=30, deadline=None)
@@ -365,7 +374,8 @@ SESSION_STEPS = st.one_of(
 )
 def test_preserved_lines_are_le_of_the_staged_deltas_after_every_put(tmp_path_factory, variant, rows, seed, steps):
     """Each successful ``put`` prints, per view, whether the delta staged
-    before it is below the full view of the new source."""
+    before it is below the full view of the new source.  Every command
+    keeps the session fields it does not change as the same objects."""
     domains = {"plain": (dt_domain(), dt_domain()), "elaborated": (dtog_domain(), dtdt_domain(TODAY))}[variant]
     saved = tmp_path_factory.mktemp("steps") / "saved.tasks"
     rng = random.Random(seed)
@@ -374,20 +384,22 @@ def test_preserved_lines_are_le_of_the_staged_deltas_after_every_put(tmp_path_fa
     for n, (kind, *args) in enumerate([*steps, ("put",)]):
         if kind == "add":
             side, key, due = args
-            line = f'edit {side} add {key} "edit {n}" {TODAY if side == "dt" else due}'
+            line, command = f'edit {side} add {key} "edit {n}" {TODAY if side == "dt" else due}', f"edit {side}"
         elif kind == "del":
-            line = f"edit {args[0]} del {args[1]}"
+            line, command = f"edit {args[0]} del {args[1]}", f"edit {args[0]}"
         elif kind == "complete":
-            line = f"edit og complete {args[0]}"
+            line, command = f"edit og complete {args[0]}", "edit og"
         elif kind == "postpone":
-            line = f"edit dt postpone {args[0]} {args[1]}"
+            line, command = f"edit dt postpone {args[0]} {args[1]}", "edit dt"
         else:
-            line = f"save {saved}" if kind == "save" else "put"
+            line, command = f"save {saved}" if kind == "save" else kind, kind
         before = session
         try:
             session, out = run_command(session, line)
         except CommandError:
             continue  # a conflicting or out-of-variant edit; the session is unchanged
+        replaced = [name for name in KEPT[command] if getattr(session, name) is not getattr(before, name)]
+        assert not replaced, (line, replaced)
         if kind == "put" and session is not before:
             staged = (before.staged_og, before.staged_dt)
             verdicts = ["yes" if d.le(delta, view) else "NO" for d, delta, view in zip(domains, staged, session.views)]

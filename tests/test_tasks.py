@@ -82,6 +82,19 @@ def test_record_validation():
         TaskRecord(False, "x", "April 1st")
 
 
+@pytest.mark.parametrize("done", ["false", 0, 1, None])
+def test_record_done_must_be_a_bool(done):
+    """A flag that is not a bool would save as ``true`` and load back unequal."""
+    with pytest.raises(ValueError, match="not a bool"):
+        TaskRecord(done, "x", TODAY)
+
+
+def test_delta_refuses_a_string_of_deletes():
+    with pytest.raises(ValueError, match="not the string"):
+        Delta(deletes="t1")
+    assert Delta(deletes=["t1"]).deletes == frozenset({"t1"})
+
+
 def test_delta_rejects_overlapping_instructions():
     with pytest.raises(ValueError):
         Delta({"a": EGG}, {"a"})
@@ -523,6 +536,34 @@ def test_pipeline_well_behaved_on_tiny_universe():
 # the domains of the two staged view deltas, per variant
 VIEW_DOMAINS = {"plain": (dt_domain(), dt_domain()), "elaborated": (dtog_domain(), dtdt_domain(TODAY))}
 VIEW_RECORDS = [rec(False, "n", TODAY), rec(True, "m", APR2), rec(False, "o", APR2), rec(True, "p", TODAY)]
+
+
+def test_unchecked_deltas_are_the_checked_ones_in_their_domain():
+    """``merge`` and the filters' ``get`` and ``put`` build deltas with the
+    unchecked ``Delta._of``: each is what ``Delta(...)`` builds from its
+    parts, and an element of the domain it belongs to."""
+    ids = ["a", "b"]
+    source = enumerate_dt_universe(ids, VIEW_RECORDS)
+    universes = {
+        dt_domain(): source,
+        dtog_domain(): enumerate_og_universe(ids, VIEW_RECORDS),
+        dtdt_domain(TODAY): enumerate_dtdt_universe(ids, VIEW_RECORDS, TODAY),
+    }
+    built = {}  # (how it was built, its domain) -> the deltas built so
+    for domain, universe in universes.items():
+        built[f"{domain.name} merge", domain] = [domain.merge(a, b) for a, b in itertools.product(universe, repeat=2)]
+    for variant in ["plain", "elaborated"]:
+        for lens in [filter_ongoing(variant), filter_today(variant, TODAY)]:
+            built[f"{lens.name} {variant} get", lens.view] = [lens.get(s) for s in source]
+            puts = [lens.put(s, v) for s in source for v in universes[lens.view]]
+            built[f"{lens.name} {variant} put", dt_domain()] = puts
+    for (how, domain), results in built.items():
+        deltas = [d for d in results if isinstance(d, Delta)]
+        assert deltas, how
+        for d in deltas:
+            assert d == Delta(d.adds, d.deletes, d.moves), (how, d)
+            assert (type(d.adds), type(d.deletes), type(d.moves)) == (dict, frozenset, dict), (how, d)
+            assert domain.contains(d), (how, d)
 
 
 @functools.cache

@@ -21,6 +21,20 @@ Check files against that schema (exit code 1 on the first bad file):
 
     python3 tools/bench_trajectory.py --check BENCH_*.json
 
+Summarize one file as Markdown tables, one per workload:
+
+    python3 tools/bench_trajectory.py --summary BENCH_<n>.json
+
+Untraced runs pair by workload, seed and order of appearance: the i-th
+run of one tree at a workload and seed pairs with the i-th run of every
+other tree there, and a run without a partner is left out.  For
+``passes`` and every end-to-end metric, a table gives each tree's median
+and quartiles over its paired runs (trees in order of first appearance)
+and, for each later tree, its median's change from the first tree's, the
+first tree's interquartile range relative to its median, and in how
+many pairs the later tree did better (strictly, in the metric's
+``better`` direction in ``BENCHMARK.json``).
+
 Standard library only; the bench itself is not changed or imported.
 """
 
@@ -29,8 +43,10 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import statistics
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,8 +75,13 @@ def parse_run(text: str) -> dict:
     return {**point, **result}
 
 
+def end_to_end() -> dict[str, str]:
+    """The end-to-end metric names, each with its ``better`` direction."""
+    return {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+
+
 def end_to_end_names() -> list[str]:
-    return [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    return list(end_to_end())
 
 
 def problems(points) -> list[str]:
@@ -86,6 +107,42 @@ def problems(points) -> list[str]:
             out += [f"[{k}] end-to-end metric {name!r} is missing" for name in names if name not in metrics]
         if extra := set(p) - set(HEADER) - set(RUN) - set(RESULT):
             out.append(f"[{k}] unknown keys {sorted(extra)}")
+    return out
+
+
+def _quartiles(values: list) -> list:
+    return statistics.quantiles(values if len(values) > 1 else values * 2, n=4, method="inclusive")
+
+
+def summary(points: list, better: dict[str, str]) -> list[str]:
+    """The Markdown lines of the ``--summary`` report of ``points`` (see the module docstring)."""
+    points = [p for p in points if p["trace"] == 0]
+    trees = list(dict.fromkeys(p["tree"] for p in points))
+    runs = defaultdict(list)  # (workload, seed, tree) -> its runs, in order of appearance
+    for p in points:
+        runs[p["workload"], p["seed"], p["tree"]].append(p)
+    out = []
+    for workload in dict.fromkeys(p["workload"] for p in points):
+        seeds = list(dict.fromkeys(p["seed"] for p in points if p["workload"] == workload))
+        pairs = [pair for seed in seeds for pair in zip(*(runs[workload, seed, t] for t in trees))]
+        if not pairs:
+            continue
+        later = trees[1:]
+        out += [f"#### {workload}: {len(pairs)} pairs, seeds {', '.join(map(str, seeds))}", "",
+                "| metric | " + " | ".join(f"{t} median [q1, q3]" for t in trees) + " | "
+                + " | ".join(f"{t} vs {trees[0]} | {trees[0]} IQR | {t} won" for t in later) + " |",
+                "| --- " * (1 + len(trees) + 3 * len(later)) + "|"]
+        for name in ["passes", *better]:
+            values = [[run["passes"] if name == "passes" else run["metrics"][name]["value"] for run in tree_runs]
+                      for tree_runs in zip(*pairs)]
+            quartiles = [_quartiles(v) for v in values]
+            cells = [f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]" for q in quartiles]
+            base, sign = quartiles[0], 1 if better.get(name) == "higher" else -1
+            for v, q in zip(values[1:], quartiles[1:]):
+                won = f"{sum(sign * (b - a) > 0 for a, b in zip(values[0], v))}/{len(v)}" if name in better else ""
+                cells += [f"{q[1] / base[1] - 1:+.1%}", f"{(base[2] - base[0]) / base[1]:.1%}", won]
+            out.append(f"| {name} | " + " | ".join(cells) + " |")
+        out.append("")
     return out
 
 
@@ -119,7 +176,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--check", nargs="+", metavar="FILE", help="check these files instead of collecting")
+    parser.add_argument("--summary", metavar="FILE", help="summarize this file instead of collecting")
     args = parser.parse_args(argv)
+    if args.summary:
+        print("\n".join(summary(json.loads(Path(args.summary).read_text()), end_to_end())))
+        return 0
     if args.check:
         for path in args.check:
             try:
