@@ -172,8 +172,7 @@ def _parse_edit(session: Session, args: list[str]):
         og_view = session.views_of((key,))[0]
         if key not in og_view:
             raise CommandError(f"no task {key!r} in the ongoing view")
-        record = og_view[key]
-        incoming = Delta(moves={key: TaskRecord(True, record.name, record.due)})
+        incoming = Delta(moves={key: TaskRecord(True, og_view[key].name, og_view[key].due)})
     elif action == "postpone":
         if not (elaborated and side == "dt"):
             raise CommandError("postpone needs the elaborated pipeline and the dt view")
@@ -185,8 +184,7 @@ def _parse_edit(session: Session, args: list[str]):
             raise CommandError(f"no task {key!r} in the today view")
         if due == session.today:
             raise CommandError("postponing needs a different due date")
-        record = dt_view[key]
-        incoming = Delta(moves={key: TaskRecord(record.done, record.name, due)})
+        incoming = Delta(moves={key: TaskRecord(dt_view[key].done, dt_view[key].name, due)})
     elif action == "file":
         if len(rest) != 1:
             raise CommandError("usage: edit og|dt file <path>")

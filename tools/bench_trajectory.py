@@ -80,16 +80,12 @@ def end_to_end() -> dict[str, str]:
     return {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
 
-def end_to_end_names() -> list[str]:
-    return list(end_to_end())
-
-
 def problems(points) -> list[str]:
     """What makes ``points`` not a list of trajectory objects (empty when it is one)."""
     if not isinstance(points, list) or not points:
         return ["not a non-empty JSON list"]
     out = []
-    names = end_to_end_names()
+    names = end_to_end()
     for k, p in enumerate(points):
         if not isinstance(p, dict):
             out.append(f"[{k}] is not an object")
@@ -114,8 +110,9 @@ def _quartiles(values: list) -> list:
     return statistics.quantiles(values if len(values) > 1 else values * 2, n=4, method="inclusive")
 
 
-def summary(points: list, better: dict[str, str]) -> list[str]:
+def summary(points: list) -> list[str]:
     """The Markdown lines of the ``--summary`` report of ``points`` (see the module docstring)."""
+    better = end_to_end()
     points = [p for p in points if p["trace"] == 0]
     trees = list(dict.fromkeys(p["tree"] for p in points))
     runs = defaultdict(list)  # (workload, seed, tree) -> its runs, in order of appearance
@@ -179,7 +176,7 @@ def main(argv=None) -> int:
     parser.add_argument("--summary", metavar="FILE", help="summarize this file instead of collecting")
     args = parser.parse_args(argv)
     if args.summary:
-        print("\n".join(summary(json.loads(Path(args.summary).read_text()), end_to_end())))
+        print("\n".join(summary(json.loads(Path(args.summary).read_text()))))
         return 0
     if args.check:
         for path in args.check:
