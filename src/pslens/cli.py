@@ -211,6 +211,8 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         return new_session(session.variant, session.today, source), [f"loaded {len(source)} task(s)"]
 
     if cmd == "show":
+        if args:
+            raise CommandError("usage: show")
         og_view, dt_view = session.views
         out = ["source:"] + _render_tasks(session.source)
         out += ["ongoing view:"] + _render_tasks(og_view)
@@ -250,6 +252,8 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         return fresh, out
 
     if cmd == "reset":
+        if args:
+            raise CommandError("usage: reset")
         return (
             Session(session.variant, session.today, session.source, Delta(), Delta(), session.text, session.unsaved),
             ["staged deltas dropped"],

@@ -26,6 +26,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib import resources
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 
@@ -877,3 +878,8 @@ def load_iposet(text: str, name: str = "") -> FiniteIPoset:
     els = [e for (e,) in lines["elem"]]
     le, idr = (lines[tag] + [(e, e) for e in els] for tag in ("le", "id"))
     return FiniteIPoset(els, le, idr, lines["merge"] or None, name=name)
+
+
+def _load_fixture(filename: str, load: Callable[..., Any], name: str) -> Any:
+    """``load(text, name=name)`` of a file packaged under ``pslens/fixtures``."""
+    return load(resources.files("pslens").joinpath("fixtures", filename).read_text(), name=name)

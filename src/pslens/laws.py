@@ -22,14 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from typing import Any, Callable, Iterator, Optional
 
 from .iposet import (
     ElementIndex,
-    FiniteIPoset,
     IPoset,
     _bits,
+    _load_fixture,
     discrete,
     lift_omega,
     load_iposet,
@@ -579,11 +578,6 @@ class LensFixture:
     note: str = ""
 
 
-def _load_fixture_domain(filename: str, name: str) -> FiniteIPoset:
-    text = resources.files("pslens").joinpath("fixtures", filename).read_text()
-    return load_iposet(text, name=name)
-
-
 def fixture_lenses() -> dict[str, LensFixture]:
     """The regression catalog: lawful primitives plus the deviant trio.
 
@@ -591,11 +585,11 @@ def fixture_lenses() -> dict[str, LensFixture]:
     exhaustively.  The tabled domains load from the packaged fixture
     files (the same text format the serializer emits).
     """
-    unit = _load_fixture_domain("unit.iposet", "unit")
-    unit_omega = _load_fixture_domain("unit_omega.iposet", "unit_omega")
-    bool_omega = _load_fixture_domain("bool_omega.iposet", "bool_omega")
-    counter = _load_fixture_domain("counter_chain.iposet", "counter_chain")
-    nat_omega = _load_fixture_domain("nat_omega.iposet", "nat_omega")
+    unit = _load_fixture("unit.iposet", load_iposet, "unit")
+    unit_omega = _load_fixture("unit_omega.iposet", load_iposet, "unit_omega")
+    bool_omega = _load_fixture("bool_omega.iposet", load_iposet, "bool_omega")
+    counter = _load_fixture("counter_chain.iposet", load_iposet, "counter_chain")
+    nat_omega = _load_fixture("nat_omega.iposet", load_iposet, "nat_omega")
 
     pair_omega = product_iposet(
         lift_omega(discrete([1]), name="one_omega"),

@@ -51,6 +51,7 @@ from .iposet import (
     _bits,
     _distinct,
     _is_bare_token,
+    _load_fixture,
     _merges,
     _read_declared,
     discrete,
@@ -404,47 +405,17 @@ def check_state_elimination(us: UpdateSpace) -> ValidationReport:
 
 def g1_violation_space() -> UpdateSpace:
     """Sound merge whose merged update loses a shared possible result."""
-    return UpdateSpace(
-        states=["s", "t", "x"],
-        updates=["u1", "u2", "u12"],
-        u_le=[("u1", "u12"), ("u2", "u12")],
-        u_merge=[("u1", "u2", "u12"), ("u2", "u1", "u12")]
-        + [(u, u, u) for u in ["u1", "u2", "u12"]]
-        + [("u1", "u12", "u12"), ("u12", "u1", "u12"), ("u2", "u12", "u12"), ("u12", "u2", "u12")],
-        interp=[("u1", "s", "t"), ("u2", "s", "t"), ("u12", "s", "x")],
-        name="g1-violation",
-    )
+    return _load_fixture("g1_violation.uspace", load_update_space, "g1-violation")
 
 
 def g2_violation_space() -> UpdateSpace:
     """Merge undefined between two updates below a common bound."""
-    merges = [(u, u, u) for u in ["a", "b", "top"]]
-    merges += [("a", "top", "top"), ("top", "a", "top"), ("b", "top", "top"), ("top", "b", "top")]
-    return UpdateSpace(
-        states=["s1", "s2"],
-        updates=["a", "b", "top"],
-        u_le=[("a", "top"), ("b", "top")],
-        u_merge=merges,
-        interp=[("a", "s1", "s2"), ("b", "s1", "s2"), ("top", "s1", "s2"), ("top", "s2", "s2")],
-        name="g2-violation",
-    )
+    return _load_fixture("g2_violation.uspace", load_update_space, "g2-violation")
 
 
 def g3_violation_space() -> UpdateSpace:
-    """Two distinct identical updates that cannot merge.
-
-    The shape of tagged-sequence updates: insert-then-remove and
-    remove-then-insert of the same item both fix a state, but no single
-    update merges them.
-    """
-    return UpdateSpace(
-        states=["s"],
-        updates=["ins-del", "del-ins"],
-        u_le=[],
-        u_merge=[("ins-del", "ins-del", "ins-del"), ("del-ins", "del-ins", "del-ins")],
-        interp=[("ins-del", "s", "s"), ("del-ins", "s", "s")],
-        name="g3-violation",
-    )
+    """Two distinct identical updates that cannot merge."""
+    return _load_fixture("g3_violation.uspace", load_update_space, "g3-violation")
 
 
 def enumerate_update_spaces() -> Iterator[UpdateSpace]:

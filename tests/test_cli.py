@@ -323,6 +323,45 @@ def test_unknown_command():
         run_command(new_session("plain", TODAY), "frobnicate")
 
 
+@pytest.mark.parametrize(
+    "variant, line, message",
+    [
+        ("plain", "load {tmp}/bad.tasks", "{tmp}/bad.tasks: line 2: cannot parse 'task b false'"),
+        ("plain", "edit og file {tmp}/bad.delta", "{tmp}/bad.delta: line 1: cannot parse 'upsert b'"),
+        ("elaborated", "edit dt file {tmp}/bad.delta", "{tmp}/bad.delta: line 1: cannot parse 'upsert b'"),
+        ("plain", "edit og", "usage: edit og|dt add|del|complete|postpone|file ..."),
+        ("plain", 'edit xx add 006 "x" 2025-04-01', "usage: edit og|dt add|del|complete|postpone|file ..."),
+        ("plain", "edit og del", "usage: edit og|dt del <id>"),
+        ("elaborated", "edit og complete", "usage: edit og complete <id>"),
+        ("elaborated", "edit dt postpone 003", "usage: edit dt postpone <id> <new-due>"),
+        ("elaborated", "edit dt postpone 003 2025-04-01", "postponing needs a different due date"),
+        ("plain", "edit og file", "usage: edit og|dt file <path>"),
+        ("plain", "edit og frob 003", "unknown edit action 'frob'"),
+        ("plain", "load", "usage: load <file>"),
+        ("plain", "show extra", "usage: show"),
+        ("plain", "put x", "usage: put"),
+        ("plain", "reset extra", "usage: reset"),
+        ("plain", "save", "usage: save <file>"),
+        ("plain", "save {tmp}/missing/out.tasks", "[Errno 2] No such file or directory: '{tmp}/missing/out.tasks'"),
+    ],
+)
+def test_command_errors_give_their_exact_message(tmp_path, variant, line, message):
+    (tmp_path / "bad.tasks").write_text('task a false "x" 2025-04-01\ntask b false\n')
+    (tmp_path / "bad.delta").write_text("upsert b\n")
+    session = load_initial(new_session(variant, TODAY))
+    with pytest.raises(CommandError) as info:
+        run_command(session, line.format(tmp=tmp_path))
+    assert str(info.value) == message.format(tmp=tmp_path)
+
+
+def test_a_law_suite_failure_in_a_script_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("pslens.cli.run_fixture_suite", lambda names=None: (["boom [UNEXPECTED]"], False))
+    script = tmp_path / "laws.script"
+    script.write_text("show\nlaws\n")
+    assert main(["--script", str(script)]) == 2
+    assert capsys.readouterr().err == "boom [UNEXPECTED]\n"
+
+
 def test_run_lines_threads_sessions():
     session = new_session("plain", TODAY)
     out = []

@@ -8,7 +8,6 @@ fixture, valid or broken.
 import collections
 import itertools
 import re
-from importlib import resources
 
 import pytest
 from hypothesis import given
@@ -52,7 +51,7 @@ from pslens.updates import (
     gen_iposet,
 )
 
-from conftest import closure_candidates, generated_iposets
+from conftest import chain, closure_candidates, generated_iposets, packaged_fixture_domains
 
 # ---------------------------------------------------------------------------
 # Independent oracles (kept deliberately naive)
@@ -119,14 +118,6 @@ def oracle_is_duplicable(els, le, idr, merge):
 # ---------------------------------------------------------------------------
 # Fixture tables
 # ---------------------------------------------------------------------------
-
-
-def chain(n, name="chain"):
-    """0 <= 1 <= ... with identical updates equal to the order."""
-    els = list(range(n))
-    le = [(a, b) for a in els for b in els if a <= b]
-    merge = [(a, b, max(a, b)) for a in els for b in els]
-    return FiniteIPoset(els, le, le, merge, name=name)
 
 
 def diamond():
@@ -715,11 +706,6 @@ def assert_checks_match_value_level(p):
     return any(not new.ok for new, _ in reports)
 
 
-def packaged_fixture_domains():
-    fixtures = resources.files("pslens").joinpath("fixtures")
-    return [load_iposet(f.read_text(), name=f.name) for f in fixtures.iterdir() if f.name.endswith(".iposet")]
-
-
 def test_checks_match_value_level_on_packaged_fixtures_and_powersets():
     domains = packaged_fixture_domains() + [powerset_iposet(range(n)) for n in (3, 4, 5)]
     assert len(domains) == 8
@@ -1025,8 +1011,7 @@ def test_structural_equality_matches_the_value_oracle_on_every_pair():
 
 
 def test_structural_equality_matches_the_value_oracle_on_closure_candidates():
-    small_primitives, products = closure_candidates(generated_iposets())
-    candidates = [lens for _, lens in small_primitives + products]
+    candidates = [lens for _, lens in closure_candidates()]
     assert len(candidates) == 702
     views, sources = [l.view for l in candidates], [l.source for l in candidates]
     got = [structurally_equal(v, s) for v in views for s in sources]

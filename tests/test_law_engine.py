@@ -22,7 +22,7 @@ from pslens.laws import (
     putput_probe,
     recheck_counterexample,
 )
-from pslens.lens import PSLens, compose, constant_lens, dup_lens, identity_lens, is_failure, product_lens
+from pslens.lens import PSLens, PutFailure, Reason, compose, constant_lens, dup_lens, identity_lens, is_failure, product_lens
 from pslens.tasks import (
     TaskRecord,
     enumerate_dt_universe,
@@ -31,6 +31,8 @@ from pslens.tasks import (
     filter_ongoing,
     filter_today,
 )
+
+from conftest import chain
 
 TODAY = "2025-04-01"
 RECORDS = [TaskRecord(False, "n", TODAY), TaskRecord(True, "m", "2025-04-02")]
@@ -469,6 +471,77 @@ def test_reports_own_their_counterexamples():
     reports[1].counterexample.clear()
     assert reports[2].counterexample == expected[2]
     assert check_laws(bad, laws)[0].counterexample == expected[0]
+
+
+# ---------------------------------------------------------------------------
+# Hand-made lenses for the scanner branches the catalog never reaches
+# ---------------------------------------------------------------------------
+
+
+def _stumbling_put(s, v):
+    # put(1, v) is undefined, which ps-stability skips as a failed hypothesis
+    return PutFailure(Reason.GUARD_FAILED, (s, v)) if s == 1 else {0: 1, 2: 0}[s]
+
+
+BRANCH_CASES = [
+    (
+        PSLens(chain(2, "two"), discrete(["a", "b"]), get=lambda s: "ab"[s], put=lambda s, v: s, name="antitone-get"),
+        LawId.GET_MONOTONE,
+        {"s": 0, "s'": 1, "get s": "a", "get s'": "b"},
+    ),
+    (
+        PSLens(discrete([0, 1]), discrete(["a", "b"]), get=lambda s: "ab"[s], put=lambda s, v: 1, name="lands-on-1"),
+        LawId.VIEW_STABILITY,
+        {"s": 0, "get s": "a", "get after round-trip": "b"},
+    ),
+    (
+        # put(0, v) = 1; s' = 1 is skipped, and s' = 2 puts back to 0, below s = 1
+        PSLens(chain(3, "three"), discrete(["v"]), get=lambda s: "v", put=_stumbling_put, name="stumbles"),
+        LawId.PS_STABILITY,
+        {"s0": 0, "v": "v", "s": 1, "s'": 2, "v''": "v", "s''": 0},
+    ),
+]
+
+
+@pytest.mark.parametrize("lens, law, witness", BRANCH_CASES, ids=[lens.name for lens, _, _ in BRANCH_CASES])
+def test_hand_made_lenses_fail_with_the_expected_witness(lens, law, witness):
+    report = check_law(lens, law)
+    assert not report.holds and report.counterexample == witness
+    assert recheck_counterexample(lens, report) and value_level_recheck(lens, report)
+
+
+def test_probe_reports_print_their_verdict_and_witness():
+    toggle = PSLens(discrete([0, 1]), discrete(["a", "b"]), get=lambda s: "a", put=lambda s, v: 1 - s if v == "a" else s)
+    probe = putput_probe(toggle)
+    assert probe == literal_putput_probe(toggle)
+    assert str(probe) == (
+        "putput (informational): does not hold [exhaustive finite: 2 source x 2 view] "
+        "counterexample: s0=0, v1='a', s1=1, v2='a', s2=0, shortcut put=1"
+    )
+    assert str(putput_probe(COLLAPSE)) == "putput (informational): holds [exhaustive finite: 3 source x 2 view]"
+
+
+GET_LEAVES = PSLens(discrete([0, 1]), discrete(["a"]), get=lambda s: "z", put=lambda s, v: s, name="get-leaves")
+PUT_LEAVES = PSLens(discrete([0, 1]), discrete(["a"]), get=lambda s: "a", put=lambda s, v: 7, name="put-leaves")
+LEAVES_AT_1 = LawReport(LawId.CLASSICAL_ACCEPTABILITY, False, {"s": 1, "v": "a", "put result": 1}, "sampled")
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: check_laws(GET_LEAVES), "broken lens 'get-leaves': get left the view carrier at 0"),
+        (lambda: check_laws(GET_LEAVES, source=[1], view=["a"]), "broken lens 'get-leaves': get left the view carrier at 1"),
+        (lambda: recheck_counterexample(GET_LEAVES, LEAVES_AT_1), "broken lens 'get-leaves': get left the view carrier at 1"),
+        (lambda: check_laws(PUT_LEAVES), "broken lens 'put-leaves': put left the source carrier at (0, 'a')"),
+        (lambda: check_laws(PUT_LEAVES, source=[1], view=["a"]), "broken lens 'put-leaves': put left the source carrier at (1, 'a')"),
+        (lambda: recheck_counterexample(PUT_LEAVES, LEAVES_AT_1), "broken lens 'put-leaves': put left the source carrier at (1, 'a')"),
+    ],
+    ids=["get-exhaustive", "get-sampled", "get-recheck", "put-exhaustive", "put-sampled", "put-recheck"],
+)
+def test_a_lens_that_leaves_its_carrier_is_a_broken_lens(check, message):
+    with pytest.raises(ValueError) as info:
+        check()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,7 @@
 
 import pytest
 
-from pslens.iposet import (
-    OMEGA,
-    FiniteIPoset,
-    discrete,
-    lift_omega,
-    product_iposet,
-)
+from pslens.iposet import discrete, lift_omega
 from pslens.lens import (
     PSLens,
     compose,
@@ -30,9 +24,7 @@ from pslens.laws import (
 )
 from pslens.tasks import tasks_domain
 
-
-def pair_omega():
-    return product_iposet(lift_omega(discrete([1])), lift_omega(discrete([2])), name="pair_omega")
+from conftest import pair_omega
 
 
 # ---------------------------------------------------------------------------

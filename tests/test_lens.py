@@ -35,18 +35,9 @@ from pslens.lens import (
 )
 from pslens.laws import LawId, check_law, check_laws, recheck_counterexample
 
+from conftest import chain, pair_omega
+
 U_LAWS = [LawId.PS_ACCEPTABILITY, LawId.PS_CONSISTENCY]
-
-
-def chain(n, name="chain"):
-    els = list(range(n))
-    le = [(a, b) for a in els for b in els if a <= b]
-    merge = [(a, b, max(a, b)) for a in els for b in els]
-    return FiniteIPoset(els, le, le, merge, name=name)
-
-
-def pair_omega():
-    return product_iposet(lift_omega(discrete([1])), lift_omega(discrete([2])), name="pair_omega")
 
 
 def same_put(r1, r2):

@@ -11,7 +11,6 @@ and the per-pair-memo law space, kept verbatim apart from their names.
 import itertools
 import random
 import time
-from importlib import resources
 
 import pytest
 from hypothesis import given
@@ -35,7 +34,6 @@ from pslens.iposet import (
     check_duplicable,
     discrete,
     lift_omega,
-    load_iposet,
     materialize,
     powerset_iposet,
     product_iposet,
@@ -75,7 +73,7 @@ from pslens.updates import (
     ran,
 )
 
-from conftest import _chain, closure_candidates, generated_iposets, three_update_spaces
+from conftest import chain, closure_candidates, generated_iposets, packaged_fixture_domains, three_update_spaces
 
 TODAY = "2025-04-01"
 DESK = [TaskRecord(False, "write", TODAY), TaskRecord(True, "rest", "2025-04-02")]
@@ -188,11 +186,6 @@ def assert_same_table(new, old):
     assert (new.least is None) == (old.least is None), old
 
 
-def packaged_fixture_domains():
-    fixtures = resources.files("pslens").joinpath("fixtures")
-    return [load_iposet(f.read_text(), name=f.name) for f in fixtures.iterdir() if f.name.endswith(".iposet")]
-
-
 def base_domains():
     """The packaged fixtures and the closure family's generated domains."""
     return packaged_fixture_domains() + generated_iposets()
@@ -227,7 +220,7 @@ def test_lift_omega_refuses_what_the_pair_builder_refuses():
         with pytest.raises(InvalidArgsError, match="already in carrier"):
             build(p, bottom=1)
     # a chain whose merge leaves the carrier: its lift has no table
-    open_merge = Escaping(_chain(2, "two"), 7)
+    open_merge = Escaping(chain(2, "two"), 7)
     for build in (lift_omega, pair_lift_omega):
         with pytest.raises(IPosetError, match="7 is not a carrier element"):
             build(open_merge)
@@ -439,7 +432,7 @@ def test_merge_checks_match_the_value_matrix():
     domains += [Asked(p) for p in domains]  # no rows, and merges asked of a table per pair
     desk = materialize(dt_domain(), enumerate_dt_universe(["a", "b"], DESK))
     domains += [desk, Asked(dt_domain(), desk.elements), Asked(dt_domain(), one_id_universe())]
-    domains += [Escaping(_chain(3, "chain-3"), 7), Escaping(_chain(3, "chain-3"), 1)]
+    domains += [Escaping(chain(3, "chain-3"), 7), Escaping(chain(3, "chain-3"), 1)]
     # two-element tables with every merge of the carrier, valid or not
     els = ["x", "y"]
     for le, merge in itertools.product(
@@ -839,13 +832,12 @@ def test_repeated_samples_keep_genuine_counterexamples():
 
 
 # ---------------------------------------------------------------------------
-# The closure pool pairs only candidates of one shape
+# The closure pool composes every type-correct pair of candidates, in order
 # ---------------------------------------------------------------------------
 
 
 def test_closure_pool_holds_the_compositions_of_every_candidate_pair(closure_pool):
-    small_primitives, products = closure_candidates(generated_iposets())
-    candidates = small_primitives + products
+    candidates = closure_candidates()
     names = [
         f"({n1} ; {n2})"
         for (n1, l1), (n2, l2) in itertools.product(candidates, repeat=2)

@@ -1,8 +1,11 @@
 """State-update-pair construction: generated domains, conditions, erasure."""
 
+import fnmatch
 import itertools
 import re
 import time
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -59,6 +62,7 @@ from pslens.updates import (
 
 from conftest import three_update_spaces
 
+REPO = Path(__file__).resolve().parent.parent
 U_LAWS = [LawId.PS_ACCEPTABILITY, LawId.PS_CONSISTENCY]
 
 # the one-id instance of the task deltas: its two tables and three deltas
@@ -310,6 +314,85 @@ def test_g3_violation_fixture():
     assert not report.ok
     assert any(v.axiom == "G3-total-on-fixers" for v in report.violations)
     assert not check_duplicable(gen_iposet(us)).ok
+
+
+# ---------------------------------------------------------------------------
+# packaged fixture files
+# ---------------------------------------------------------------------------
+
+G_SPACES = [g1_violation_space, g2_violation_space, g3_violation_space]
+
+# the str() of each space's G1-G3, fine-enough, associative-join and state-elimination
+# reports, pinned as the Python builders gave them before the spaces became packaged files
+G_SPACE_REPORTS = {
+    "g1-violation": [
+        "G1 on g1-violation: 2 violation(s)\n"
+        "  - G1-ran-respected: witness ('s', 'u1', 'u2', 't') (shared result lost by merged update)\n"
+        "  - G1-ran-respected: witness ('s', 'u2', 'u1', 't') (shared result lost by merged update)",
+        "G2 on g1-violation: ok",
+        "G3 on g1-violation: ok",
+        "fine-enough on g1-violation: 1 violation(s)\n"
+        "  - fine-enough: witness ('s', 'u1', 'u2', 't') (no common refinement reaches the shared result)",
+        "associative-join on g1-violation: ok",
+        "state elimination for g1-violation: 2 violation(s)\n"
+        "  - erased-merge-sound: witness (Upd(update='u1'), Upd(update='u2'), Upd(update='u12')) (join is UNDEFINED)\n"
+        "  - erased-merge-sound: witness (Upd(update='u2'), Upd(update='u1'), Upd(update='u12')) (join is UNDEFINED)",
+    ],
+    "g2-violation": [
+        "G1 on g2-violation: ok",
+        "G2 on g2-violation: 2 violation(s)\n"
+        "  - G2-total-on-downsets: witness ('a', 'b', 'top') (merge undefined below a common bound)\n"
+        "  - G2-total-on-downsets: witness ('b', 'a', 'top') (merge undefined below a common bound)",
+        "G3 on g2-violation: ok",
+        "fine-enough on g2-violation: ok",
+        "associative-join on g2-violation: 4 violation(s)\n"
+        "  - merge-associative: witness ('a', 'b', 'top') ('top' vs UNDEFINED)\n"
+        "  - merge-associative: witness ('b', 'a', 'top') ('top' vs UNDEFINED)\n"
+        "  - merge-associative: witness ('top', 'a', 'b') (UNDEFINED vs 'top')\n"
+        "  - merge-associative: witness ('top', 'b', 'a') (UNDEFINED vs 'top')",
+        "state elimination for g2-violation: ok",
+    ],
+    "g3-violation": [
+        "G1 on g3-violation: ok",
+        "G2 on g3-violation: ok",
+        "G3 on g3-violation: 2 violation(s)\n"
+        "  - G3-total-on-fixers: witness ('ins-del', 'del-ins', 's') (identical updates cannot merge)\n"
+        "  - G3-total-on-fixers: witness ('del-ins', 'ins-del', 's') (identical updates cannot merge)",
+        "fine-enough on g3-violation: 1 violation(s)\n"
+        "  - fine-enough: witness ('s', 'ins-del', 'del-ins', 's') (no common refinement reaches the shared result)",
+        "associative-join on g3-violation: ok",
+        "state elimination for g3-violation: ok",
+    ],
+}
+
+
+def test_the_violation_spaces_report_as_their_builders_did():
+    for build in G_SPACES:
+        us = build()
+        reports = [check_condition(us, w) for w in ("G1", "G2", "G3")]
+        reports += [check_sufficient(us, w) for w in ("fine-enough", "associative-join")]
+        reports.append(check_state_elimination(us))
+        assert [str(r) for r in reports] == G_SPACE_REPORTS[us.name]
+    assert sorted(G_SPACE_REPORTS) == [build().name for build in G_SPACES]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_each_update_space_file_is_the_dump_of_the_space_it_loads(k):
+    text = resources.files("pslens").joinpath("fixtures", f"g{k}_violation.uspace").read_text()
+    assert text.startswith("# ")
+    body = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("#"))
+    assert body == dump_update_space(G_SPACES[k - 1]())
+
+
+def test_every_packaged_fixture_matches_a_package_data_glob():
+    # Tier-1 imports pslens from src/, so only this check sees a fixture that an installed package would lack
+    pyproject = (REPO / "pyproject.toml").read_text()
+    section = re.search(r"^\[tool\.setuptools\.package-data\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)[1]
+    globs = re.findall(r'"([^"]+)"', re.search(r"^pslens\s*=\s*\[(.*?)\]", section, re.M | re.S)[1])
+    package = REPO / "src" / "pslens"
+    files = [f.relative_to(package).as_posix() for f in (package / "fixtures").iterdir()]
+    assert len(files) == 8 and len(globs) == 2
+    assert [f for f in files if not any(fnmatch.fnmatchcase(f, g) for g in globs)] == []
 
 
 def test_conditions_imply_duplicability_on_enumerated_spaces():
