@@ -31,7 +31,7 @@ import io
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from .iposet import UNDEFINED, _tokenize
 from .laws import run_fixture_suite
@@ -39,6 +39,7 @@ from .lens import PSLens, is_failure
 from .tasks import (
     Delta,
     ParseError,
+    Table,
     TaskRecord,
     TaskText,
     dt_domain,
@@ -69,6 +70,10 @@ class Session:
     latter is the full views restricted to ``ids`` at O(|ids|) cost.
     The staged deltas are what the next ``put`` will propagate.
 
+    ``source`` is a persistent :class:`~pslens.tasks.Table`, adopted
+    with one copy: a ``put`` makes a new version of it at O(|delta|)
+    cost, and an older session still reads its own version.
+
     ``text.patch(source, unsaved)`` always renders as
     ``dump_tasks(source)``: ``text`` is the canonical text of the source
     as it was at the last load or save, and ``unsaved`` holds every id a
@@ -78,7 +83,7 @@ class Session:
 
     variant: str
     today: str
-    source: dict
+    source: Table
     staged_og: object
     staged_dt: object
     text: TaskText = field(repr=False)
@@ -101,10 +106,10 @@ def _pipeline(variant: str, today: str) -> PSLens:
     return task_pipeline(variant, today)
 
 
-def new_session(variant: str, today: str, source: Optional[dict] = None) -> Session:
+def new_session(variant: str, today: str, source: Optional[Mapping] = None) -> Session:
     _pipeline(variant, today)  # an unknown variant or a bad date fails here
     source = {} if source is None else source
-    return Session(variant, today, source, Delta(), Delta(), TaskText.of(source))
+    return Session(variant, today, Table.of(source), Delta(), Delta(), TaskText.of(source))
 
 
 def _render_tasks(t: dict) -> list[str]:

@@ -32,6 +32,7 @@ and ``put`` upserts the moves back.
 
 from __future__ import annotations
 
+import collections.abc
 import datetime
 import functools
 import itertools
@@ -99,7 +100,7 @@ class TaskRecord:
 
 
 def valid_tasks(t: Any) -> bool:
-    return isinstance(t, dict) and all(is_task_id(k) and isinstance(v, TaskRecord) for k, v in t.items())
+    return isinstance(t, (dict, Table)) and all(is_task_id(k) and isinstance(v, TaskRecord) for k, v in t.items())
 
 
 def _check_ids(ids: Iterable) -> None:
@@ -167,6 +168,102 @@ class Delta:
 # ---------------------------------------------------------------------------
 
 
+_ABSENT = object()  # an undo entry for an id its version lacks
+
+
+def _swap(data: dict, diff: dict) -> dict:
+    """Apply ``diff`` to ``data`` in place, in its order; the diff that undoes it."""
+    undo = {k: data.get(k, _ABSENT) for k in diff}
+    for k, r in diff.items():
+        if r is _ABSENT:
+            data.pop(k, None)
+        else:
+            data[k] = r
+    return undo
+
+
+class Table(collections.abc.Mapping):
+    """A persistent task table: updating one gives a new version, and
+    every version keeps its value.
+
+    The versions of one table share one dict, by rerooting (Baker,
+    "Shallow binding makes functional arrays fast", 1991).  The newest
+    version holds the dict; each older version holds an undo diff (id
+    to its record there, or :data:`_ABSENT`) and the next newer version.
+    Reading an older version reverses the diffs on its way to the newest
+    one and makes it the newest, so a step between neighbouring versions
+    costs the size of their diff.  Whole-table reads go to the dict.
+
+    A version shows its insertion order only while it is the newest;
+    equality and lookups do not depend on order.  Views and iterators
+    hold until another version of the table is read, and versions of
+    one table must not be read from two threads at once.
+    """
+
+    __slots__ = ("_data", "_next")
+    __hash__ = None
+
+    def __init__(self, t: Mapping = ()):
+        self._data, self._next = dict(t), None
+
+    @classmethod
+    def of(cls, t: Mapping) -> Table:
+        """``t`` itself if it is a table, else a table of a copy of ``t``."""
+        return t if isinstance(t, Table) else cls(t)
+
+    def _dict(self) -> dict:
+        """The shared dict, rerooted to this version."""
+        if self._next is None:
+            return self._data
+        path, node = [], self
+        while node._next is not None:
+            path.append(node)
+            node = node._next
+        data = node._data
+        for older in reversed(path):
+            node._data, node._next = _swap(data, older._data), older
+            node = older
+        self._data, self._next = data, None
+        return data
+
+    def updated(self, adds: Mapping, deletes: Iterable) -> Table:
+        """The version with ``adds`` upserted and then ``deletes`` removed;
+        O(|adds| + |deletes|), and this version becomes an undo diff."""
+        new = Table.__new__(Table)
+        new._data, new._next = self._dict(), None
+        self._data, self._next = _swap(new._data, {**adds, **dict.fromkeys(deletes, _ABSENT)}), new
+        return new
+
+    def __getitem__(self, k):
+        return self._dict()[k]
+
+    def __contains__(self, k):
+        return k in self._dict()
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __len__(self):
+        return len(self._dict())
+
+    def keys(self):
+        return self._dict().keys()
+
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._dict().values()
+
+    def __eq__(self, other):
+        if isinstance(other, Table):
+            other = dict(other.items())  # a copy, as two versions of one table cannot both be rerooted
+        return self._dict() == other
+
+    def __repr__(self):
+        return repr(self._dict())
+
+
 def upsert(t: Mapping, a: Mapping) -> dict:
     """Update-or-insert ``a`` into ``t``; on common ids, ``a`` wins."""
     return {**t, **a}
@@ -183,24 +280,18 @@ def _union(a: dict, b: dict) -> Optional[dict]:
     return {**a, **b}
 
 
-def apply_dt(v: Any, t: dict) -> dict:
+def apply_dt(v: Any, t: Mapping) -> Table:
     """Apply a source-domain element as an update to a proper table.
 
     A proper view replaces the table; a delta upserts its adds and then
     removes its deletes (order immaterial thanks to disjointness), so
-    only the ids the delta names change.  Beyond one C-level copy of
-    ``t``, a delta costs O(|delta|).  Total for every valid input.
+    only the ids the delta names change.  On a :class:`Table` a delta
+    costs O(|delta|): the result is a new version and ``t`` keeps its
+    value; any other table is copied once.  Total for every valid input.
     """
-    if isinstance(v, dict):
-        return dict(v)
     if isinstance(v, Delta):
-        # dict.copy clones a table that has had deletions; {**t} would re-insert every record
-        out = t.copy()
-        out.update(v.adds)
-        for k in v.deletes:
-            out.pop(k, None)
-        return out
-    raise TypeError(f"not a task-domain element: {v!r}")
+        return Table.of(t).updated(v.adds, v.deletes)
+    return Table.of(v)
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +358,21 @@ class FilterDomain(IPoset):
     def le(self, a, b):
         if isinstance(a, Delta) and isinstance(b, Delta):
             return table_subset(a.adds, b.adds) and table_subset(a.moves, b.moves) and a.deletes <= b.deletes
-        if isinstance(a, Delta) and isinstance(b, dict):
+        if isinstance(a, Delta):
             return table_subset(a.adds, b) and not any(k in b for k in (*a.deletes, *a.moves))
-        return isinstance(a, dict) and isinstance(b, dict) and a == b
+        return not isinstance(b, Delta) and a == b
 
     def ident(self, a, b):
-        if isinstance(a, Delta) and isinstance(b, dict):
+        if isinstance(a, Delta) and not isinstance(b, Delta):
             return not a.deletes and not a.moves and table_subset(a.adds, b)
         return self.le(a, b)
 
     def merge(self, a, b):
-        if isinstance(a, dict) and isinstance(b, dict):
+        if not isinstance(a, Delta) and not isinstance(b, Delta):
             return a if a == b else UNDEFINED
-        if isinstance(a, Delta) and isinstance(b, dict):
+        if not isinstance(b, Delta):
             return b if self.le(a, b) else UNDEFINED
-        if isinstance(a, dict) and isinstance(b, Delta):
+        if not isinstance(a, Delta):
             return a if self.le(b, a) else UNDEFINED
         adds, moves = _union(a.adds, b.adds), _union(a.moves, b.moves)
         if adds is None or moves is None:
@@ -345,7 +436,7 @@ def filter_lens(view: FilterDomain, variant: str, name: str) -> PSLens:
     side = view if elaborated else _DT
 
     def get(s):
-        if isinstance(s, dict):
+        if not isinstance(s, Delta):
             return view.select(s)
         kept, rest = view.split(s.adds)
         return Delta._of(kept, s.deletes, rest if elaborated else {})
@@ -353,9 +444,9 @@ def filter_lens(view: FilterDomain, variant: str, name: str) -> PSLens:
     def put(s, v):
         if not side.contains(v):
             return PutFailure(Reason.OUT_OF_DOMAIN, (s, v), (name,))
-        if (side is not view and not view.contains(v)) or (isinstance(v, dict) and not isinstance(s, dict)):
+        if (side is not view and not view.contains(v)) or (not isinstance(v, Delta) and isinstance(s, Delta)):
             return PutFailure(Reason.GUARD_FAILED, (s, v), (name,))
-        if isinstance(v, dict):
+        if not isinstance(v, Delta):
             return upsert(view.split(s)[1], v)
         return Delta._of(upsert(v.adds, v.moves), v.deletes, {})
 
