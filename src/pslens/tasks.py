@@ -183,21 +183,17 @@ def _swap(data: dict, diff: dict) -> dict:
 
 
 class Table(collections.abc.Mapping):
-    """A persistent task table: updating one gives a new version, and
-    every version keeps its value.
+    """A persistent task table: updating a version gives a new one, and
+    each version keeps its value.
 
-    The versions of one table share one dict, by rerooting (Baker,
-    "Shallow binding makes functional arrays fast", 1991).  The newest
-    version holds the dict; each older version holds an undo diff (id
-    to its record there, or :data:`_ABSENT`) and the next newer version.
-    Reading an older version reverses the diffs on its way to the newest
-    one and makes it the newest, so a step between neighbouring versions
-    costs the size of their diff.  Whole-table reads go to the dict.
-
-    A version shows its insertion order only while it is the newest;
-    equality and lookups do not depend on order.  Views and iterators
-    hold until another version of the table is read, and versions of
-    one table must not be read from two threads at once.
+    The versions share one dict by rerooting (Baker, "Shallow binding
+    makes functional arrays fast", 1991): the newest holds the dict, each
+    older one an undo diff (id to record, or ``_ABSENT``) and the next
+    newer version.  Reading an older version reverses the diffs between
+    it and the newest, at their size.  A version shows insertion order
+    only while it is the newest; its views and iterators hold until
+    another version is read, and versions of one table must not be read
+    from two threads at once.  Whole-table reads go to the dict.
     """
 
     __slots__ = ("_data", "_next")

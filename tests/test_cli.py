@@ -226,6 +226,19 @@ def test_edit_and_put_updates_source_and_views():
     assert session.staged_og == Delta()  # staging cleared after a successful put
 
 
+def test_a_session_keeps_its_source_when_the_caller_changes_the_dict_it_passed(tmp_path):
+    one = TaskRecord(False, "one", TODAY)
+    source = {"a": one}
+    session = new_session("plain", TODAY, source)
+    _, shown = run_command(session, "show")
+    source["b"] = TaskRecord(False, "two", TODAY)
+    assert len(session.source) == 1 and session.source == {"a": one}
+    assert run_command(session, "show")[1] == shown
+    saved = tmp_path / "saved.tasks"
+    run_command(session, f"save {saved}")
+    assert saved.read_bytes() == dump_tasks(session.source).encode() == dump_tasks({"a": one}).encode()
+
+
 def test_put_with_nothing_staged_is_identity():
     session = load_initial(new_session("plain", TODAY))
     before = session.source

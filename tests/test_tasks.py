@@ -16,6 +16,7 @@ from pslens.lens import initiator, is_failure, Reason
 from pslens.tasks import (
     Delta,
     ParseError,
+    Table,
     TaskRecord,
     TaskText,
     apply_dt,
@@ -165,6 +166,72 @@ def test_apply_dt_merged():
 def test_apply_dt_trivials():
     assert apply_dt(Delta(), S_TL) == S_TL
     assert apply_dt(dict(V_OG), S_TL) == V_OG  # proper state replaces outright
+
+
+# ---------------------------------------------------------------------------
+# persistent tables
+# ---------------------------------------------------------------------------
+
+TABLE_IDS = ["a", "b", "c", "d", "e"]
+TABLE_RECORDS = [rec(False, "x", TODAY), rec(True, "y", APR2), EGG]
+
+
+def assert_reads_as(t, model):
+    """``t`` answers every read as the plain dict ``model`` does."""
+    assert t == model and model == t and not t != model
+    assert len(t) == len(model) and dict(t) == model and sorted(t) == sorted(model)
+    for k in [*TABLE_IDS, "absent"]:
+        assert (k in t) == (k in model) and t.get(k) == model.get(k)
+        if k in model:
+            assert t[k] == model[k]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    initial=st.dictionaries(st.sampled_from(TABLE_IDS), st.sampled_from(TABLE_RECORDS)),
+)
+def test_table_versions_read_as_their_dict_models(data, initial):
+    """A random version tree built with ``apply_dt``: updates branch off
+    any version, overwrite present ids and delete absent ones, and the
+    versions are read in random order, so reroots run both ways.  After
+    every step each live version reads as its dict model, and a fresh
+    version has the insertion order of ``dict.copy``, ``update`` and
+    ``pop`` on the version it came from."""
+    ids, records = st.sampled_from(TABLE_IDS), st.sampled_from(TABLE_RECORDS)
+    versions = [(Table.of(initial), dict(initial))]
+    for _ in range(data.draw(st.integers(1, 12), label="steps")):
+        i = data.draw(st.integers(0, len(versions) - 1), label="version")
+        t, model = versions[i]
+        action = data.draw(st.sampled_from(["update", "read", "drop"]), label="action")
+        if action == "update":
+            adds = data.draw(st.dictionaries(ids, records, max_size=3), label="adds")
+            deletes = data.draw(st.frozensets(ids, max_size=3), label="deletes") - adds.keys()
+            expected = dict(t.items())  # reading t makes it the newest version
+            expected.update(adds)
+            for k in deletes:
+                expected.pop(k, None)
+            assert expected == {k: r for k, r in {**model, **adds}.items() if k not in deletes}
+            new = apply_dt(Delta(adds, deletes), t)
+            assert list(new) == list(expected)
+            versions.append((new, expected))
+        elif action == "read":
+            assert_reads_as(t, model)
+        elif len(versions) > 1:
+            del versions[i]
+        for j in data.draw(st.permutations(range(len(versions))), label="reads"):
+            assert_reads_as(*versions[j])
+
+
+def test_table_adoption_copies_a_mapping_once_and_keeps_a_table():
+    source = dict(S_TL)
+    t = Table.of(source)
+    assert Table.of(t) is t and t == source and repr(t) == repr(source)
+    source["004"] = EGG
+    assert t == S_TL and "004" not in t
+    assert apply_dt(t, S_TL) is t  # a proper table replaces the source as it is
+    with pytest.raises(TypeError):
+        hash(t)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +727,32 @@ def test_save_after_a_put_patches_the_kept_text_without_scanning_the_source(tmp_
     session, out = run_command(dataclasses.replace(session, source=NoScan(session.source)), f"save {saved}")
     assert out == [f"saved {saved}"] and saved.read_bytes() == expected
     assert str(session.text).encode() == expected and not session.unsaved
+
+
+@pytest.mark.parametrize("variant", ["plain", "elaborated"])
+def test_a_put_updates_the_source_dict_in_place_and_keeps_an_undo_diff(variant):
+    """No copy, pinned by structure rather than time: after a ``put`` on a
+    1e4-row session the new source holds the dict the old source held,
+    and the old source holds undo entries for the merged delta's ids
+    alone.  A second ``put`` from the old session gives what a put on a
+    copy of the table gives."""
+    source = {f"t{i:05d}": rec(i % 3 == 0, f"task {i}", (TODAY, APR2)[i % 2]) for i in range(10_000)}
+    lines = ["edit og del t00001", f'edit og add t00002 "renamed" {TODAY}', f'edit dt add new "fresh" {TODAY}']
+    lines += ["edit dt del absent"] + (["edit og complete t00004"] if variant == "elaborated" else [])
+    staged = run_lines(new_session(variant, TODAY, source), lines, out=io.StringIO())
+    storage = staged.source._data
+    after, out = run_command(staged, "put")
+    assert out[0] == "source now has 10000 task(s)"
+    assert after.source._data is storage and after.source._next is None
+    assert staged.source._next is after.source
+    assert staged.source._data.keys() == staged.staged_og.ids | staged.staged_dt.ids
+    expected = {**source, "t00002": rec(False, "renamed", TODAY), "new": rec(False, "fresh", TODAY)}
+    del expected["t00001"]
+    if variant == "elaborated":
+        expected["t00004"] = dataclasses.replace(source["t00004"], done=True)
+    again, _ = run_command(staged, "put")
+    assert again.source == after.source == expected and staged.source == source
+    assert dump_tasks(again.source) == dump_tasks(after.source) == dump_tasks(expected)
 
 
 def test_delta_ids_name_adds_deletes_and_moves():
