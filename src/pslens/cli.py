@@ -77,7 +77,8 @@ class Session:
     ``text.patch(source, unsaved)`` always renders as
     ``dump_tasks(source)``: ``text`` is the canonical text of the source
     as it was at the last load or save, and ``unsaved`` holds every id a
-    ``put`` has changed since.  A ``save`` writes the patched text and
+    ``put`` has changed since.  ``show`` renders the patched text, and a
+    ``save`` writes it, rebuilding only the blocks of those ids, and
     keeps it with an empty ``unsaved``.
     """
 
@@ -112,8 +113,8 @@ def new_session(variant: str, today: str, source: Optional[Mapping] = None) -> S
     return Session(variant, today, Table.of(source), Delta(), Delta(), TaskText.of(source))
 
 
-def _render_tasks(t: dict) -> list[str]:
-    return ["  " + line for line in dump_tasks(t).split("\n")[:-1]] or ["  (empty)"]
+def _render_tasks(text: str) -> list[str]:
+    return ["  " + line for line in text.split("\n")[:-1]] or ["  (empty)"]
 
 
 def _load(path: str, parse, *args):
@@ -219,9 +220,9 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         if args:
             raise CommandError("usage: show")
         og_view, dt_view = session.views
-        out = ["source:"] + _render_tasks(session.source)
-        out += ["ongoing view:"] + _render_tasks(og_view)
-        out += [f"today view ({session.today}):"] + _render_tasks(dt_view)
+        out = ["source:"] + _render_tasks(str(session.text.patch(session.source, session.unsaved)))
+        out += ["ongoing view:"] + _render_tasks(dump_tasks(og_view))
+        out += [f"today view ({session.today}):"] + _render_tasks(dump_tasks(dt_view))
         return session, out
 
     if cmd == "edit":
@@ -268,8 +269,8 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         if len(args) != 1:
             raise CommandError("usage: save <file>")
         text = session.text.patch(session.source, session.unsaved)
-        try:  # the text is encoded before the target is opened, so a failed encoding leaves it as it was
-            _overwrite(args[0], str(text).encode("utf-8"))
+        try:  # every block is encoded before the target is opened, so a failed encoding leaves it as it was
+            _overwrite(args[0], text.encoded())
         except UnicodeEncodeError as exc:
             raise CommandError(f"{args[0]}: {exc}") from None
         except OSError as exc:
