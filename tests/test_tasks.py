@@ -4,11 +4,13 @@ import dataclasses
 import functools
 import io
 import itertools
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pslens.tasks
 from pslens.cli import main, new_session, run_command, run_lines
 from pslens.iposet import UNDEFINED, check_duplicable, join, materialize
 from pslens.laws import LawId, check_law, check_laws
@@ -232,6 +234,20 @@ def test_table_adoption_copies_a_mapping_once_and_keeps_a_table():
     assert apply_dt(t, S_TL) is t  # a proper table replaces the source as it is
     with pytest.raises(TypeError):
         hash(t)
+
+
+def test_the_source_domain_reads_a_table_as_its_dict():
+    """``dt_domain`` selects a table version as a plain dict (its
+    ``Table.copy``), and answers for the version exactly as for that dict."""
+    older = Table.of(S_TL)
+    newer = apply_dt(W_MERGED, older)
+    for t in (older, newer, newer, older):  # each read reroots to the other version
+        model = dict(t.items())
+        selected = dt_domain().select(t)
+        assert type(selected) is dict and selected == model
+        assert dt_domain().contains(t) is dt_domain().contains(model) is True
+        assert dt_domain().split(t) == dt_domain().split(model) == (model, {})
+    assert not dt_domain().contains(Table({"001": "not a record"}))
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +743,82 @@ def test_save_after_a_put_patches_the_kept_text_without_scanning_the_source(tmp_
     session, out = run_command(dataclasses.replace(session, source=NoScan(session.source)), f"save {saved}")
     assert out == [f"saved {saved}"] and saved.read_bytes() == expected
     assert str(session.text).encode() == expected and not session.unsaved
+
+
+TEXT_IDS = st.sampled_from([f"k{i:02d}" for i in range(12)])
+TEXT_CHANGES = st.dictionaries(TEXT_IDS, st.none() | st.sampled_from(TABLE_RECORDS), max_size=5)
+
+
+def assert_renders(text, model, block):
+    """``text`` is the canonical text of ``model`` in sorted blocks of
+    one to ``block`` lines, each block's text the join of its lines."""
+    assert str(text) == dump_tasks(model) and text.encoded() == dump_tasks(model).encode()
+    assert [k for ids, _, _ in text.blocks for k in ids] == sorted(model)
+    assert text.firsts == [ids[0] for ids, _, _ in text.blocks]
+    for ids, lines, joined in text.blocks:
+        assert 0 < len(ids) == len(lines) <= block and joined == "".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    block=st.integers(1, 4),
+    initial=st.dictionaries(TEXT_IDS, st.sampled_from(TABLE_RECORDS)),
+    steps=st.lists(st.tuples(st.integers(0, 8), TEXT_CHANGES, st.lists(TEXT_IDS, max_size=2)), max_size=8),
+)
+@example(
+    block=2,
+    initial={},
+    steps=[
+        (0, {"k05": EGG, "k06": STRETCH}, []),  # the empty table gains its first block
+        (1, {"k01": EGG}, ["k09"]),  # before the first block, which overflows; k09 is absent from both
+        (2, {"k01": None, "k05": None}, ["k06"]),  # the first block, [k01, k05], is deleted whole
+        (0, {"k03": None}, ["k04"]),  # the empty text patched for absent ids only
+    ],
+)
+def test_text_patches_render_their_tables(block, initial, steps):
+    """Chained patches, each from any earlier text, against ``dump_tasks``
+    of a dict model, with blocks of at most ``block`` lines: a step
+    upserts or deletes some ids (deleting some absent ones) and also
+    names ids it leaves as they are.  After every step every earlier
+    text still renders its own table."""
+    with mock.patch.object(pslens.tasks, "_BLOCK", block):
+        versions = [(TaskText.of(initial), dict(initial))]
+        for pick, changes, unchanged in steps:
+            text, model = versions[pick % len(versions)]
+            new = {k: r for k, r in {**model, **changes}.items() if r is not None}
+            versions.append((text.patch(new, [*changes, *unchanged]), new))
+            for text, model in versions:
+                assert_renders(text, model, block)
+
+
+def test_a_patch_rebuilds_only_the_blocks_its_ids_fall_in():
+    """Pinned by structure rather than time: patching k ids of a 1e4-row
+    text leaves all but at most k blocks the same objects as before."""
+    source = {f"t{i:05d}": rec(i % 3 == 0, f"task {i}", (TODAY, APR2)[i % 2]) for i in range(10_000)}
+    text = TaskText.of(source)
+    changed = {"absent", "t00002", "t05000x", "t09999"}
+    out = apply_dt(Delta({"t00002": STRETCH, "t05000x": EGG}, {"t09999", "absent"}), source)
+    patched = text.patch(out, changed)
+    assert str(patched) == dump_tasks(out) and str(text) == dump_tasks(source)
+    assert len(patched.blocks) == len(text.blocks) > 70
+    assert sum(new is not old for new, old in zip(patched.blocks, text.blocks)) <= len(changed)
+
+
+@pytest.mark.parametrize("variant", ["plain", "elaborated"])
+def test_show_renders_the_source_as_dump_tasks_with_and_without_unsaved_ids(tmp_path, variant):
+    def rendered(t):
+        return ["  " + line for line in dump_tasks(t).split("\n")[:-1]] or ["  (empty)"]
+
+    session = new_session(variant, TODAY, S_TL)
+    steps = [[], ["edit og del 001", f'edit dt add 000 "first" {TODAY}', "put"], [f"save {tmp_path / 'out.tasks'}"]]
+    steps += [["edit og del 000", "edit og del 003", "edit dt del 002", "put"]]
+    for lines in steps:
+        session = run_lines(session, lines, out=io.StringIO())
+        assert bool(session.unsaved) == (lines[-1:] == ["put"])
+        og, dt = session.views
+        expected = ["source:", *rendered(session.source), "ongoing view:", *rendered(og)]
+        assert run_command(session, "show") == (session, expected + [f"today view ({TODAY}):", *rendered(dt)])
+    assert session.source == {} and rendered(session.source) == ["  (empty)"]
 
 
 @pytest.mark.parametrize("variant", ["plain", "elaborated"])
