@@ -72,14 +72,11 @@ class Session:
 
     ``source`` is a persistent :class:`~pslens.tasks.Table`, adopted
     with one copy: a ``put`` makes a new version of it at O(|delta|)
-    cost, and an older session still reads its own version.
-
-    ``text.patch(source, unsaved)`` always renders as
-    ``dump_tasks(source)``: ``text`` is the canonical text of the source
-    as it was at the last load or save, and ``unsaved`` holds every id a
-    ``put`` has changed since.  ``show`` renders the patched text, and a
-    ``save`` writes it, rebuilding only the blocks of those ids, and
-    keeps it with an empty ``unsaved``.
+    cost, and an older session still reads its own version.  ``text`` is
+    the canonical text of the source version of the last load or save, so
+    ``text.patch(source)`` renders ``dump_tasks(source)`` by rebuilding
+    the blocks of the ids the undo diffs since then name.  ``show``
+    renders the patched text; a ``save`` writes and keeps it.
     """
 
     variant: str
@@ -88,7 +85,6 @@ class Session:
     staged_og: object
     staged_dt: object
     text: TaskText = field(repr=False)
-    unsaved: frozenset = frozenset()
 
     @property
     def pipeline(self) -> PSLens:
@@ -109,8 +105,8 @@ def _pipeline(variant: str, today: str) -> PSLens:
 
 def new_session(variant: str, today: str, source: Optional[Mapping] = None) -> Session:
     _pipeline(variant, today)  # an unknown variant or a bad date fails here
-    source = {} if source is None else source
-    return Session(variant, today, Table.of(source), Delta(), Delta(), TaskText.of(source))
+    table = Table.of({} if source is None else source)
+    return Session(variant, today, table, Delta(), Delta(), TaskText.of(table))
 
 
 def _render_tasks(text: str) -> list[str]:
@@ -220,7 +216,7 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         if args:
             raise CommandError("usage: show")
         og_view, dt_view = session.views
-        out = ["source:"] + _render_tasks(str(session.text.patch(session.source, session.unsaved)))
+        out = ["source:"] + _render_tasks(str(session.text.patch(session.source)))
         out += ["ongoing view:"] + _render_tasks(dump_tasks(og_view))
         out += [f"today view ({session.today}):"] + _render_tasks(dump_tasks(dt_view))
         return session, out
@@ -238,10 +234,8 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         if merged is UNDEFINED:
             raise CommandError(f"conflicting edits staged for the {side} view")
         og, dt = (merged, session.staged_dt) if side == "og" else (session.staged_og, merged)
-        return (
-            Session(session.variant, session.today, session.source, og, dt, session.text, session.unsaved),
-            [f"staged for {side} view"],
-        )
+        staged = Session(session.variant, session.today, session.source, og, dt, session.text)
+        return staged, [f"staged for {side} view"]
 
     if cmd == "put":
         if args:
@@ -250,7 +244,7 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         if is_failure(result):
             return session, [f"{result}", "session unchanged"]
         ids = session.staged_og.ids | session.staged_dt.ids
-        fresh = Session(session.variant, session.today, result, Delta(), Delta(), session.text, session.unsaved | ids)
+        fresh = Session(session.variant, session.today, result, Delta(), Delta(), session.text)
         out = [f"source now has {len(result)} task(s)"]
         staged = (session.staged_og, session.staged_dt)
         for side, domain, delta, view in zip(("og", "dt"), _side_domains(session), staged, fresh.views_of(ids)):
@@ -260,25 +254,21 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
     if cmd == "reset":
         if args:
             raise CommandError("usage: reset")
-        return (
-            Session(session.variant, session.today, session.source, Delta(), Delta(), session.text, session.unsaved),
-            ["staged deltas dropped"],
-        )
+        dropped = Session(session.variant, session.today, session.source, Delta(), Delta(), session.text)
+        return dropped, ["staged deltas dropped"]
 
     if cmd == "save":
         if len(args) != 1:
             raise CommandError("usage: save <file>")
-        text = session.text.patch(session.source, session.unsaved)
+        text = session.text.patch(session.source)
         try:  # every block is encoded before the target is opened, so a failed encoding leaves it as it was
             _overwrite(args[0], text.encoded())
         except UnicodeEncodeError as exc:
             raise CommandError(f"{args[0]}: {exc}") from None
         except OSError as exc:
             raise CommandError(str(exc)) from None
-        return (
-            Session(session.variant, session.today, session.source, session.staged_og, session.staged_dt, text),
-            [f"saved {args[0]}"],
-        )
+        saved = Session(session.variant, session.today, session.source, session.staged_og, session.staged_dt, text)
+        return saved, [f"saved {args[0]}"]
 
     if cmd == "laws":
         try:

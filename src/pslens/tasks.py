@@ -38,8 +38,8 @@ import functools
 import itertools
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Any, Callable, Collection, Iterable, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from .iposet import UNDEFINED, IPoset, _escape, _is_bare_token, _quote, _read_directives
 from .lens import (
@@ -254,6 +254,16 @@ class Table(collections.abc.Mapping):
     def copy(self) -> dict:
         """A plain dict of this version, copied at dict speed."""
         return self._dict().copy()
+
+    def changed_since(self, older: Table) -> Optional[set]:
+        """Every id this version may differ on from ``older`` (``None`` if that is another table's
+        version): the undo diffs' keys on the path, at O(versions + diff entries) and no scan."""
+        self._dict()
+        ids, node = set(), older
+        while node._next is not None:
+            ids.update(node._data)
+            node = node._next
+        return ids if node is self else None
 
     def __eq__(self, other):
         if isinstance(other, Table):
@@ -617,30 +627,31 @@ class TaskText:
     Each of ``blocks`` is ``(ids, lines, text)`` for at most ``_BLOCK``
     consecutive sorted ids, ``lines[i]`` the line of ``ids[i]`` and
     ``text`` their join; ``firsts`` holds each block's first id.  So
-    ``str(text)`` is :func:`dump_tasks` of the table.  Nothing is changed
-    in place: :meth:`patch` shares every block it does not rebuild, so an
-    older text still renders its own table.
+    ``str(text)`` is :func:`dump_tasks` of ``table``, the version kept.
+    Nothing is changed in place: :meth:`patch` shares every block it does
+    not rebuild, so an older text still renders its own version.
     """
 
     blocks: list
     firsts: list
+    table: Table = field(compare=False, repr=False)
 
     @classmethod
-    def of(cls, t: Mapping) -> "TaskText":
-        ids = sorted(t)
-        blocks = _blocks(ids, _task_lines(ids, t))
-        return cls(blocks, [b[0][0] for b in blocks])
+    def of(cls, t: Table) -> "TaskText":
+        ids = sorted(data := t._dict())
+        blocks = _blocks(ids, _task_lines(ids, data))
+        return cls(blocks, [b[0][0] for b in blocks], t)
 
-    def patch(self, t: Mapping, changed: Collection) -> "TaskText":
-        """The text of ``t``, given that this is the text of a table that
-        differs from ``t`` only on the ``changed`` ids.
-
-        Only those ids are looked up in ``t``, and only the blocks they
-        fall in are rebuilt (an id before every block falls in the first),
-        at O(|changed| * _BLOCK) cost beyond copying the two outer lists.
-        """
-        present = [k for k in changed if k in t]
-        new_lines = dict(zip(present, _task_lines(present, t)))
+    def patch(self, t: Table) -> "TaskText":
+        """The text of ``t``, a version of ``table`` (else formatted whole): only the
+        ids :meth:`Table.changed_since` gives are looked up in ``t``, and only the
+        blocks they fall in are rebuilt (an id before every block falls in the
+        first), at O(|changed| * _BLOCK) cost beyond copying the two outer lists."""
+        changed, data = t.changed_since(self.table), t._dict()
+        if changed is None:
+            return TaskText.of(t)
+        present = [k for k in changed if k in data]
+        new_lines = dict(zip(present, _task_lines(present, data)))
         blocks, firsts = self.blocks.copy(), self.firsts.copy()
         touched: dict[int, list] = {}
         for k in changed:
@@ -662,7 +673,7 @@ class TaskText:
             else:  # split, dropped, or an empty table's first block
                 new = _blocks(ids, lines)
                 blocks[b : b + 1], firsts[b : b + 1] = new, [block[0][0] for block in new]
-        return TaskText(blocks, firsts)
+        return TaskText(blocks, firsts, t)
 
     def encoded(self) -> bytes:
         """The text in UTF-8, block by block: ``UnicodeEncodeError`` for a

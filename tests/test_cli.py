@@ -123,9 +123,11 @@ def test_script_errors_name_their_line(tmp_path, capsys, monkeypatch):
         script.write_text(text)
         assert main(["--script", str(script)]) == 1
         assert capsys.readouterr().err == f"error: {error}\n"
-    monkeypatch.setattr("sys.stdin", io.StringIO('wibble\nedit og add "x\n'))
+    monkeypatch.setattr("sys.stdin", io.StringIO('wibble\nedit og add "x\nshow\n'))
     assert main([]) == 0
-    assert capsys.readouterr().out == "error: unknown command 'wibble'\nerror: cannot parse 'edit og add \"x'\n"
+    shown = ["source:", "  (empty)", "ongoing view:", "  (empty)", f"today view ({TODAY}):", "  (empty)"]
+    expected = ["error: unknown command 'wibble'", "error: cannot parse 'edit og add \"x'", *shown]
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_unreadable_files_are_command_errors(tmp_path, capsys):
@@ -322,13 +324,16 @@ def test_laws_with_an_unknown_fixture_is_a_script_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 2: unknown fixture 'wibble'\n"
 
 
-def test_laws_failure_exit_code(monkeypatch):
+def test_laws_failure_exit_code(monkeypatch, capsys):
     import pslens.cli as cli
 
     monkeypatch.setattr(cli, "run_fixture_suite", lambda names=None: (["boom [UNEXPECTED]"], False))
     with pytest.raises(LawSuiteFailure):
         run_command(new_session("plain", TODAY), "laws")
     assert cli.main(["--laws"]) == 2
+    monkeypatch.setattr("sys.stdin", io.StringIO("laws\nshow extra\n"))  # printed, and the loop goes on
+    assert cli.main([]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["boom [UNEXPECTED]", "error: usage: show"]
 
 
 def test_unknown_command():
@@ -348,6 +353,7 @@ def test_unknown_command():
         ("elaborated", "edit og complete", "usage: edit og complete <id>"),
         ("elaborated", "edit dt postpone 003", "usage: edit dt postpone <id> <new-due>"),
         ("elaborated", "edit dt postpone 003 2025-04-01", "postponing needs a different due date"),
+        ("elaborated", "edit og complete 002", "no task '002' in the ongoing view"),
         ("plain", "edit og file", "usage: edit og|dt file <path>"),
         ("plain", "edit og frob 003", "unknown edit action 'frob'"),
         ("plain", "load", "usage: load <file>"),
@@ -402,10 +408,10 @@ SESSION_STEPS = st.one_of(
 )
 # the fields each command leaves as they were, kept as the very same objects
 KEPT = {
-    "edit og": ("variant", "today", "source", "staged_dt", "text", "unsaved"),
-    "edit dt": ("variant", "today", "source", "staged_og", "text", "unsaved"),
+    "edit og": ("variant", "today", "source", "staged_dt", "text"),
+    "edit dt": ("variant", "today", "source", "staged_og", "text"),
     "put": ("variant", "today", "text"),
-    "reset": ("variant", "today", "source", "text", "unsaved"),
+    "reset": ("variant", "today", "source", "text"),
     "save": ("variant", "today", "source", "staged_og", "staged_dt"),
 }
 
@@ -458,7 +464,7 @@ def test_preserved_lines_are_le_of_the_staged_deltas_after_every_put(tmp_path_fa
             expected = [f"{side} delta preserved in refreshed view: {v}" for side, v in zip(("og", "dt"), verdicts)]
             assert out[1:] == expected, line
         if kind == "save":
-            assert saved.read_bytes() == dump_tasks(session.source).encode() and not session.unsaved
+            assert saved.read_bytes() == dump_tasks(session.source).encode() and session.text.table is session.source
 
 
 # ---------------------------------------------------------------------------

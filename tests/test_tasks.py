@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import io
 import itertools
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -182,6 +183,7 @@ def assert_reads_as(t, model):
     """``t`` answers every read as the plain dict ``model`` does."""
     assert t == model and model == t and not t != model
     assert len(t) == len(model) and dict(t) == model and sorted(t) == sorted(model)
+    assert Counter(t.items()) == Counter(model.items()) and Counter(t.values()) == Counter(model.values())
     for k in [*TABLE_IDS, "absent"]:
         assert (k in t) == (k in model) and t.get(k) == model.get(k)
         if k in model:
@@ -199,7 +201,9 @@ def test_table_versions_read_as_their_dict_models(data, initial):
     versions are read in random order, so reroots run both ways.  After
     every step each live version reads as its dict model, and a fresh
     version has the insertion order of ``dict.copy``, ``update`` and
-    ``pop`` on the version it came from."""
+    ``pop`` on the version it came from.  For every ordered pair of live
+    versions, ``changed_since`` names every id their models differ on;
+    for a version of another table it gives ``None``."""
     ids, records = st.sampled_from(TABLE_IDS), st.sampled_from(TABLE_RECORDS)
     versions = [(Table.of(initial), dict(initial))]
     for _ in range(data.draw(st.integers(1, 12), label="steps")):
@@ -215,6 +219,7 @@ def test_table_versions_read_as_their_dict_models(data, initial):
                 expected.pop(k, None)
             assert expected == {k: r for k, r in {**model, **adds}.items() if k not in deletes}
             new = apply_dt(Delta(adds, deletes), t)
+            assert new.changed_since(t) == adds.keys() | deletes
             assert list(new) == list(expected)
             versions.append((new, expected))
         elif action == "read":
@@ -223,6 +228,11 @@ def test_table_versions_read_as_their_dict_models(data, initial):
             del versions[i]
         for j in data.draw(st.permutations(range(len(versions))), label="reads"):
             assert_reads_as(*versions[j])
+        for (a, a_model), (b, b_model) in itertools.permutations(versions + versions[:1], 2):
+            differ = {k for k in a_model.keys() | b_model.keys() if a_model.get(k) != b_model.get(k)}
+            assert differ <= b.changed_since(a)
+        assert versions[-1][0].changed_since(Table(initial)) is None
+        assert Table(initial).changed_since(versions[-1][0]) is None
 
 
 def test_table_adoption_copies_a_mapping_once_and_keeps_a_table():
@@ -687,12 +697,15 @@ def test_get_of_the_named_rows_is_the_views_at_the_named_ids(variant):
 
 @pytest.mark.parametrize("variant", ["plain", "elaborated"])
 def test_text_patched_for_the_named_ids_is_the_text_of_the_put(variant):
-    """The same lemma for the saved text: patching the text of the old
-    source for the ids the two deltas name gives ``dump_tasks`` of the
-    new source."""
+    """The same lemma for the saved text: the ids the new source's undo
+    diffs name are among those the two deltas name, and patching the
+    text of the old source for them gives ``dump_tasks`` of the new one."""
     checked = 0
-    for _, s, og, dt, out in defined_staged_puts(variant):
-        assert str(TaskText.of(s).patch(out, og.ids | dt.ids)) == dump_tasks(out), (s, og, dt)
+    for lens, s, og, dt, _ in defined_staged_puts(variant):
+        old = Table(s)
+        out = lens.put(old, (og, dt))
+        assert out.changed_since(old) <= og.ids | dt.ids, (s, og, dt)
+        assert str(TaskText.of(old).patch(out)) == dump_tasks(out), (s, og, dt)
         checked += 1
     assert checked > 1000
 
@@ -704,6 +717,11 @@ class NoScan(dict):
         raise AssertionError("whole-table scan")
 
     keys = values = items = __iter__
+
+
+def tables_unscanned():
+    """While it is entered, ``Table``'s whole-table readers raise."""
+    return mock.patch.multiple(Table, **dict.fromkeys(["__iter__", "keys", "items", "values", "copy"], NoScan.__iter__))
 
 
 @pytest.mark.parametrize("variant", ["plain", "elaborated"])
@@ -723,11 +741,12 @@ def test_views_of_and_view_edits_look_up_only_the_named_ids(variant):
 
 
 def test_text_patch_looks_up_only_the_changed_ids():
-    source = {f"t{i:04d}": rec(i % 3 == 0, f"task {i}", (TODAY, APR2)[i % 2]) for i in range(1000)}
+    source = Table({f"t{i:04d}": rec(i % 3 == 0, f"task {i}", (TODAY, APR2)[i % 2]) for i in range(1000)})
     text = TaskText.of(source)
     out = apply_dt(Delta({"new": EGG, "t0004": STRETCH}, {"t0001", "absent"}), source)
-    patched = text.patch(NoScan(out), {"new", "t0004", "t0001", "absent"})
-    assert str(patched) == dump_tasks(out)
+    with tables_unscanned():
+        patched = text.patch(out)
+    assert str(patched) == dump_tasks(out) and patched.table is out
     assert str(text) == dump_tasks(source)  # the patch copies; the kept text is unchanged
 
 
@@ -737,12 +756,13 @@ def test_save_after_a_put_patches_the_kept_text_without_scanning_the_source(tmp_
     session = new_session(variant, TODAY, source)
     lines = ["edit og del t0001", f'edit og add t0002 "renamed" {TODAY}', f'edit dt add new "fresh" {TODAY}', "put"]
     session = run_lines(session, lines, out=io.StringIO())
-    assert session.unsaved == {"t0001", "t0002", "new"}
+    assert session.source.changed_since(session.text.table) == {"t0001", "t0002", "new"}
     expected = dump_tasks(session.source).encode()
     saved = tmp_path / "saved.tasks"
-    session, out = run_command(dataclasses.replace(session, source=NoScan(session.source)), f"save {saved}")
+    with tables_unscanned():
+        session, out = run_command(session, f"save {saved}")
     assert out == [f"saved {saved}"] and saved.read_bytes() == expected
-    assert str(session.text).encode() == expected and not session.unsaved
+    assert str(session.text).encode() == expected and session.text.table is session.source
 
 
 TEXT_IDS = st.sampled_from([f"k{i:02d}" for i in range(12)])
@@ -751,54 +771,69 @@ TEXT_CHANGES = st.dictionaries(TEXT_IDS, st.none() | st.sampled_from(TABLE_RECOR
 
 def assert_renders(text, model, block):
     """``text`` is the canonical text of ``model`` in sorted blocks of
-    one to ``block`` lines, each block's text the join of its lines."""
+    one to ``block`` lines, each block's text the join of its lines, and
+    keeps a table version that reads as ``model``."""
     assert str(text) == dump_tasks(model) and text.encoded() == dump_tasks(model).encode()
     assert [k for ids, _, _ in text.blocks for k in ids] == sorted(model)
     assert text.firsts == [ids[0] for ids, _, _ in text.blocks]
     for ids, lines, joined in text.blocks:
         assert 0 < len(ids) == len(lines) <= block and joined == "".join(lines)
+    assert text.table == model
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     block=st.integers(1, 4),
     initial=st.dictionaries(TEXT_IDS, st.sampled_from(TABLE_RECORDS)),
-    steps=st.lists(st.tuples(st.integers(0, 8), TEXT_CHANGES, st.lists(TEXT_IDS, max_size=2)), max_size=8),
+    steps=st.lists(
+        st.tuples(st.integers(0, 8), TEXT_CHANGES, st.lists(TEXT_IDS, max_size=2), st.integers(0, 8)), max_size=8
+    ),
 )
 @example(
     block=2,
     initial={},
     steps=[
-        (0, {"k05": EGG, "k06": STRETCH}, []),  # the empty table gains its first block
-        (1, {"k01": EGG}, ["k09"]),  # before the first block, which overflows; k09 is absent from both
-        (2, {"k01": None, "k05": None}, ["k06"]),  # the first block, [k01, k05], is deleted whole
-        (0, {"k03": None}, ["k04"]),  # the empty text patched for absent ids only
+        (0, {"k05": EGG, "k06": STRETCH}, [], 0),  # the empty table gains its first block
+        (1, {"k01": EGG}, ["k09"], 0),  # before the first block, which overflows; k09 is absent from both
+        (2, {"k01": None, "k05": None}, ["k06"], 1),  # the first block, [k01, k05], is deleted whole
+        (0, {"k03": None}, ["k04"], 3),  # the empty text patched for absent deletes only, and a branch's text
     ],
 )
 def test_text_patches_render_their_tables(block, initial, steps):
     """Chained patches, each from any earlier text, against ``dump_tasks``
     of a dict model, with blocks of at most ``block`` lines: a step
     upserts or deletes some ids (deleting some absent ones) and also
-    names ids it leaves as they are.  After every step every earlier
-    text still renders its own table."""
+    upserts some ids with the records they hold or deletes them absent.
+    Each step also patches another earlier text, maybe on another branch,
+    to the new version.  After every step every earlier text still
+    renders its own table, and a patch to an unrelated table formats it
+    whole."""
     with mock.patch.object(pslens.tasks, "_BLOCK", block):
-        versions = [(TaskText.of(initial), dict(initial))]
-        for pick, changes, unchanged in steps:
+        versions = [(TaskText.of(Table(initial)), dict(initial))]
+        for pick, changes, named, other in steps:
             text, model = versions[pick % len(versions)]
-            new = {k: r for k, r in {**model, **changes}.items() if r is not None}
-            versions.append((text.patch(new, [*changes, *unchanged]), new))
+            adds = {k: r for k, r in changes.items() if r is not None}
+            adds.update({k: model[k] for k in named if k in model and k not in changes})
+            deletes = {k for k, r in changes.items() if r is None} | {k for k in named if k not in model}
+            new = apply_dt(Delta(adds, deletes - adds.keys()), text.table)
+            versions.append((text.patch(new), {k: r for k, r in {**model, **changes}.items() if r is not None}))
+            assert_renders(versions[other % len(versions)][0].patch(new), versions[-1][1], block)
             for text, model in versions:
                 assert_renders(text, model, block)
+        unrelated = Table({"k00": EGG, **initial})
+        whole = versions[-1][0].patch(unrelated)
+        assert whole.table is unrelated and whole == TaskText.of(unrelated)
+        assert_renders(whole, {"k00": EGG, **initial}, block)
 
 
 def test_a_patch_rebuilds_only_the_blocks_its_ids_fall_in():
     """Pinned by structure rather than time: patching k ids of a 1e4-row
     text leaves all but at most k blocks the same objects as before."""
-    source = {f"t{i:05d}": rec(i % 3 == 0, f"task {i}", (TODAY, APR2)[i % 2]) for i in range(10_000)}
+    source = Table({f"t{i:05d}": rec(i % 3 == 0, f"task {i}", (TODAY, APR2)[i % 2]) for i in range(10_000)})
     text = TaskText.of(source)
     changed = {"absent", "t00002", "t05000x", "t09999"}
     out = apply_dt(Delta({"t00002": STRETCH, "t05000x": EGG}, {"t09999", "absent"}), source)
-    patched = text.patch(out, changed)
+    patched = text.patch(out)
     assert str(patched) == dump_tasks(out) and str(text) == dump_tasks(source)
     assert len(patched.blocks) == len(text.blocks) > 70
     assert sum(new is not old for new, old in zip(patched.blocks, text.blocks)) <= len(changed)
@@ -814,7 +849,7 @@ def test_show_renders_the_source_as_dump_tasks_with_and_without_unsaved_ids(tmp_
     steps += [["edit og del 000", "edit og del 003", "edit dt del 002", "put"]]
     for lines in steps:
         session = run_lines(session, lines, out=io.StringIO())
-        assert bool(session.unsaved) == (lines[-1:] == ["put"])
+        assert (session.text.table is not session.source) == (lines[-1:] == ["put"])
         og, dt = session.views
         expected = ["source:", *rendered(session.source), "ongoing view:", *rendered(og)]
         assert run_command(session, "show") == (session, expected + [f"today view ({TODAY}):", *rendered(dt)])

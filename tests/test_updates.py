@@ -15,14 +15,16 @@ from pslens.iposet import (
     UNDEFINED,
     FiniteIPoset,
     InvalidArgsError,
+    MissingMergeError,
     check_duplicable,
     discrete,
+    lift_omega,
     materialize,
     structurally_equal,
     verify_iposet,
 )
 from pslens.laws import LawId, check_law, check_laws, recheck_counterexample
-from pslens.lens import PSLens, constant_lens, initiator, is_failure
+from pslens.lens import PSLens, constant_lens, dup_lens, initiator, is_failure
 from pslens.tasks import (
     Delta,
     FilterDomain,
@@ -33,6 +35,7 @@ from pslens.tasks import (
     enumerate_dt_universe,
     enumerate_dtdt_universe,
     enumerate_og_universe,
+    filter_lens,
     filter_ongoing,
     filter_today,
 )
@@ -775,3 +778,31 @@ def test_update_space_text_round_trips_or_dump_refuses(states, updates):
     assert again.states == states and again.updates == updates
     assert structurally_equal(again.order, us.order)
     assert dump_update_space(again) == text
+
+
+TINY = UpdateSpace(["s"], ["u"], [], [("u", "u", "u")], [("u", "s", "s")])
+NO_MERGE = FiniteIPoset(["a"], [("a", "a")], [("a", "a")], name="no-merge")
+LOWER_BOUNDED = lift_omega(discrete([1]))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Delta({"a": "x"}), ValueError, "adds is not a valid task table"),
+        (lambda: filter_lens(dt_domain(), "bogus", "x"), ValueError, "unknown variant 'bogus'"),
+        (lambda: constant_lens(LOWER_BOUNDED, discrete([9]), 5), InvalidArgsError, "constant 5 is not a view element"),
+        (lambda: dup_lens(NO_MERGE), MissingMergeError, "duplication needs a merge operator"),
+        (lambda: ran(TINY, "s", "nope"), UpdateSpaceError, "unknown update 'nope'"),
+        (lambda: check_sufficient(TINY, "nope"), ValueError, "unknown sufficient condition 'nope'"),
+        (lambda: merge_su(TINY, "s", "u"), UpdateSpaceError, "not generated-domain elements: ('s', 'u')"),
+        (lambda: apply_su(TINY, "u", "s"), UpdateSpaceError, "not a generated-domain element: 'u'"),
+        (lambda: erase("s"), UpdateSpaceError, "not a generated-domain element: 's'"),
+    ],
+    ids="Delta filter_lens constant_lens dup_lens ran check_sufficient merge_su apply_su erase".split(),
+)
+def test_library_refusals_give_their_exact_message(call, error, message):
+    """Each argument check raises its own error type with its own message;
+    a bare state or update is not an element of the generated domain."""
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
