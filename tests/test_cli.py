@@ -430,6 +430,13 @@ KEPT = {
     seed=0,
     steps=[("add", "og", "new20", TODAY), ("put",), ("save",), ("del", "og", "new20"), ("put",), ("save",)],
 )
+# two puts on different ids between two saves: the second save patches for both
+@example(
+    variant="plain",
+    rows=100,
+    seed=0,
+    steps=[("save",), ("add", "og", "new20", TODAY), ("put",), ("del", "dt", "t0001"), ("put",), ("save",)],
+)
 def test_preserved_lines_are_le_of_the_staged_deltas_after_every_put(tmp_path_factory, variant, rows, seed, steps):
     """Each successful ``put`` prints, per view, whether the delta staged
     before it is below the full view of the new source.  Every command
