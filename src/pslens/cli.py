@@ -234,8 +234,10 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         if merged is UNDEFINED:
             raise CommandError(f"conflicting edits staged for the {side} view")
         og, dt = (merged, session.staged_dt) if side == "og" else (session.staged_og, merged)
-        staged = Session(session.variant, session.today, session.source, og, dt, session.text)
-        return staged, [f"staged for {side} view"]
+        return (
+            Session(session.variant, session.today, session.source, og, dt, session.text),
+            [f"staged for {side} view"],
+        )
 
     if cmd == "put":
         if args:
@@ -254,8 +256,10 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
     if cmd == "reset":
         if args:
             raise CommandError("usage: reset")
-        dropped = Session(session.variant, session.today, session.source, Delta(), Delta(), session.text)
-        return dropped, ["staged deltas dropped"]
+        return (
+            Session(session.variant, session.today, session.source, Delta(), Delta(), session.text),
+            ["staged deltas dropped"],
+        )
 
     if cmd == "save":
         if len(args) != 1:
@@ -267,8 +271,10 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
             raise CommandError(f"{args[0]}: {exc}") from None
         except OSError as exc:
             raise CommandError(str(exc)) from None
-        saved = Session(session.variant, session.today, session.source, session.staged_og, session.staged_dt, text)
-        return saved, [f"saved {args[0]}"]
+        return (
+            Session(session.variant, session.today, session.source, session.staged_og, session.staged_dt, text),
+            [f"saved {args[0]}"],
+        )
 
     if cmd == "laws":
         try:

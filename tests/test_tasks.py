@@ -716,12 +716,15 @@ class NoScan(dict):
     def __iter__(self):
         raise AssertionError("whole-table scan")
 
-    keys = values = items = __iter__
+    keys = values = items = copy = __iter__
 
 
 def tables_unscanned():
-    """While it is entered, ``Table``'s whole-table readers raise."""
-    return mock.patch.multiple(Table, **dict.fromkeys(["__iter__", "keys", "items", "values", "copy"], NoScan.__iter__))
+    """While it is entered, every ``Table`` version reads through a
+    :class:`NoScan` copy of its rerooted dict, so a whole-table scan raises
+    whether it goes through the ``Table`` or the dict it holds."""
+    reroot = Table._dict
+    return mock.patch.object(Table, "_dict", lambda self: NoScan(reroot(self)))
 
 
 @pytest.mark.parametrize("variant", ["plain", "elaborated"])
