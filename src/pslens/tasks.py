@@ -193,11 +193,11 @@ class Table(collections.abc.Mapping):
     it and the newest, at their size.  A version shows insertion order
     only while it is the newest; its views and iterators hold until
     another version is read, and versions of one table must not be read
-    from two threads at once.  Whole-table reads go to the dict.
+    from two threads at once.  Whole-table reads go to the dict, and
+    ``Mapping`` gives ``keys``, ``values`` and an ``==`` that copies both sides.
     """
 
     __slots__ = ("_data", "_next")
-    __hash__ = None
 
     def __init__(self, t: Mapping = ()):
         self._data, self._next = dict(t), None
@@ -242,14 +242,8 @@ class Table(collections.abc.Mapping):
     def __len__(self):
         return len(self._dict())
 
-    def keys(self):
-        return self._dict().keys()
-
     def items(self):
         return self._dict().items()
-
-    def values(self):
-        return self._dict().values()
 
     def copy(self) -> dict:
         """A plain dict of this version, copied at dict speed."""
@@ -264,11 +258,6 @@ class Table(collections.abc.Mapping):
             ids.update(node._data)
             node = node._next
         return ids if node is self else None
-
-    def __eq__(self, other):
-        if isinstance(other, Table):
-            other = dict(other.items())  # a copy, as two versions of one table cannot both be rerooted
-        return self._dict() == other
 
     def __repr__(self):
         return repr(self._dict())
@@ -577,22 +566,19 @@ def _clauses(shape: str) -> dict[str, int]:
     return _CLAUSES[shape]
 
 
-def _record_fields(r: TaskRecord) -> str:
-    return f"{'true' if r.done else 'false'} {_quote(r.name)} {r.due}"
-
-
 # the characters a quoted name escapes (f-string expressions take no backslashes before 3.12)
 _DQ, _BS, _LF, _CR = '"', "\\", "\n", "\r"
 
 
-def _task_lines(ids: Iterable, t: Mapping) -> list[str]:
-    """The canonical line of each of ``ids`` in ``t``, in the order given.
+def _task_lines(ids: Iterable, t: Mapping, tag: str = "task") -> list[str]:
+    """The canonical ``tag`` line (``task``, or a delta's ``upsert`` or
+    ``postpone``) of each of ``ids`` in ``t``, in the order given.
 
     Each row is formatted in place, and only a name holding a character
     the quotes escape goes through the escaper.
     """
     return [
-        f'task {k} {"true" if r.done else "false"} '
+        f'{tag} {k} {"true" if r.done else "false"} '
         f'"{_escape(n) if _DQ in n or _BS in n or _LF in n or _CR in n else n}" {r.due}\n'
         for k in ids for r in (t[k],) for n in (r.name,)
     ]
@@ -608,6 +594,7 @@ def dump_tasks(t: Mapping) -> str:
 
 
 _BLOCK = 128  # lines per block at most; 64 saves as fast at 1e4-1e5 rows and slower at 1e3
+_WHOLE = 4  # a patch formats a version whole past 1/_WHOLE of its rows changed (crossover: 20-30%)
 
 
 def _blocks(ids: list, lines: list) -> list[tuple]:
@@ -626,33 +613,32 @@ class TaskText:
 
     Each of ``blocks`` is ``(ids, lines, text)`` for at most ``_BLOCK``
     consecutive sorted ids, ``lines[i]`` the line of ``ids[i]`` and
-    ``text`` their join; ``firsts`` holds each block's first id.  So
-    ``str(text)`` is :func:`dump_tasks` of ``table``, the version kept.
-    Nothing is changed in place: :meth:`patch` shares every block it does
-    not rebuild, so an older text still renders its own version.
+    ``text`` their join.  So ``str(text)`` is :func:`dump_tasks` of
+    ``table``, the version kept.  Nothing is changed in place: :meth:`patch`
+    shares every block it does not rebuild, so an older text still renders
+    its own version.
     """
 
     blocks: list
-    firsts: list
     table: Table = field(compare=False, repr=False)
 
     @classmethod
     def of(cls, t: Table) -> "TaskText":
         ids = sorted(data := t._dict())
-        blocks = _blocks(ids, _task_lines(ids, data))
-        return cls(blocks, [b[0][0] for b in blocks], t)
+        return cls(_blocks(ids, _task_lines(ids, data)), t)
 
     def patch(self, t: Table) -> "TaskText":
-        """The text of ``t``, a version of ``table`` (else formatted whole): only the
-        ids :meth:`Table.changed_since` gives are looked up in ``t``, and only the
-        blocks they fall in are rebuilt (an id before every block falls in the
-        first), at O(|changed| * _BLOCK) cost beyond copying the two outer lists."""
+        """The text of ``t``: only the ids :meth:`Table.changed_since` gives are
+        looked up in ``t``, and only the blocks they fall in are rebuilt (an id
+        before every block falls in the first), at O(|changed| * _BLOCK) beyond
+        one read of the blocks.  ``t`` is formatted whole, which is then faster,
+        if it is not a version of ``table`` or over 1/_WHOLE of its rows changed."""
         changed, data = t.changed_since(self.table), t._dict()
-        if changed is None:
+        if changed is None or len(changed) * _WHOLE > len(data):
             return TaskText.of(t)
         present = [k for k in changed if k in data]
         new_lines = dict(zip(present, _task_lines(present, data)))
-        blocks, firsts = self.blocks.copy(), self.firsts.copy()
+        blocks, firsts = self.blocks.copy(), [ids[0] for ids, _, _ in self.blocks]
         touched: dict[int, list] = {}
         for k in changed:
             touched.setdefault(bisect_right(firsts, k, 1) - 1, []).append(k)
@@ -669,11 +655,10 @@ class TaskText:
                     ids.insert(i, k)
                     lines.insert(i, new_lines[k])
             if blocks and 0 < len(ids) <= _BLOCK:  # rebuilt in place
-                blocks[b], firsts[b] = (ids, lines, "".join(lines)), ids[0]
+                blocks[b] = (ids, lines, "".join(lines))
             else:  # split, dropped, or an empty table's first block
-                new = _blocks(ids, lines)
-                blocks[b : b + 1], firsts[b : b + 1] = new, [block[0][0] for block in new]
-        return TaskText(blocks, firsts, t)
+                blocks[b : b + 1] = _blocks(ids, lines)
+        return TaskText(blocks, t)
 
     def encoded(self) -> bytes:
         """The text in UTF-8, block by block: ``UnicodeEncodeError`` for a
@@ -727,18 +712,18 @@ def dump_delta(d: Delta, shape: str = "plain") -> str:
     delta has no clause for them.
     """
     clauses = _clauses(shape)
-    lines = [f"upsert {k} {_record_fields(d.adds[k])}" for k in sorted(d.adds)]
+    lines = _task_lines(sorted(d.adds), d.adds, "upsert")
     for k in sorted(d.moves):
         r = d.moves[k]
         if "complete" in clauses and r.done:
             # completions are completed by definition; the flag is implied
-            lines.append(f"complete {k} {_quote(r.name)} {r.due}")
+            lines.append(f"complete {k} {_quote(r.name)} {r.due}\n")
         elif "postpone" in clauses:
-            lines.append(f"postpone {k} {_record_fields(r)}")
+            lines += _task_lines((k,), d.moves, "postpone")
         else:
             raise ValueError(f"the move of {k!r} has no clause in a {shape} delta")
-    lines += [f"delete {k}" for k in sorted(d.deletes)]
-    return "".join(line + "\n" for line in lines)
+    lines += [f"delete {k}\n" for k in sorted(d.deletes)]
+    return "".join(lines)
 
 
 def load_delta(text: str, shape: str = "plain") -> Delta:
@@ -749,6 +734,7 @@ def load_delta(text: str, shape: str = "plain") -> Delta:
     ongoing) or ``today`` (upsert/postpone/delete, moves are
     postponements).  Lines follow the grammar of
     :func:`~pslens.iposet._read_directives`, and each id has one clause.
+    :func:`_read_clauses` has checked every clause, so the delta is unchecked.
     """
     parts = _read_clauses(text, _clauses(shape), _DTOG if shape == "ongoing" else _DT)
-    return Delta(parts["upsert"], parts["delete"], parts.get("complete") or parts.get("postpone", {}))
+    return Delta._of(parts["upsert"], frozenset(parts["delete"]), parts.get("complete") or parts.get("postpone", {}))

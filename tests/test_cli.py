@@ -1,5 +1,6 @@
 """Command front end: sessions, batch determinism, exit codes."""
 
+import collections
 import io
 import os
 import random
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pslens.cli import CommandError, LawSuiteFailure, main, new_session, run_command, run_lines
-from pslens.tasks import Delta, TaskRecord, dt_domain, dtdt_domain, dtog_domain, dump_tasks, load_tasks
+from pslens.tasks import Delta, TaskRecord, dt_domain, dtdt_domain, dtog_domain, dump_tasks, load_tasks, task_pipeline
 
 REPO = Path(__file__).resolve().parent.parent
 GOLDEN = REPO / "golden"
@@ -334,6 +335,49 @@ def test_laws_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO("laws\nshow extra\n"))  # printed, and the loop goes on
     assert cli.main([]) == 0
     assert capsys.readouterr().out.splitlines()[-2:] == ["boom [UNEXPECTED]", "error: usage: show"]
+
+
+#: The ``pslens.cli`` names a traced bench run swaps for span wrappers.
+TRACED_NAMES = ("load_tasks", "load_delta", "dump_tasks", "dt_domain", "dtog_domain", "dtdt_domain", "task_pipeline")
+
+
+def test_a_session_calls_the_names_a_traced_run_wraps_and_reads_back(monkeypatch):
+    """Each of ``TRACED_NAMES``, replaced with a counting wrapper, is called
+    by a short session in one variant or the other, and the session's
+    ``source``, ``staged_og``, ``staged_dt`` and ``views`` read back what
+    the pipeline gives: a rename leaves a wrapper uncalled or an attribute
+    missing."""
+    import pslens.cli as cli
+
+    calls = collections.Counter()
+
+    def counting(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    for name in TRACED_NAMES:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    cli._pipeline.cache_clear()  # so the pipelines are built through the wrapped task_pipeline
+    try:
+        for variant in ("plain", "elaborated"):
+            session = cli.new_session(variant, TODAY)
+            lines = [f"load {GOLDEN / 'source_initial.tasks'}", f"edit og file {GOLDEN / 'delta_insert_egg.delta'}"]
+            for line in lines + [f'edit dt add 005 "Stretch" {TODAY}']:
+                session, _ = cli.run_command(session, line)
+            egg, stretch = TaskRecord(False, "Buy egg", TODAY), TaskRecord(False, "Stretch", TODAY)
+            assert (session.staged_og, session.staged_dt) == (Delta({"004": egg}), Delta({"005": stretch}))
+            reference = task_pipeline(variant, TODAY)
+            expected = reference.put(session.source, (session.staged_og, session.staged_dt))
+            session, out = cli.run_command(session, "put")
+            assert out[0] == "source now has 5 task(s)"
+            assert session.source == expected and session.views == reference.get(expected)
+            assert cli.run_command(session, "show")[1][0] == "source:"
+    finally:
+        cli._pipeline.cache_clear()
+    assert set(calls) == set(TRACED_NAMES)
 
 
 def test_unknown_command():

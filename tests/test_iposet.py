@@ -1052,3 +1052,47 @@ def test_unequal_shapes_are_rejected_without_reading_carriers():
     assert not structurally_equal(product_iposet(chained, chain(2)), product_iposet(flat, chain(2)))
     assert not structurally_equal(sum_iposet(chain(2), chained), sum_iposet(chain(2), flat))
     assert chained.reads == flat.reads == 0
+
+
+
+NO_MERGE = FiniteIPoset([1], [(1, 1)], [(1, 1)], name="no-merge")
+PAIRS, TAGGED = product_iposet(NO_MERGE, NO_MERGE), sum_iposet(NO_MERGE, NO_MERGE)
+
+
+def stub_shaped_like(p):
+    """An abstract domain claiming ``p``'s shape: equal shapes are confirmed in full."""
+    stub = IPoset()
+    stub.shape = p.shape
+    return stub
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: PAIRS.le(1, (1, 1)), IPosetError("1 is not a pair"), id="product-le-not-a-pair"),
+        pytest.param(lambda: PAIRS.merge((1, 1), (1, 1)), UNDEFINED, id="product-merge-without-merge"),
+        pytest.param(lambda: TAGGED.merge(InL(1), InL(1)), UNDEFINED, id="sum-merge-without-merge"),
+        pytest.param(lambda: PAIRS.contains(1), False, id="product-contains-not-a-pair"),
+        pytest.param(lambda: TAGGED.contains(1), False, id="sum-contains-untagged"),
+        pytest.param(lambda: NO_MERGE.merge(1, 1), UNDEFINED, id="table-merge-without-merge"),
+        pytest.param(lambda: NO_MERGE.merge_triples(), [], id="table-merge-triples-without-merge"),
+        pytest.param(
+            lambda: join(dt_domain(), Delta(), Delta()),
+            InvalidArgsError("<tasks+deltas: inf elements> is not enumerable"),
+            id="join-over-an-infinite-domain",
+        ),
+        pytest.param(lambda: IPoset().merge(1, 2), UNDEFINED, id="abstract-merge"),
+        pytest.param(
+            lambda: structurally_equal(NO_MERGE, stub_shaped_like(NO_MERGE)), False, id="equal-shape-abstract-stub"
+        ),
+    ],
+)
+def test_refusal_branches_give_their_exact_answer(call, expected):
+    """The branches where a domain refuses an argument or has no merge,
+    each with its exact answer or message."""
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            call()
+    else:
+        got = call()
+        assert type(got) is type(expected) and got == expected

@@ -778,7 +778,6 @@ def assert_renders(text, model, block):
     keeps a table version that reads as ``model``."""
     assert str(text) == dump_tasks(model) and text.encoded() == dump_tasks(model).encode()
     assert [k for ids, _, _ in text.blocks for k in ids] == sorted(model)
-    assert text.firsts == [ids[0] for ids, _, _ in text.blocks]
     for ids, lines, joined in text.blocks:
         assert 0 < len(ids) == len(lines) <= block and joined == "".join(lines)
     assert text.table == model
@@ -810,8 +809,9 @@ def test_text_patches_render_their_tables(block, initial, steps):
     Each step also patches another earlier text, maybe on another branch,
     to the new version.  After every step every earlier text still
     renders its own table, and a patch to an unrelated table formats it
-    whole."""
-    with mock.patch.object(pslens.tasks, "_BLOCK", block):
+    whole.  ``_WHOLE`` is 0, so no share of changed rows formats a version
+    of the same table whole, and every such patch goes through the blocks."""
+    with mock.patch.object(pslens.tasks, "_BLOCK", block), mock.patch.object(pslens.tasks, "_WHOLE", 0):
         versions = [(TaskText.of(Table(initial)), dict(initial))]
         for pick, changes, named, other in steps:
             text, model = versions[pick % len(versions)]
@@ -827,6 +827,23 @@ def test_text_patches_render_their_tables(block, initial, steps):
         whole = versions[-1][0].patch(unrelated)
         assert whole.table is unrelated and whole == TaskText.of(unrelated)
         assert_renders(whole, {"k00": EGG, **initial}, block)
+
+
+def test_a_patch_past_a_quarter_of_the_rows_formats_the_version_whole():
+    """Past 1/_WHOLE of the rows changed, the patch is ``TaskText.of`` of the
+    version: the same blocks, none shared with the kept text."""
+    source = Table({f"t{i:04d}": rec(i % 3 == 0, f"task {i}", (TODAY, APR2)[i % 2]) for i in range(1000)})
+    text = TaskText.of(source)
+    steps = [Delta(deletes={f"t{i:04d}"}) for i in range(0, 300, 3)]
+    steps += [Delta({f"t{i:04d}": STRETCH}) for i in range(1, 300, 3)] + [Delta({f"n{i:03d}": EGG}) for i in range(100)]
+    out = source
+    for d in steps:  # 300 versions, each changing one id of 1000
+        out = apply_dt(d, out)
+    assert len(out.changed_since(source)) * pslens.tasks._WHOLE > len(out)
+    patched = text.patch(out)
+    assert str(patched) == dump_tasks(out) and patched.table is out and patched == TaskText.of(out)
+    assert not any(new is old for new in patched.blocks for old in text.blocks)
+    assert str(text) == dump_tasks(source)
 
 
 def test_a_patch_rebuilds_only_the_blocks_its_ids_fall_in():

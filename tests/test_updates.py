@@ -121,8 +121,8 @@ def test_update_order_is_a_validated_domain():
 
 
 def test_enumeration_yields_exactly_266_valid_spaces():
-    # every candidate of the enumeration is a valid space; the count pins
-    # that the construction-time validator accepts exactly these
+    # every candidate of the enumeration is a valid space, as construction
+    # raises on an invalid one; the count pins the candidates
     assert len(list(enumerate_update_spaces())) == 266
 
 
