@@ -42,6 +42,7 @@ from .tasks import (
     Table,
     TaskRecord,
     TaskText,
+    _check_ids,
     dt_domain,
     dtdt_domain,
     dtog_domain,
@@ -50,6 +51,9 @@ from .tasks import (
     load_tasks,
     task_pipeline,
 )
+
+
+_NO_EDITS = Delta()  # what a session stages before its first edit and after a put or reset
 
 
 class CommandError(Exception):
@@ -106,7 +110,7 @@ def _pipeline(variant: str, today: str) -> PSLens:
 def new_session(variant: str, today: str, source: Optional[Mapping] = None) -> Session:
     _pipeline(variant, today)  # an unknown variant or a bad date fails here
     table = Table.of({} if source is None else source)
-    return Session(variant, today, table, Delta(), Delta(), TaskText.of(table))
+    return Session(variant, today, table, _NO_EDITS, _NO_EDITS, TaskText.of(table))
 
 
 def _render_tasks(text: str) -> list[str]:
@@ -147,24 +151,26 @@ def _side_domains(session: Session):
 
 def _parse_edit(session: Session, args: list[str]):
     """The side and the delta of one ``edit`` command; raises ``ValueError``
-    for a bad id, name or date."""
+    for a bad id, name or date.  An inline edit checks its one id and its
+    record, so its delta is built unchecked."""
     if len(args) < 2 or args[0] not in ("og", "dt"):
         raise CommandError("usage: edit og|dt add|del|complete|postpone|file ...")
     side, action, rest = args[0], args[1], args[2:]
     elaborated = session.variant == "elaborated"
+    adds, deletes, moves = {}, frozenset(), {}
 
     if action == "add":
         if len(rest) != 3:
             raise CommandError("usage: edit og|dt add <id> <name> <due>")
         key, name, due = rest
-        record = TaskRecord(False, name, due)
+        adds = {key: TaskRecord(False, name, due)}
         if side == "dt" and due != session.today:
             raise CommandError(f"tasks added to the today view must be due {session.today}")
-        incoming = Delta({key: record})
     elif action == "del":
         if len(rest) != 1:
             raise CommandError("usage: edit og|dt del <id>")
-        incoming = Delta({}, {rest[0]})
+        key = rest[0]
+        deletes = frozenset(rest)
     elif action == "complete":
         if not (elaborated and side == "og"):
             raise CommandError("complete needs the elaborated pipeline and the og view")
@@ -174,7 +180,7 @@ def _parse_edit(session: Session, args: list[str]):
         og_view = session.views_of((key,))[0]
         if key not in og_view:
             raise CommandError(f"no task {key!r} in the ongoing view")
-        incoming = Delta(moves={key: TaskRecord(True, og_view[key].name, og_view[key].due)})
+        moves = {key: TaskRecord(True, og_view[key].name, og_view[key].due)}
     elif action == "postpone":
         if not (elaborated and side == "dt"):
             raise CommandError("postpone needs the elaborated pipeline and the dt view")
@@ -186,15 +192,16 @@ def _parse_edit(session: Session, args: list[str]):
             raise CommandError(f"no task {key!r} in the today view")
         if due == session.today:
             raise CommandError("postponing needs a different due date")
-        incoming = Delta(moves={key: TaskRecord(dt_view[key].done, dt_view[key].name, due)})
+        moves = {key: TaskRecord(dt_view[key].done, dt_view[key].name, due)}
     elif action == "file":
         if len(rest) != 1:
             raise CommandError("usage: edit og|dt file <path>")
         shape = "plain" if not elaborated else ("ongoing" if side == "og" else "today")
-        incoming = _load(rest[0], load_delta, shape)
+        return side, _load(rest[0], load_delta, shape)
     else:
         raise CommandError(f"unknown edit action {action!r}")
-    return side, incoming
+    _check_ids((key,))
+    return side, Delta._of(adds, deletes, moves)
 
 
 def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
@@ -246,7 +253,7 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         if is_failure(result):
             return session, [f"{result}", "session unchanged"]
         ids = session.staged_og.ids | session.staged_dt.ids
-        fresh = Session(session.variant, session.today, result, Delta(), Delta(), session.text)
+        fresh = Session(session.variant, session.today, result, _NO_EDITS, _NO_EDITS, session.text)
         out = [f"source now has {len(result)} task(s)"]
         staged = (session.staged_og, session.staged_dt)
         for side, domain, delta, view in zip(("og", "dt"), _side_domains(session), staged, fresh.views_of(ids)):
@@ -257,7 +264,7 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         if args:
             raise CommandError("usage: reset")
         return (
-            Session(session.variant, session.today, session.source, Delta(), Delta(), session.text),
+            Session(session.variant, session.today, session.source, _NO_EDITS, _NO_EDITS, session.text),
             ["staged deltas dropped"],
         )
 

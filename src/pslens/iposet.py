@@ -805,7 +805,11 @@ def _tokenize(line: str) -> Optional[list[str]]:
     """The whitespace-separated tokens of one line up to a ``#`` outside
     quotes, or ``None`` when it does not parse.  A token is a bare run of
     characters other than whitespace, ``"`` and ``#``, or a double-quoted
-    string with the escapes ``\\\\``, ``\\"``, ``\\n`` and ``\\r``."""
+    string with the escapes ``\\\\``, ``\\"``, ``\\n`` and ``\\r``.  A line
+    without ``"`` and ``#`` is all bare tokens, which ``str.split`` cuts at
+    the same whitespace (``str.isspace``) as the pattern's ``\\s``."""
+    if '"' not in line and "#" not in line:
+        return line.split()
     found = _TOKEN.findall(line)
     if found and found[-1][1]:
         return None

@@ -37,6 +37,7 @@ import datetime
 import functools
 import itertools
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional
@@ -249,15 +250,22 @@ class Table(collections.abc.Mapping):
         """A plain dict of this version, copied at dict speed."""
         return self._dict().copy()
 
-    def changed_since(self, older: Table) -> Optional[set]:
+    def changed_since(self, older: Table, bound: int = sys.maxsize) -> Optional[set]:
         """Every id this version may differ on from ``older`` (``None`` if that is another table's
-        version): the undo diffs' keys on the path, at O(versions + diff entries) and no scan."""
+        version): the undo diffs' keys on the path, at O(versions + diff entries) and no scan.
+        Past ``bound`` ids the walk stops within ``bound + 1`` diffs and gives the ids it found,
+        whichever table ``older`` is a version of."""
         self._dict()
         ids, node = set(), older
-        while node._next is not None:
-            ids.update(node._data)
-            node = node._next
-        return ids if node is self else None
+        while node._next is not None and len(ids) <= bound:
+            diffs = []  # the fewest diffs that pass the bound if each adds one new id
+            for _ in range(bound + 1 - len(ids)):
+                if node._next is None:
+                    break
+                diffs.append(node._data)
+                node = node._next
+            ids.update(*diffs)
+        return ids if node is self or len(ids) > bound else None
 
     def __repr__(self):
         return repr(self._dict())
@@ -594,16 +602,26 @@ def dump_tasks(t: Mapping) -> str:
 
 
 _BLOCK = 128  # lines per block at most; 64 saves as fast at 1e4-1e5 rows and slower at 1e3
-_WHOLE = 4  # a patch formats a version whole past 1/_WHOLE of its rows changed (crossover: 20-30%)
+_WHOLE = 4  # a patch formats a version whole past 1/_WHOLE of its rows changed (crossover: 20-30%; 0: never)
+
+
+def _block(ids: list, lines: list) -> tuple:
+    """The block ``(ids, lines, data)``: ``data`` is the lines joined in UTF-8,
+    or joined as a str when a name holds a lone surrogate, which UTF-8 cannot."""
+    text = "".join(lines)
+    try:
+        return ids, lines, text.encode()
+    except UnicodeEncodeError:
+        return ids, lines, text
 
 
 def _blocks(ids: list, lines: list) -> list[tuple]:
-    """Sorted ``ids`` and their ``lines`` as the fewest blocks ``(ids, lines,
-    text)`` of at most ``_BLOCK`` lines each, cut as evenly as they go."""
+    """Sorted ``ids`` and their ``lines`` as the fewest blocks of at most
+    ``_BLOCK`` lines each, cut as evenly as they go."""
     if len(ids) <= _BLOCK:
-        return [(ids, lines, "".join(lines))] if ids else []
+        return [_block(ids, lines)] if ids else []
     step = -(-len(ids) // -(-len(ids) // _BLOCK))  # ceil(n / ceil(n / _BLOCK))
-    return [(ids[i : i + step], lines[i : i + step], "".join(lines[i : i + step])) for i in range(0, len(ids), step)]
+    return [_block(ids[i : i + step], lines[i : i + step]) for i in range(0, len(ids), step)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -611,12 +629,14 @@ class TaskText:
     """The canonical text of a task table, kept in sorted blocks: a chunked
     string of one level (Boehm, Atkinson & Plass, "Ropes", 1995).
 
-    Each of ``blocks`` is ``(ids, lines, text)`` for at most ``_BLOCK``
+    Each of ``blocks`` is ``(ids, lines, data)`` for at most ``_BLOCK``
     consecutive sorted ids, ``lines[i]`` the line of ``ids[i]`` and
-    ``text`` their join.  So ``str(text)`` is :func:`dump_tasks` of
-    ``table``, the version kept.  Nothing is changed in place: :meth:`patch`
-    shares every block it does not rebuild, so an older text still renders
-    its own version.
+    ``data`` their join, encoded to UTF-8 when the block is built (a block
+    holding a lone surrogate keeps the joined str).  So :meth:`encoded`
+    joins bytes that are already there, and ``str(text)``, which decodes
+    them, is :func:`dump_tasks` of ``table``, the version kept.  Nothing is
+    changed in place: :meth:`patch` shares every block it does not rebuild,
+    so an older text still renders its own version.
     """
 
     blocks: list
@@ -632,9 +652,12 @@ class TaskText:
         looked up in ``t``, and only the blocks they fall in are rebuilt (an id
         before every block falls in the first), at O(|changed| * _BLOCK) beyond
         one read of the blocks.  ``t`` is formatted whole, which is then faster,
-        if it is not a version of ``table`` or over 1/_WHOLE of its rows changed."""
-        changed, data = t.changed_since(self.table), t._dict()
-        if changed is None or len(changed) * _WHOLE > len(data):
+        if it is not a version of ``table`` or over 1/_WHOLE of its rows changed;
+        the walk for the changed ids stops there."""
+        data = t._dict()
+        bound = len(data) // _WHOLE if _WHOLE else sys.maxsize
+        changed = t.changed_since(self.table, bound)
+        if changed is None or len(changed) > bound:
             return TaskText.of(t)
         present = [k for k in changed if k in data]
         new_lines = dict(zip(present, _task_lines(present, data)))
@@ -655,18 +678,18 @@ class TaskText:
                     ids.insert(i, k)
                     lines.insert(i, new_lines[k])
             if blocks and 0 < len(ids) <= _BLOCK:  # rebuilt in place
-                blocks[b] = (ids, lines, "".join(lines))
+                blocks[b] = _block(ids, lines)
             else:  # split, dropped, or an empty table's first block
                 blocks[b : b + 1] = _blocks(ids, lines)
         return TaskText(blocks, t)
 
     def encoded(self) -> bytes:
-        """The text in UTF-8, block by block: ``UnicodeEncodeError`` for a
-        name holding a lone surrogate."""
-        return b"".join(text.encode("utf-8") for _, _, text in self.blocks)
+        """The text in UTF-8: ``UnicodeEncodeError`` from the first block kept
+        as a str, which holds a lone surrogate."""
+        return b"".join(data if type(data) is bytes else data.encode() for _, _, data in self.blocks)
 
     def __str__(self) -> str:
-        return "".join(text for _, _, text in self.blocks)
+        return "".join(data if type(data) is str else data.decode() for _, _, data in self.blocks)
 
 
 def _read_clauses(text: str, arity: dict[str, int], upserts: FilterDomain = _DT) -> dict[str, dict]:

@@ -154,6 +154,50 @@ def test_a_name_utf8_cannot_hold_fails_the_save_and_leaves_the_target_as_it_was(
     assert not missing.exists()
 
 
+def test_a_block_holding_a_lone_surrogate_keeps_its_str_until_a_put_renames_the_task(tmp_path):
+    """Each block keeps its lines in UTF-8, except one whose name UTF-8
+    cannot hold, which keeps the joined str: ``show`` renders it, and ``save``
+    fails with the error of encoding that block and leaves the target as it
+    was.  Once a ``put`` renames the task, the saved block is bytes again."""
+    source = {f"t{i:03d}": TaskRecord(i % 2 == 0, f"task {i}", TODAY) for i in range(300)}
+    source["t150"] = TaskRecord(False, "caf\udcff", TODAY)
+    session = new_session("plain", TODAY, source)
+    kinds = [type(data) for _, _, data in session.text.blocks]
+    assert len(kinds) == 3 and kinds.count(str) == 1
+    _, lines, data = session.text.blocks[kinds.index(str)]
+    assert data == "".join(lines) and 'task t150 false "caf\udcff" 2025-04-01\n' in lines
+
+    _, out = run_command(session, "show")
+    assert out[1 : 1 + len(source)] == ["  " + line for line in dump_tasks(source).split("\n")[:-1]]
+    target = tmp_path / "kept.tasks"
+    target.write_bytes(b'task old false "x" 2025-04-01\n')
+    with pytest.raises(UnicodeEncodeError) as encoding:
+        data.encode()
+    with pytest.raises(CommandError) as failed:
+        run_command(session, f"save {target}")
+    assert str(failed.value) == f"{target}: {encoding.value}"
+    assert target.read_bytes() == b'task old false "x" 2025-04-01\n'
+
+    session = run_lines(session, ['edit og add t150 "café ☕" 2025-04-01', "put", f"save {target}"], out=io.StringIO())
+    assert {type(data) for _, _, data in session.text.blocks} == {bytes}
+    assert target.read_bytes() == dump_tasks(session.source).encode()
+    assert load_tasks(target.read_text(encoding="utf-8")) == session.source
+
+
+def test_multibyte_names_survive_a_save_and_a_load(tmp_path):
+    target = tmp_path / "out.tasks"
+    session = load_initial(new_session("elaborated", TODAY))
+    lines = ['edit og add 004 "Café ☕" 2025-04-02', 'edit dt add 005 "日本 𝄞" 2025-04-01', "put", f"save {target}"]
+    session = run_lines(session, lines, out=io.StringIO())
+    saved = target.read_bytes()
+    assert saved == dump_tasks(session.source).encode() and "Café ☕".encode() in saved and "日本 𝄞".encode() in saved
+    session = run_lines(session, [f"load {target}", 'edit og add 001 "Buy oat milk" 2025-04-02', "put"], out=io.StringIO())
+    run_command(session, f"save {target}")
+    assert target.read_bytes() == dump_tasks(session.source).encode()
+    assert load_tasks(target.read_text(encoding="utf-8")) == session.source
+    assert session.source["004"] == TaskRecord(False, "Café ☕", "2025-04-02")
+
+
 @pytest.mark.parametrize("old", [None, b"", b"x" * 10, b"x" * 10_000], ids=["missing", "empty", "short", "long"])
 def test_save_leaves_exactly_the_canonical_text_whatever_the_target_held(tmp_path, old):
     target = tmp_path / "out.tasks"

@@ -2,13 +2,14 @@
 
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pslens import cli
+from pslens import cli, iposet
 from pslens.iposet import IPosetError, _tokenize, load_iposet
 from pslens.tasks import (
     Delta,
@@ -108,6 +109,43 @@ def shell_lines(draw):
 def test_command_lines_split_like_the_shell_on_their_common_subset(line):
     assert cli._tokenize is _tokenize
     assert _tokenize(line) == shlex.split(line, comments=True)
+
+
+def pattern_tokenize(line: str):
+    """``_tokenize`` as it reads a line holding ``"`` or ``#``: by the
+    pattern alone, here applied to every line."""
+    found = iposet._TOKEN.findall(line)
+    if found and found[-1][1]:
+        return None
+    return [t if t[0] != '"' else iposet._ESCAPE.sub(lambda m: iposet._UNESCAPE[m[1]], t[1:-1]) for t, _ in found if t]
+
+
+SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]  # 29 on Python 3.10-3.13
+TOKEN_PIECES = SPACES + ["\\", "'", '"', "#", "a", "t0001", '"x y"', '\\"', "\\n", "é", "☕", "𝄞", "\udcff", "\ud800"]
+
+
+@st.composite
+def token_lines(draw):
+    """Lines of spaces, quotes, backslashes, ``#``, multi-byte characters
+    and lone surrogates; half of them with every ``"`` and ``#`` taken out."""
+    line = "".join(draw(st.lists(st.sampled_from(TOKEN_PIECES) | st.text(max_size=2), max_size=16)))
+    if draw(st.booleans()):
+        line = line.replace('"', "").replace("#", "")
+    return line
+
+
+@example("")
+@example("".join(SPACES))
+@example('edit og add t1 "Café ☕" 2025-04-01 # note')
+@given(token_lines())
+def test_the_split_of_plain_lines_agrees_with_the_pattern(line):
+    assert _tokenize(line) == pattern_tokenize(line)
+
+
+def test_every_space_separates_tokens_on_both_paths():
+    for c in SPACES:
+        for line in (f"a{c}b{c}", f'a{c}"b"{c}', f"{c}a{c}#b"):
+            assert _tokenize(line) == pattern_tokenize(line) == ["a", "b"][: 2 - ("#" in line)], repr(c)
 
 
 QUOTING_IDS = ["it's", "'", "a\\b", "\\", "\\n'"]
