@@ -37,7 +37,6 @@ import datetime
 import functools
 import itertools
 import re
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional
@@ -250,22 +249,15 @@ class Table(collections.abc.Mapping):
         """A plain dict of this version, copied at dict speed."""
         return self._dict().copy()
 
-    def changed_since(self, older: Table, bound: int = sys.maxsize) -> Optional[set]:
+    def changed_since(self, older: Table) -> Optional[set]:
         """Every id this version may differ on from ``older`` (``None`` if that is another table's
-        version): the undo diffs' keys on the path, at O(versions + diff entries) and no scan.
-        Past ``bound`` ids the walk stops within ``bound + 1`` diffs and gives the ids it found,
-        whichever table ``older`` is a version of."""
+        version): the undo diffs' keys on the path, at O(versions + diff entries) and no scan."""
         self._dict()
         ids, node = set(), older
-        while node._next is not None and len(ids) <= bound:
-            diffs = []  # the fewest diffs that pass the bound if each adds one new id
-            for _ in range(bound + 1 - len(ids)):
-                if node._next is None:
-                    break
-                diffs.append(node._data)
-                node = node._next
-            ids.update(*diffs)
-        return ids if node is self or len(ids) > bound else None
+        while node._next is not None:
+            ids.update(node._data)
+            node = node._next
+        return ids if node is self else None
 
     def __repr__(self):
         return repr(self._dict())
@@ -602,7 +594,7 @@ def dump_tasks(t: Mapping) -> str:
 
 
 _BLOCK = 128  # lines per block at most; 64 saves as fast at 1e4-1e5 rows and slower at 1e3
-_WHOLE = 4  # a patch formats a version whole past 1/_WHOLE of its rows changed (crossover: 20-30%; 0: never)
+_WHOLE = 4  # a patch formats a version whole past 1/_WHOLE of its rows changed (crossover: 20-30%)
 
 
 def _block(ids: list, lines: list) -> tuple:
@@ -652,12 +644,9 @@ class TaskText:
         looked up in ``t``, and only the blocks they fall in are rebuilt (an id
         before every block falls in the first), at O(|changed| * _BLOCK) beyond
         one read of the blocks.  ``t`` is formatted whole, which is then faster,
-        if it is not a version of ``table`` or over 1/_WHOLE of its rows changed;
-        the walk for the changed ids stops there."""
-        data = t._dict()
-        bound = len(data) // _WHOLE if _WHOLE else sys.maxsize
-        changed = t.changed_since(self.table, bound)
-        if changed is None or len(changed) > bound:
+        if it is not a version of ``table`` or over 1/_WHOLE of its rows changed."""
+        changed, data = t.changed_since(self.table), t._dict()
+        if changed is None or len(changed) * _WHOLE > len(data):
             return TaskText.of(t)
         present = [k for k in changed if k in data]
         new_lines = dict(zip(present, _task_lines(present, data)))

@@ -855,37 +855,6 @@ def test_a_patch_past_a_quarter_of_the_rows_formats_the_version_whole():
     assert str(text) == dump_tasks(source)
 
 
-def test_the_walk_for_the_changed_ids_stops_past_its_bound():
-    """Each of 100 versions adds one id to a 40-row table.  With a bound the
-    undo chain is walked from the oldest diff only until more ids than the
-    bound are found, and a patch asks for no more than 1/_WHOLE of its rows:
-    36 ids of the 140-row version, not 100, before it formats it whole."""
-    source = Table({f"t{i:04d}": rec(i % 3 == 0, f"task {i}", TODAY) for i in range(40)})
-    out = source
-    for i in range(100):
-        out = apply_dt(Delta({f"n{i:03d}": EGG}), out)
-    assert out.changed_since(source) == {f"n{i:03d}" for i in range(100)}
-    assert out.changed_since(source, 10) == {f"n{i:03d}" for i in range(11)}
-    assert out.changed_since(source, 99) == out.changed_since(source, 100) == out.changed_since(source)
-    mixed = source  # diffs of 0 to 7 ids, some named again
-    for i in range(60):
-        mixed = apply_dt(Delta({f"n{(i * j) % 50:03d}": EGG for j in range(i % 8)}), mixed)
-    every = mixed.changed_since(source)
-    for bound in range(len(every) + 2):
-        found = mixed.changed_since(source, bound)
-        assert found == every if len(every) <= bound else found <= every and len(found) > bound, bound
-    walked, walk = [], Table.changed_since
-
-    def recording(self, older, bound):
-        walked.append((bound, walk(self, older, bound)))
-        return walked[-1][1]
-
-    with mock.patch.object(Table, "changed_since", recording):
-        patched = TaskText.of(source).patch(out)
-    assert walked == [(35, {f"n{i:03d}" for i in range(36)})] and len(out) // pslens.tasks._WHOLE == 35
-    assert patched == TaskText.of(out) and patched.table is out
-
-
 def test_a_patch_rebuilds_only_the_blocks_its_ids_fall_in():
     """Pinned by structure rather than time: patching k ids of a 1e4-row
     text leaves all but at most k blocks the same objects as before."""
