@@ -128,19 +128,36 @@ def _load(path: str, parse, *args):
         raise CommandError(f"{path}: {exc}") from None
 
 
-def _overwrite(path: str, data: bytes) -> None:
-    """Write ``data`` over the old bytes of ``path`` (created if missing),
-    then cut off whatever a longer old file had beyond them.
+_IOV = 1024  # buffers per os.writev call at most: IOV_MAX on Linux and macOS
 
+
+def _overwrite(path: str, chunks: list) -> None:
+    """Write the bytes ``chunks`` over the old bytes of ``path`` (created if
+    missing) with gathered writes (``os.writev``), then cut off whatever a
+    longer old file had beyond them.
+
+    The chunks go out without being joined, at most ``_IOV`` to a call,
+    and a short write goes on from the first byte not written.
     Truncating first would drop the file's blocks, and ext4 then flushes
     a file truncated to zero and rewritten when it is closed, which makes
     a same-size save several times slower and its time depend on the
     disk.  A pipe or terminal is never cut (its size reads 0).
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(data)
-        if os.fstat(f.fileno()).st_size > len(data):
-            f.truncate(len(data))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        chunks, i, size = list(chunks), 0, 0
+        while i < len(chunks):
+            n = os.writev(fd, chunks[i : i + _IOV])
+            size += n
+            while i < len(chunks) and n >= len(chunks[i]):
+                n -= len(chunks[i])
+                i += 1
+            if n:
+                chunks[i] = chunks[i][n:]
+        if os.fstat(fd).st_size > size:
+            os.ftruncate(fd, size)
+    finally:
+        os.close(fd)
 
 
 def _side_domains(session: Session):
@@ -272,8 +289,8 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         if len(args) != 1:
             raise CommandError("usage: save <file>")
         text = session.text.patch(session.source)
-        try:  # every block is encoded before the target is opened, so a failed encoding leaves it as it was
-            _overwrite(args[0], text.encoded())
+        try:  # every block is in UTF-8 before the target is opened, so a failed encoding leaves it as it was
+            _overwrite(args[0], [data if type(data) is bytes else data.encode() for _, _, data in text.blocks])
         except UnicodeEncodeError as exc:
             raise CommandError(f"{args[0]}: {exc}") from None
         except OSError as exc:

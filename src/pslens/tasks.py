@@ -37,6 +37,7 @@ import datetime
 import functools
 import itertools
 import re
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional
@@ -598,22 +599,71 @@ _WHOLE = 4  # a patch formats a version whole past 1/_WHOLE of its rows changed 
 
 
 def _block(ids: list, lines: list) -> tuple:
-    """The block ``(ids, lines, data)``: ``data`` is the lines joined in UTF-8,
-    or joined as a str when a name holds a lone surrogate, which UTF-8 cannot."""
+    """The block ``(ids, lengths, data)`` of ``lines``: ``data`` is their join
+    in UTF-8 and ``lengths`` the size of each in it, or, when a name holds a
+    lone surrogate, which UTF-8 cannot, the joined str and sizes in characters."""
     text = "".join(lines)
     try:
-        return ids, lines, text.encode()
+        data = text.encode()
     except UnicodeEncodeError:
-        return ids, lines, text
+        return ids, array("I", map(len, lines)), text
+    one_byte = len(data) == len(text)  # every character is ASCII, so each line's size in bytes is its length
+    return ids, array("I", map(len, lines) if one_byte else (len(line.encode()) for line in lines)), data
 
 
-def _blocks(ids: list, lines: list) -> list[tuple]:
-    """Sorted ``ids`` and their ``lines`` as the fewest blocks of at most
-    ``_BLOCK`` lines each, cut as evenly as they go."""
+def _step(n: int) -> int:
+    """The lines per block, the last maybe fewer, when ``n`` lines are cut
+    into the fewest blocks of at most ``_BLOCK`` lines as evenly as they go."""
+    return -(-n // -(-n // _BLOCK)) if n else 1  # ceil(n / ceil(n / _BLOCK))
+
+
+def _blocks(ids: list, t: Mapping) -> list[tuple]:
+    """The blocks of the sorted ``ids`` of ``t``, formatted one block at a
+    time, so that the lines of one block at most are held as strs."""
+    step = _step(len(ids))
+    return [_block(chunk, _task_lines(chunk, t)) for i in range(0, len(ids), step) for chunk in (ids[i : i + step],)]
+
+
+def _cut(ids: list, lengths: array, data: bytes) -> list[tuple]:
+    """The block ``(ids, lengths, data)`` as the fewest blocks of at most
+    ``_BLOCK`` lines, cut at line offsets as evenly as they go: itself if
+    it fits, none if it has no lines."""
     if len(ids) <= _BLOCK:
-        return [_block(ids, lines)] if ids else []
-    step = -(-len(ids) // -(-len(ids) // _BLOCK))  # ceil(n / ceil(n / _BLOCK))
-    return [_block(ids[i : i + step], lines[i : i + step]) for i in range(0, len(ids), step)]
+        return [(ids, lengths, data)] if ids else []
+    step, at, out = _step(len(ids)), 0, []
+    for i in range(0, len(ids), step):
+        size = sum(lengths[i : i + step])
+        out.append((ids[i : i + step], lengths[i : i + step], data[at : at + size]))
+        at += size
+    return out
+
+
+def _splice(ids: list, lengths: array, data: bytes, lines: dict) -> tuple:
+    """The block ``(ids, lengths, data)`` with the UTF-8 line of each id in
+    ``lines`` put in its sorted place, or cut out where that is ``None``, by
+    slicing ``data`` at the offsets ``lengths`` gives.  The same ``ids``
+    list is kept when no id comes or goes."""
+    new_ids, lengths, pieces, end = ids, lengths[:], [], len(data)
+    for k in sorted(lines, reverse=True):  # from the end, so the offsets before it hold
+        i, line = bisect_left(new_ids, k), lines[k]
+        hit = i < len(new_ids) and new_ids[i] == k
+        if not hit and line is None:
+            continue  # deleted, and absent already
+        at = sum(lengths[:i])
+        pieces += (data[at + lengths[i] if hit else at : end], line or b"")
+        end = at
+        if hit and line is not None:
+            lengths[i] = len(line)
+            continue
+        new_ids = ids.copy() if new_ids is ids else new_ids
+        if hit:
+            del new_ids[i], lengths[i]
+        else:
+            new_ids.insert(i, k)
+            lengths.insert(i, len(line))
+    pieces.append(data[:end])
+    pieces.reverse()
+    return new_ids, lengths, b"".join(pieces)
 
 
 @dataclass(frozen=True, slots=True)
@@ -621,14 +671,16 @@ class TaskText:
     """The canonical text of a task table, kept in sorted blocks: a chunked
     string of one level (Boehm, Atkinson & Plass, "Ropes", 1995).
 
-    Each of ``blocks`` is ``(ids, lines, data)`` for at most ``_BLOCK``
-    consecutive sorted ids, ``lines[i]`` the line of ``ids[i]`` and
-    ``data`` their join, encoded to UTF-8 when the block is built (a block
-    holding a lone surrogate keeps the joined str).  So :meth:`encoded`
-    joins bytes that are already there, and ``str(text)``, which decodes
-    them, is :func:`dump_tasks` of ``table``, the version kept.  Nothing is
-    changed in place: :meth:`patch` shares every block it does not rebuild,
-    so an older text still renders its own version.
+    Each of ``blocks`` is ``(ids, lengths, data)`` for at most ``_BLOCK``
+    consecutive sorted ids: ``data`` is their lines joined and encoded to
+    UTF-8 when the block is built, and ``lengths[i]`` the size of the line
+    of ``ids[i]`` in it, so each line is held once, as bytes.  A block
+    holding a lone surrogate keeps the joined str, with sizes in
+    characters.  ``str(text)``, which decodes the blocks, is
+    :func:`dump_tasks` of ``table``, the version kept, and a save writes
+    the block bytes as they are.  Nothing is changed in place:
+    :meth:`patch` shares every block it does not rebuild, so an older
+    text still renders its own version.
     """
 
     blocks: list
@@ -636,46 +688,37 @@ class TaskText:
 
     @classmethod
     def of(cls, t: Table) -> "TaskText":
-        ids = sorted(data := t._dict())
-        return cls(_blocks(ids, _task_lines(ids, data)), t)
+        return cls(_blocks(sorted(data := t._dict()), data), t)
 
     def patch(self, t: Table) -> "TaskText":
         """The text of ``t``: only the ids :meth:`Table.changed_since` gives are
         looked up in ``t``, and only the blocks they fall in are rebuilt (an id
         before every block falls in the first), at O(|changed| * _BLOCK) beyond
-        one read of the blocks.  ``t`` is formatted whole, which is then faster,
-        if it is not a version of ``table`` or over 1/_WHOLE of its rows changed."""
+        one read of the blocks.  Each changed line is spliced into its block's
+        bytes, and a block that UTF-8 cannot hold is formatted again.  ``t``
+        is formatted whole, which is then faster, if it is not a version of
+        ``table`` or over 1/_WHOLE of its rows changed."""
         changed, data = t.changed_since(self.table), t._dict()
         if changed is None or len(changed) * _WHOLE > len(data):
             return TaskText.of(t)
         present = [k for k in changed if k in data]
-        new_lines = dict(zip(present, _task_lines(present, data)))
+        utf8, surrogates = {}, set()
+        for k, line in zip(present, _task_lines(present, data)):
+            try:
+                utf8[k] = line.encode()
+            except UnicodeEncodeError:
+                surrogates.add(k)
         blocks, firsts = self.blocks.copy(), [ids[0] for ids, _, _ in self.blocks]
-        touched: dict[int, list] = {}
+        touched: dict[int, dict] = {}  # block index to its changed ids' UTF-8 lines (None: deleted)
         for k in changed:
-            touched.setdefault(bisect_right(firsts, k, 1) - 1, []).append(k)
+            touched.setdefault(bisect_right(firsts, k, 1) - 1, {})[k] = utf8.get(k)
         for b in sorted(touched, reverse=True):  # from the end, so the lower indices hold
-            ids, lines = (blocks[b][0].copy(), blocks[b][1].copy()) if blocks else ([], [])
-            for k in touched[b]:
-                i = bisect_left(ids, k)
-                if i < len(ids) and ids[i] == k:
-                    if k in new_lines:
-                        lines[i] = new_lines[k]
-                    else:
-                        del ids[i], lines[i]
-                elif k in new_lines:
-                    ids.insert(i, k)
-                    lines.insert(i, new_lines[k])
-            if blocks and 0 < len(ids) <= _BLOCK:  # rebuilt in place
-                blocks[b] = _block(ids, lines)
-            else:  # split, dropped, or an empty table's first block
-                blocks[b : b + 1] = _blocks(ids, lines)
+            ids, lengths, text = blocks[b] if blocks else ([], array("I"), b"")
+            if type(text) is bytes and surrogates.isdisjoint(touched[b]):  # kept, split, dropped, or a first block
+                blocks[b : b + 1] = _cut(*_splice(ids, lengths, text, touched[b]))
+            else:  # a block UTF-8 cannot hold, before or after, is formatted again
+                blocks[b : b + 1] = _blocks(sorted(k for k in {*ids, *touched[b]} if k in data), data)
         return TaskText(blocks, t)
-
-    def encoded(self) -> bytes:
-        """The text in UTF-8: ``UnicodeEncodeError`` from the first block kept
-        as a str, which holds a lone surrogate."""
-        return b"".join(data if type(data) is bytes else data.encode() for _, _, data in self.blocks)
 
     def __str__(self) -> str:
         return "".join(data if type(data) is str else data.decode() for _, _, data in self.blocks)

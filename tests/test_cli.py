@@ -9,11 +9,14 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pslens.cli
+import pslens.tasks
 from pslens.cli import CommandError, LawSuiteFailure, main, new_session, run_command, run_lines
 from pslens.tasks import Delta, TaskRecord, dt_domain, dtdt_domain, dtog_domain, dump_tasks, load_tasks, task_pipeline
 
@@ -164,8 +167,10 @@ def test_a_block_holding_a_lone_surrogate_keeps_its_str_until_a_put_renames_the_
     session = new_session("plain", TODAY, source)
     kinds = [type(data) for _, _, data in session.text.blocks]
     assert len(kinds) == 3 and kinds.count(str) == 1
-    _, lines, data = session.text.blocks[kinds.index(str)]
-    assert data == "".join(lines) and 'task t150 false "caf\udcff" 2025-04-01\n' in lines
+    ids, lengths, data = session.text.blocks[kinds.index(str)]
+    i = ids.index("t150")
+    at = sum(lengths[:i])
+    assert data[at : at + lengths[i]] == 'task t150 false "caf\udcff" 2025-04-01\n'
 
     _, out = run_command(session, "show")
     assert out[1 : 1 + len(source)] == ["  " + line for line in dump_tasks(source).split("\n")[:-1]]
@@ -217,6 +222,62 @@ def test_save_to_a_pipe_writes_the_text():
         with open(w, "wb"):
             run_command(session, f"save /dev/fd/{w}")
         assert reader.read() == dump_tasks(session.source).encode()
+
+
+WIDE_SOURCE = {f"t{i:04d}": TaskRecord(i % 3 == 0, ("task", "Café ☕", "日本 𝄞")[i % 3] + f" {i}", TODAY) for i in range(1100)}
+WIDE_EDITS = ['edit og add t0004 "renamed ☕" 2025-04-01', "edit og del t0005", 'edit og add t0000a "new" 2025-04-01', "put"]
+
+
+def test_a_save_of_more_blocks_than_one_writev_takes_writes_them_all_and_cuts_a_longer_file(tmp_path):
+    """With one line a block, 1100 rows are more blocks than one ``os.writev``
+    call takes: the save makes several calls of at most ``_IOV`` buffers,
+    writes exactly the canonical text and cuts off the rest of a longer file."""
+    target, calls, writev = tmp_path / "out.tasks", [], os.writev
+    target.write_bytes(b"x" * 200_000)
+
+    def counted(fd, buffers):
+        calls.append(len(buffers))
+        return writev(fd, buffers)
+
+    with mock.patch.object(pslens.tasks, "_BLOCK", 1), mock.patch.object(os, "writev", counted):
+        session = run_lines(new_session("plain", TODAY, WIDE_SOURCE), [*WIDE_EDITS, f"save {target}"], out=io.StringIO())
+    assert len(session.text.blocks) == len(session.source) > pslens.cli._IOV
+    assert len(calls) == 2 and max(calls) == pslens.cli._IOV
+    assert target.read_bytes() == dump_tasks(session.source).encode()
+
+
+@pytest.mark.parametrize("most", [7, 4000, 9000])
+def test_short_writes_go_on_from_the_first_byte_not_written(tmp_path, most):
+    """An ``os.writev`` that writes at most ``most`` bytes of each request,
+    stopping inside a buffer or past the end of one: the save still leaves
+    exactly the canonical text, over a longer file too."""
+    target = tmp_path / "out.tasks"
+    target.write_bytes(b"x" * 200_000)
+
+    def short(fd, buffers):
+        return os.write(fd, b"".join(buffers)[:most])
+
+    session = run_lines(new_session("plain", TODAY, WIDE_SOURCE), WIDE_EDITS, out=io.StringIO())
+    with mock.patch.object(os, "writev", short):
+        session, _ = run_command(session, f"save {target}")
+    assert len(session.text.blocks) > 1
+    assert target.read_bytes() == dump_tasks(session.source).encode()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_save_closes_the_target_whether_its_write_fails_or_not(tmp_path):
+    target = tmp_path / "out.tasks"
+    session = load_initial(new_session("plain", TODAY))
+    before = sorted(os.listdir("/dev/fd"))
+
+    def full(fd, buffers):
+        raise OSError(28, "No space left on device")
+
+    with mock.patch.object(os, "writev", full), pytest.raises(CommandError, match="No space left on device"):
+        run_command(session, f"save {target}")
+    run_command(session, f"save {target}")
+    assert sorted(os.listdir("/dev/fd")) == before
+    assert target.read_bytes() == dump_tasks(session.source).encode()
 
 
 def test_files_are_utf8_under_an_ascii_locale(tmp_path):

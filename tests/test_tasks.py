@@ -782,13 +782,19 @@ def utf8_or_str(text: str):
 
 def assert_renders(text, model, block):
     """``text`` is the canonical text of ``model`` in sorted blocks of
-    one to ``block`` lines, each block's data the join of its lines (as
-    bytes when they encode, as the str otherwise), and keeps a table
-    version that reads as ``model``."""
-    assert str(text) == dump_tasks(model) and text.encoded() == dump_tasks(model).encode()
+    one to ``block`` lines, each block's ``lengths`` cutting its data into
+    exactly the lines of its ids (as bytes when the block's lines encode,
+    as the str otherwise), and keeps a table version that reads as ``model``."""
+    assert str(text) == dump_tasks(model)
+    if type(whole := utf8_or_str(dump_tasks(model))) is bytes:
+        assert b"".join(data for _, _, data in text.blocks) == whole
     assert [k for ids, _, _ in text.blocks for k in ids] == sorted(model)
-    for ids, lines, data in text.blocks:
-        assert 0 < len(ids) == len(lines) <= block and data == utf8_or_str("".join(lines))
+    for ids, lengths, data in text.blocks:
+        lines = [dump_tasks({k: model[k]}) for k in ids]
+        assert 0 < len(ids) == len(lengths) <= block and data == utf8_or_str("".join(lines))
+        ends = list(itertools.accumulate(lengths))
+        cut = [data[end - n : end] for end, n in zip(ends, lengths)]
+        assert ends[-1] == len(data) and cut == (lines if type(data) is str else [line.encode() for line in lines])
     assert text.table == model
 
 
@@ -836,6 +842,47 @@ def test_text_patches_render_their_tables(block, initial, steps):
         whole = versions[-1][0].patch(unrelated)
         assert whole.table is unrelated and whole == TaskText.of(unrelated)
         assert_renders(whole, {"k00": EGG, **initial}, block)
+
+
+WIDE_RECORDS = [rec(False, "x", TODAY), rec(True, "Café ☕ 𝄞", APR2), rec(False, "日本", TODAY), rec(False, "caf\udcff", TODAY)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    block=st.integers(1, 4),
+    initial=st.dictionaries(TEXT_IDS, st.sampled_from(WIDE_RECORDS)),
+    steps=st.lists(st.dictionaries(TEXT_IDS, st.none() | st.sampled_from(WIDE_RECORDS), max_size=5), max_size=6),
+)
+def test_text_patches_splice_multibyte_lines_and_keep_surrogate_blocks_as_str(block, initial, steps):
+    """Chained patches over names of one to four UTF-8 bytes a character
+    and a lone surrogate: a multi-byte line is spliced at its size in
+    bytes, and a block holding a lone surrogate, before or after the
+    patch, keeps its str, which turns back into bytes once the surrogate
+    line is gone."""
+    with mock.patch.object(pslens.tasks, "_BLOCK", block), mock.patch.object(pslens.tasks, "_WHOLE", 0):
+        text, model = TaskText.of(Table(initial)), dict(initial)
+        assert_renders(text, model, block)
+        for changes in steps:
+            adds = {k: r for k, r in changes.items() if r is not None}
+            new = apply_dt(Delta(adds, changes.keys() - adds.keys()), text.table)
+            text, model = text.patch(new), {k: r for k, r in {**model, **changes}.items() if r is not None}
+            assert_renders(text, model, block)
+
+
+def test_a_patch_that_only_replaces_lines_keeps_each_block_s_ids():
+    """A block whose changed ids are all replaced keeps its ``ids`` list
+    object and gets new ``lengths`` and bytes; a block that gains an id
+    gets a new ``ids`` list, and the kept text's blocks are unchanged."""
+    source = Table({f"t{i:04d}": rec(i % 3 == 0, f"task {i}", TODAY) for i in range(1000)})
+    text = TaskText.of(source)
+    out = apply_dt(Delta({"t0002": rec(False, "Café ☕", APR2), "t0500": STRETCH, "t0500a": EGG}), source)
+    patched = text.patch(out)
+    assert str(patched) == dump_tasks(out) and str(text) == dump_tasks(source)
+    first, new_first = text.blocks[0], patched.blocks[0]
+    assert new_first[0] is first[0] and new_first[1] is not first[1] and new_first[2] != first[2]
+    middle = next(b for b, (ids, _, _) in enumerate(text.blocks) if "t0500" in ids)
+    assert patched.blocks[middle][0] is not text.blocks[middle][0] and "t0500a" in patched.blocks[middle][0]
+    assert "t0500a" not in text.blocks[middle][0]
 
 
 def test_a_patch_past_a_quarter_of_the_rows_formats_the_version_whole():
