@@ -18,8 +18,9 @@ are skipped, and ``'`` and ``\\`` outside double quotes are ordinary.
     laws [fixture]                  run the law suite
 
 A failed ``put`` reports the reason and leaves the session untouched.
-Files are UTF-8 both ways; a ``save`` that cannot encode the table leaves its
-target as it was, one that fails while writing may leave it partly overwritten.
+Files are UTF-8 both ways.  An id or name holding a lone surrogate (as an undecodable
+byte on stdin reads) is refused where it enters, so every table a session holds saves
+and loads back; a ``save`` that fails while writing may leave its target partly overwritten.
 Exit codes: 0 success, 1 command error, 2 law-suite failure.
 """
 
@@ -289,10 +290,8 @@ def run_command(session: Session, line: str) -> tuple[Session, list[str]]:
         if len(args) != 1:
             raise CommandError("usage: save <file>")
         text = session.text.patch(session.source)
-        try:  # every block is in UTF-8 before the target is opened, so a failed encoding leaves it as it was
-            _overwrite(args[0], [data if type(data) is bytes else data.encode() for _, _, data in text.blocks])
-        except UnicodeEncodeError as exc:
-            raise CommandError(f"{args[0]}: {exc}") from None
+        try:
+            _overwrite(args[0], [data for _, _, data in text.blocks])
         except OSError as exc:
             raise CommandError(str(exc)) from None
         return (
@@ -338,6 +337,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     for stream in (sys.stdout, sys.stderr):  # a name the terminal cannot encode is printed escaped
         if isinstance(stream, io.TextIOWrapper):
             stream.reconfigure(errors="backslashreplace")
+    if isinstance(sys.stdin, io.TextIOWrapper):  # an undecodable byte reads as a lone surrogate, which edit refuses
+        sys.stdin.reconfigure(errors="surrogateescape")
 
     if args.laws:
         lines, ok = run_fixture_suite()

@@ -62,8 +62,17 @@ class ParseError(ValueError):
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-#: Ids are written unquoted, so a task id is a bare token of the line grammar.
-is_task_id = _is_bare_token
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _encodable(text: str) -> bool:
+    """Whether UTF-8 can hold ``text``: it holds no lone surrogate."""
+    return text.isascii() or _LONE_SURROGATE.search(text) is None
+
+
+def is_task_id(x: Any) -> bool:
+    """Whether ``x`` is a bare token of the line grammar (ids are written unquoted) that UTF-8 can hold."""
+    return _is_bare_token(x) and _encodable(x)
 
 
 _VALID_DATES: set[str] = set()  # the dates check_date has accepted: at most one entry per calendar day
@@ -97,6 +106,8 @@ class TaskRecord:
             raise ValueError(f"task done flag {self.done!r} is not a bool")
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("task name must be nonempty")
+        if not _encodable(self.name):
+            raise ValueError(f"task name {self.name!r} holds a lone surrogate, which UTF-8 cannot hold")
         check_date(self.due)
 
 
@@ -107,7 +118,7 @@ def valid_tasks(t: Any) -> bool:
 def _check_ids(ids: Iterable) -> None:
     for k in ids:
         if not is_task_id(k):
-            raise ValueError(f"task id {k!r} is not a bare token")
+            raise ValueError(f"task id {k!r} is not a bare token in UTF-8")
 
 
 def _check_table(table: Mapping, label: str) -> dict:
@@ -600,13 +611,9 @@ _WHOLE = 4  # a patch formats a version whole past 1/_WHOLE of its rows changed 
 
 def _block(ids: list, lines: list) -> tuple:
     """The block ``(ids, lengths, data)`` of ``lines``: ``data`` is their join
-    in UTF-8 and ``lengths`` the size of each in it, or, when a name holds a
-    lone surrogate, which UTF-8 cannot, the joined str and sizes in characters."""
+    in UTF-8 and ``lengths`` the size of each in it."""
     text = "".join(lines)
-    try:
-        data = text.encode()
-    except UnicodeEncodeError:
-        return ids, array("I", map(len, lines)), text
+    data = text.encode()
     one_byte = len(data) == len(text)  # every character is ASCII, so each line's size in bytes is its length
     return ids, array("I", map(len, lines) if one_byte else (len(line.encode()) for line in lines)), data
 
@@ -674,13 +681,12 @@ class TaskText:
     Each of ``blocks`` is ``(ids, lengths, data)`` for at most ``_BLOCK``
     consecutive sorted ids: ``data`` is their lines joined and encoded to
     UTF-8 when the block is built, and ``lengths[i]`` the size of the line
-    of ``ids[i]`` in it, so each line is held once, as bytes.  A block
-    holding a lone surrogate keeps the joined str, with sizes in
-    characters.  ``str(text)``, which decodes the blocks, is
-    :func:`dump_tasks` of ``table``, the version kept, and a save writes
-    the block bytes as they are.  Nothing is changed in place:
-    :meth:`patch` shares every block it does not rebuild, so an older
-    text still renders its own version.
+    of ``ids[i]`` in it, so each line is held once, as bytes.  No id or
+    name holding a lone surrogate enters a table, so UTF-8 holds every
+    line.  ``str(text)``, which decodes the blocks, is :func:`dump_tasks`
+    of ``table``, the version kept, and a save writes the block bytes as
+    they are.  Nothing is changed in place: :meth:`patch` shares every
+    block it does not rebuild, so an older text still renders its own version.
     """
 
     blocks: list
@@ -694,34 +700,25 @@ class TaskText:
         """The text of ``t``: only the ids :meth:`Table.changed_since` gives are
         looked up in ``t``, and only the blocks they fall in are rebuilt (an id
         before every block falls in the first), at O(|changed| * _BLOCK) beyond
-        one read of the blocks.  Each changed line is spliced into its block's
-        bytes, and a block that UTF-8 cannot hold is formatted again.  ``t``
-        is formatted whole, which is then faster, if it is not a version of
-        ``table`` or over 1/_WHOLE of its rows changed."""
+        one read of the blocks, and each changed line is spliced into its block's
+        bytes.  ``t`` is formatted whole, which is then faster, if it is not a
+        version of ``table`` or over 1/_WHOLE of its rows changed."""
         changed, data = t.changed_since(self.table), t._dict()
         if changed is None or len(changed) * _WHOLE > len(data):
             return TaskText.of(t)
         present = [k for k in changed if k in data]
-        utf8, surrogates = {}, set()
-        for k, line in zip(present, _task_lines(present, data)):
-            try:
-                utf8[k] = line.encode()
-            except UnicodeEncodeError:
-                surrogates.add(k)
+        utf8 = {k: line.encode() for k, line in zip(present, _task_lines(present, data))}
         blocks, firsts = self.blocks.copy(), [ids[0] for ids, _, _ in self.blocks]
         touched: dict[int, dict] = {}  # block index to its changed ids' UTF-8 lines (None: deleted)
         for k in changed:
             touched.setdefault(bisect_right(firsts, k, 1) - 1, {})[k] = utf8.get(k)
         for b in sorted(touched, reverse=True):  # from the end, so the lower indices hold
-            ids, lengths, text = blocks[b] if blocks else ([], array("I"), b"")
-            if type(text) is bytes and surrogates.isdisjoint(touched[b]):  # kept, split, dropped, or a first block
-                blocks[b : b + 1] = _cut(*_splice(ids, lengths, text, touched[b]))
-            else:  # a block UTF-8 cannot hold, before or after, is formatted again
-                blocks[b : b + 1] = _blocks(sorted(k for k in {*ids, *touched[b]} if k in data), data)
+            block = blocks[b] if blocks else ([], array("I"), b"")  # kept, split, dropped, or a first block
+            blocks[b : b + 1] = _cut(*_splice(*block, touched[b]))
         return TaskText(blocks, t)
 
     def __str__(self) -> str:
-        return "".join(data if type(data) is str else data.decode() for _, _, data in self.blocks)
+        return b"".join(data for _, _, data in self.blocks).decode()
 
 
 def _read_clauses(text: str, arity: dict[str, int], upserts: FilterDomain = _DT) -> dict[str, dict]:

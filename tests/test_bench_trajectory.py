@@ -59,6 +59,26 @@ def test_parse_run_refuses_output_without_a_header_a_pass_count_or_a_result():
         trajectory.parse_run(CANNED.rsplit("{", 1)[0])
 
 
+def _fake_tree(root, name, body):
+    """A checkout whose ``bench/run.py`` is ``body``."""
+    (root / name / "bench").mkdir(parents=True)
+    (root / name / "bench" / "run.py").write_text(body)
+    return f"{name}={root / name}"
+
+
+def test_collect_skips_a_run_without_a_result_and_keeps_the_others(tmp_path, capsys):
+    (tmp_path / "canned.txt").write_text(CANNED)
+    good = _fake_tree(tmp_path, "good", f"import sys\nsys.stdout.write(open({str(tmp_path / 'canned.txt')!r}).read())\n")
+    bad = _fake_tree(tmp_path, "bad", "import sys\nsys.exit(2)\n")
+    argv = ["--workloads", "law-closure", "--seeds", "1", "2", "--seconds", "1"]
+    assert trajectory.main(["--tree", bad, "--tree", good, *argv]) == 1
+    out, err = capsys.readouterr()
+    points = json.loads(out)
+    assert [p["tree"] for p in points] == ["good", "good"] and trajectory.problems(points) == []
+    assert err.count("bad law-closure seed 1: skipped, no bench header or pass count in the output") == 1
+    assert "bad law-closure seed 2: exit 2" in err
+
+
 def test_problems_names_missing_fields_and_end_to_end_metrics():
     point = {**trajectory.parse_run(CANNED), "tree": "head"}
     assert trajectory.problems([]) == ["not a non-empty JSON list"]

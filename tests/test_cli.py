@@ -1,13 +1,16 @@
 """Command front end: sessions, batch determinism, exit codes."""
 
 import collections
+import dataclasses
 import io
 import os
 import random
 import re
+import select
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -134,6 +137,17 @@ def test_script_errors_name_their_line(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == expected
 
 
+def test_an_undecodable_byte_on_stdin_is_refused_at_the_edit_and_the_loop_goes_on(capsys, monkeypatch):
+    lines = b'edit og add a "caf\xff" 2025-04-01\nedit og del \xff\nshow\n'
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(lines), encoding="utf-8", errors="strict"))
+    assert main([]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "error: task name 'caf\\udcff' holds a lone surrogate, which UTF-8 cannot hold",
+        "error: task id '\\udcff' is not a bare token in UTF-8",
+        *["source:", "  (empty)", "ongoing view:", "  (empty)", f"today view ({TODAY}):", "  (empty)"],
+    ]
+
+
 def test_unreadable_files_are_command_errors(tmp_path, capsys):
     binary, script = tmp_path / "binary.tasks", tmp_path / "binary.script"
     binary.write_bytes(b"\xff\xfe\n")
@@ -145,47 +159,53 @@ def test_unreadable_files_are_command_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_a_name_utf8_cannot_hold_fails_the_save_and_leaves_the_target_as_it_was(tmp_path):
-    # a lone surrogate, as one invalid byte on interactive stdin decodes
-    session = run_lines(new_session("plain", TODAY), ['edit og add a "caf\udcff" 2025-04-01', "put"], out=io.StringIO())
-    target, missing = tmp_path / "kept.tasks", tmp_path / "missing.tasks"
-    target.write_bytes(b'task old false "x" 2025-04-01\n')
-    for path in (target, missing):
-        with pytest.raises(CommandError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't encode"):
-            run_command(session, f"save {path}")
-    assert target.read_bytes() == b'task old false "x" 2025-04-01\n'
-    assert not missing.exists()
+def test_a_name_or_id_utf8_cannot_hold_is_refused_at_the_edit_and_the_session_is_unchanged(tmp_path):
+    # a lone surrogate, as one undecodable byte on interactive stdin decodes
+    session = load_initial(new_session("plain", TODAY))
+    for line, error in [
+        ('edit og add a "caf\udcff" 2025-04-01', "task name 'caf\\udcff' holds a lone surrogate, which UTF-8 cannot hold"),
+        ('edit dt add caf\udcff "x" 2025-04-01', "task id 'caf\\udcff' is not a bare token in UTF-8"),
+        ("edit og del \ud800", "task id '\\ud800' is not a bare token in UTF-8"),
+    ]:
+        with pytest.raises(CommandError, match=f"^{re.escape(error)}$"):
+            run_command(session, line)
+    target = tmp_path / "saved.tasks"
+    session = run_lines(session, ['edit og add a "café" 2025-04-01', "put", f"save {target}"], out=io.StringIO())
+    assert session.source == {**load_initial(new_session("plain", TODAY)).source, "a": TaskRecord(False, "café", TODAY)}
+    assert load_tasks(target.read_text(encoding="utf-8")) == session.source
 
 
-def test_a_block_holding_a_lone_surrogate_keeps_its_str_until_a_put_renames_the_task(tmp_path):
-    """Each block keeps its lines in UTF-8, except one whose name UTF-8
-    cannot hold, which keeps the joined str: ``show`` renders it, and ``save``
-    fails with the error of encoding that block and leaves the target as it
-    was.  Once a ``put`` renames the task, the saved block is bytes again."""
-    source = {f"t{i:03d}": TaskRecord(i % 2 == 0, f"task {i}", TODAY) for i in range(300)}
-    source["t150"] = TaskRecord(False, "caf\udcff", TODAY)
-    session = new_session("plain", TODAY, source)
-    kinds = [type(data) for _, _, data in session.text.blocks]
-    assert len(kinds) == 3 and kinds.count(str) == 1
-    ids, lengths, data = session.text.blocks[kinds.index(str)]
-    i = ids.index("t150")
-    at = sum(lengths[:i])
-    assert data[at : at + lengths[i]] == 'task t150 false "caf\udcff" 2025-04-01\n'
+ROUND_TRIP_SOURCE = {f"t{i:03d}": TaskRecord(i % 2 == 0, f"task {i}", TODAY) for i in range(300)}
+# names and ids of letters, symbols, spaces, punctuation ('"' and '#' among it) and lone surrogates
+ENTERING_TEXT = st.text(
+    st.characters(categories=["Ll", "Lo", "So", "Zs", "Po", "Cs"]) | st.sampled_from(["a", "é", "\udcff", "\ud800"]),
+    max_size=4,
+)
 
-    _, out = run_command(session, "show")
-    assert out[1 : 1 + len(source)] == ["  " + line for line in dump_tasks(source).split("\n")[:-1]]
-    target = tmp_path / "kept.tasks"
-    target.write_bytes(b'task old false "x" 2025-04-01\n')
-    with pytest.raises(UnicodeEncodeError) as encoding:
-        data.encode()
-    with pytest.raises(CommandError) as failed:
-        run_command(session, f"save {target}")
-    assert str(failed.value) == f"{target}: {encoding.value}"
-    assert target.read_bytes() == b'task old false "x" 2025-04-01\n'
 
-    session = run_lines(session, ['edit og add t150 "café ☕" 2025-04-01', "put", f"save {target}"], out=io.StringIO())
-    assert {type(data) for _, _, data in session.text.blocks} == {bytes}
-    assert target.read_bytes() == dump_tasks(session.source).encode()
+@settings(max_examples=100, deadline=None)
+@given(rows=st.dictionaries(ENTERING_TEXT, ENTERING_TEXT, max_size=4))
+def test_text_entering_a_session_is_refused_there_or_saves_and_loads_back(tmp_path_factory, rows):
+    """Each drawn id and name, lone surrogates among them, is refused with
+    ``ValueError`` by ``TaskRecord`` or ``Delta`` exactly when the task
+    format cannot write it back: an empty name, an id that is not a bare
+    token, or a lone surrogate in either.  The rest are put into a
+    300-row session of three blocks, whose patched text ``save`` writes
+    and ``load`` reads back as the same table."""
+    adds = {}
+    for key, name in rows.items():
+        bare = key and not any(c.isspace() or c in '"#' for c in key)
+        refusable = not name or not bare or any("\ud800" <= c <= "\udfff" for c in key + name)
+        try:
+            adds.update(Delta({key: TaskRecord(False, name, TODAY)}).adds)
+        except ValueError:
+            assert refusable, (key, name)
+            continue
+        assert not refusable, (key, name)
+    session = dataclasses.replace(new_session("plain", TODAY, ROUND_TRIP_SOURCE), staged_og=Delta(adds))
+    target = tmp_path_factory.mktemp("round_trip") / "saved.tasks"
+    session = run_lines(session, ["put", f"save {target}"], out=io.StringIO())
+    assert session.source == {**ROUND_TRIP_SOURCE, **adds} and len(session.text.blocks) == 3
     assert load_tasks(target.read_text(encoding="utf-8")) == session.source
 
 
@@ -215,13 +235,24 @@ def test_save_leaves_exactly_the_canonical_text_whatever_the_target_held(tmp_pat
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def read_to_eof(fd, seconds=5.0):
+    """The bytes read from ``fd`` up to end of file, failing the test when
+    it has not come ``seconds`` from now (a writer kept the pipe open)."""
+    deadline, chunks = time.monotonic() + seconds, []
+    while select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0]:
+        if not (chunk := os.read(fd, 1 << 16)):
+            return b"".join(chunks)
+        chunks.append(chunk)
+    pytest.fail(f"no end of file within {seconds} s: a descriptor of the pipe's write end is still open")
+
+
 def test_save_to_a_pipe_writes_the_text():
     session = load_initial(new_session("plain", TODAY))
     r, w = os.pipe()
     with open(r, "rb") as reader:
         with open(w, "wb"):
             run_command(session, f"save /dev/fd/{w}")
-        assert reader.read() == dump_tasks(session.source).encode()
+        assert read_to_eof(reader.fileno()) == dump_tasks(session.source).encode()
 
 
 WIDE_SOURCE = {f"t{i:04d}": TaskRecord(i % 3 == 0, ("task", "Café ☕", "日本 𝄞")[i % 3] + f" {i}", TODAY) for i in range(1100)}

@@ -93,6 +93,21 @@ def test_record_done_must_be_a_bool(done):
         TaskRecord(done, "x", TODAY)
 
 
+@pytest.mark.parametrize("name", ["caf\udcff", "\ud800", "日本\udfff"])
+def test_a_name_holding_a_lone_surrogate_is_refused_where_it_enters(name):
+    """UTF-8 cannot hold a lone surrogate, so ``TaskRecord`` refuses one
+    in a name, and a task or delta text holding one is a parse error
+    naming its line; the empty name keeps its own message."""
+    with pytest.raises(ValueError, match="holds a lone surrogate, which UTF-8 cannot hold$"):
+        TaskRecord(False, name, TODAY)
+    with pytest.raises(ParseError, match="^line 2: task name .* holds a lone surrogate"):
+        load_tasks(f'task a false "x" 2025-04-01\ntask b false "{name}" 2025-04-01\n')
+    with pytest.raises(ParseError, match="^line 2: task name .* holds a lone surrogate"):
+        load_delta(f'delete a\npostpone b false "{name}" 2025-04-02\n', "today")
+    with pytest.raises(ValueError, match="^task name must be nonempty$"):
+        TaskRecord(False, "", TODAY)
+
+
 def test_delta_refuses_a_string_of_deletes():
     with pytest.raises(ValueError, match="not the string"):
         Delta(deletes="t1")
@@ -133,7 +148,7 @@ def test_view_date_has_no_default():
         task_pipeline("plain")
 
 
-BAD_IDS = ["", "a b", "a\tb", "a\u00a0b", 'a"b', "a\u2028b", "a\x0bb", "#a", "a#b", 7]
+BAD_IDS = ["", "a b", "a\tb", "a\u00a0b", 'a"b', "a\u2028b", "a\x0bb", "#a", "a#b", 7, "a\udcffb", "\ud800"]
 
 
 @pytest.mark.parametrize("key", BAD_IDS)
@@ -772,29 +787,19 @@ TEXT_IDS = st.sampled_from([f"k{i:02d}" for i in range(12)])
 TEXT_CHANGES = st.dictionaries(TEXT_IDS, st.none() | st.sampled_from(TABLE_RECORDS), max_size=5)
 
 
-def utf8_or_str(text: str):
-    """``text`` in UTF-8, or ``text`` itself when it holds a lone surrogate."""
-    try:
-        return text.encode()
-    except UnicodeEncodeError:
-        return text
-
-
 def assert_renders(text, model, block):
     """``text`` is the canonical text of ``model`` in sorted blocks of
-    one to ``block`` lines, each block's ``lengths`` cutting its data into
-    exactly the lines of its ids (as bytes when the block's lines encode,
-    as the str otherwise), and keeps a table version that reads as ``model``."""
+    one to ``block`` lines, each block's ``lengths`` cutting its UTF-8
+    data into exactly the lines of its ids, and keeps a table version
+    that reads as ``model``."""
     assert str(text) == dump_tasks(model)
-    if type(whole := utf8_or_str(dump_tasks(model))) is bytes:
-        assert b"".join(data for _, _, data in text.blocks) == whole
+    assert b"".join(data for _, _, data in text.blocks) == dump_tasks(model).encode()
     assert [k for ids, _, _ in text.blocks for k in ids] == sorted(model)
     for ids, lengths, data in text.blocks:
-        lines = [dump_tasks({k: model[k]}) for k in ids]
-        assert 0 < len(ids) == len(lengths) <= block and data == utf8_or_str("".join(lines))
+        lines = [dump_tasks({k: model[k]}).encode() for k in ids]
+        assert 0 < len(ids) == len(lengths) <= block and data == b"".join(lines)
         ends = list(itertools.accumulate(lengths))
-        cut = [data[end - n : end] for end, n in zip(ends, lengths)]
-        assert ends[-1] == len(data) and cut == (lines if type(data) is str else [line.encode() for line in lines])
+        assert ends[-1] == len(data) and [data[end - n : end] for end, n in zip(ends, lengths)] == lines
     assert text.table == model
 
 
@@ -844,7 +849,7 @@ def test_text_patches_render_their_tables(block, initial, steps):
         assert_renders(whole, {"k00": EGG, **initial}, block)
 
 
-WIDE_RECORDS = [rec(False, "x", TODAY), rec(True, "Café ☕ 𝄞", APR2), rec(False, "日本", TODAY), rec(False, "caf\udcff", TODAY)]
+WIDE_RECORDS = [rec(False, "x", TODAY), rec(True, "Café ☕ 𝄞", APR2), rec(False, "日本", TODAY)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -853,12 +858,9 @@ WIDE_RECORDS = [rec(False, "x", TODAY), rec(True, "Café ☕ 𝄞", APR2), rec(F
     initial=st.dictionaries(TEXT_IDS, st.sampled_from(WIDE_RECORDS)),
     steps=st.lists(st.dictionaries(TEXT_IDS, st.none() | st.sampled_from(WIDE_RECORDS), max_size=5), max_size=6),
 )
-def test_text_patches_splice_multibyte_lines_and_keep_surrogate_blocks_as_str(block, initial, steps):
-    """Chained patches over names of one to four UTF-8 bytes a character
-    and a lone surrogate: a multi-byte line is spliced at its size in
-    bytes, and a block holding a lone surrogate, before or after the
-    patch, keeps its str, which turns back into bytes once the surrogate
-    line is gone."""
+def test_text_patches_splice_multibyte_lines(block, initial, steps):
+    """Chained patches over names of one to four UTF-8 bytes a character:
+    a multi-byte line is spliced at its size in bytes."""
     with mock.patch.object(pslens.tasks, "_BLOCK", block), mock.patch.object(pslens.tasks, "_WHOLE", 0):
         text, model = TaskText.of(Table(initial)), dict(initial)
         assert_renders(text, model, block)
@@ -1033,6 +1035,8 @@ def test_tasks_round_trip_over_accepted_ids(t):
         ("plain", 'delete "a\\"b"'),
         ("ongoing", 'complete "#a" "x" 2025-04-01'),
         ("today", 'postpone "a b" false "x" 2025-04-02'),
+        ("tasks", 'task a\udcff false "x" 2025-04-01'),
+        ("today", "delete \ud800"),
     ],
 )
 def test_bad_ids_are_parse_errors_with_line_numbers(shape, clause):

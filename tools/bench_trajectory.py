@@ -15,7 +15,8 @@ first.  A run becomes one object: the bench's header fields
 ``commit``), the number of timed ``passes`` the run made, the tree's
 ``NAME`` as ``tree``, and the result JSON of the run's last line
 (``correct``, ``attempted``, ``failed``, ``metrics``).
-The exit code is 1 when a run exits nonzero.
+The exit code is 1 when a run exits nonzero; a run whose output holds
+no header, pass count or result is reported on stderr and left out.
 
 Check files against that schema (exit code 1 on the first bad file):
 
@@ -154,7 +155,12 @@ def collect(trees: list[tuple[str, Path]], workloads: list[str], seeds: list[int
             if done.returncode:
                 ok = False
                 sys.stderr.write(done.stdout[-2000:] + done.stderr[-2000:])
-            point = parse_run(done.stdout)
+            try:
+                point = parse_run(done.stdout)
+            except ValueError as exc:  # no result to keep: the runs before and after it still are
+                ok = False
+                print(f"{name} {workload} seed {seed}: skipped, {exc}", file=sys.stderr)
+                continue
             points.append({**{key: point.pop(key) for key in [*HEADER, "passes"]}, "tree": name, **point})
     return points, ok
 
