@@ -44,6 +44,7 @@ from .tasks import (
     TaskRecord,
     TaskText,
     _check_ids,
+    _check_table,
     dt_domain,
     dtdt_domain,
     dtog_domain,
@@ -110,7 +111,7 @@ def _pipeline(variant: str, today: str) -> PSLens:
 
 def new_session(variant: str, today: str, source: Optional[Mapping] = None) -> Session:
     _pipeline(variant, today)  # an unknown variant or a bad date fails here
-    table = Table.of({} if source is None else source)
+    table = Table.of(_check_table({} if source is None else source, "source"))
     return Session(variant, today, table, _NO_EDITS, _NO_EDITS, TaskText.of(table))
 
 

@@ -47,7 +47,7 @@ from .lens import (
 
 
 class UniverseMismatchError(ValueError):
-    """A supplied sample element is outside the lens's carrier."""
+    """A sample or witness element is outside the lens's carrier, or a needed carrier is not enumerable."""
 
 
 class LawId(Enum):
@@ -102,24 +102,29 @@ class LawReport:
 class _Space:
     """Sample list with the bit rows of its order and identical updates, indexed by int.
 
-    A whole carrier with :meth:`IPoset.rows` keeps the domain's rows, and every value located in it
-    is a carrier element.  Otherwise each value (a sample, kept once, or a get/put result, appended
-    past the quantifier range ``n``) adds its row, asking the domain of each new ordered pair once.
+    :meth:`locate` is the only membership test.  A whole carrier (``values`` is ``None``) is a member
+    without asking, and keeps the domain's :meth:`IPoset.rows` where it has them.  Any other value (a
+    sample, kept once, or a get/put result, appended past the quantifier range ``n``) is asked
+    ``contains`` once, when new, and adds its row, asking the domain of each new ordered pair once.
     """
 
-    def __init__(self, domain: IPoset, values: list, exhaustive: bool):
-        self.domain = domain
+    def __init__(self, domain: IPoset, values: Optional[list], exhaustive: bool, side: str = "source"):
+        self.domain, self.side = domain, side
+        carrier = values is None
+        values = domain.elements if carrier else values
         rows = domain.rows() if exhaustive else None
         self._index = ElementIndex(values if rows else ())
         self.values = self._index.values
         self.up, self.id_up = rows or ([], [])
         for v in () if rows else values:
-            self.locate(v)
+            if self.locate(v, carrier) < 0:
+                raise UniverseMismatchError(f"sample {v!r} is outside the {side} carrier")
         self.n = len(self.values)
 
-    def locate(self, x: Any) -> int:
+    def locate(self, x: Any, member: bool = False) -> int:
+        """Position of ``x``, appended with its rows when new and in the carrier; -1 when it is not."""
         i = self._index.index(x)
-        if i < 0:
+        if i < 0 and (member or self.domain.contains(x)):
             i, vs = self._index.append(x, i), self.values
             self.up, self.id_up = (
                 [row | 1 << i if rel(v, x) else row for row, v in zip(rows, vs)]
@@ -142,10 +147,10 @@ class _Space:
 class _Ctx:
     """One lens pinned to a source/view universe, with get/put memos."""
 
-    def __init__(self, lens: PSLens, source: list, view: list, exhaustive: bool):
+    def __init__(self, lens: PSLens, source: Optional[list], view: Optional[list], exhaustive: bool):
         self.lens = lens
         self.S = _Space(lens.source, source, exhaustive)
-        self.V = _Space(lens.view, view, exhaustive)
+        self.V = _Space(lens.view, view, exhaustive, "view")
         self.exhaustive = exhaustive
         self._get: dict[int, int] = {}
         # an exhaustive universe appends no value, so put(i, j) memoizes at slot i * |V| + j
@@ -161,12 +166,10 @@ class _Ctx:
     def get(self, i: int) -> int:
         hit = self._get.get(i)
         if hit is None:
-            out = self.lens.get(self.S.values[i])
-            if not self.lens.view.contains(out):
-                raise ValueError(
-                    f"broken lens {self.lens.name!r}: get left the view carrier at {self.S.values[i]!r}"
-                )
-            hit = self._get[i] = self.V.locate(out)
+            hit = self.V.locate(self.lens.get(self.S.values[i]))
+            if hit < 0:
+                raise ValueError(f"broken lens {self.lens.name!r}: get left the view carrier at {self.S.values[i]!r}")
+            self._get[i] = hit
         return hit
 
     def put(self, i: int, j: int) -> Any:
@@ -174,16 +177,12 @@ class _Ctx:
         key = i * self._stride + j if self._stride else (i, j)
         hit = self._put[key] if self._stride else self._put.get(key)
         if hit is None:
-            out = self.lens.put(self.S.values[i], self.V.values[j])
-            if is_failure(out):
-                hit = out
-            else:
-                if not self.lens.source.contains(out):
-                    raise ValueError(
-                        f"broken lens {self.lens.name!r}: put left the source carrier "
-                        f"at {(self.S.values[i], self.V.values[j])!r}"
-                    )
-                hit = self.S.locate(out)
+            hit = self.lens.put(self.S.values[i], self.V.values[j])
+            if not is_failure(hit) and (hit := self.S.locate(hit)) < 0:
+                raise ValueError(
+                    f"broken lens {self.lens.name!r}: put left the source carrier "
+                    f"at {(self.S.values[i], self.V.values[j])!r}"
+                )
             self._put[key] = hit
         return hit
 
@@ -404,23 +403,18 @@ def _scan(c: _Ctx, name: str, at: Optional[dict] = None) -> Optional[dict]:
     for var in variables:
         space = c.S if var[0] == "s" else c.V
         i = None if at is None else space.locate(at[var])
+        if i is not None and i < 0:
+            raise UniverseMismatchError(f"witness {var}={at[var]!r} is outside the {space.side} carrier")
         ranges.append(range(space.n) if i is None else range(i, i + 1))
     return scanner(c, *ranges)
 
 
-def _universe_for(lens: PSLens, source: Optional[list], view: Optional[list]) -> tuple[list, list, bool]:
-    sides = []
+def _universe_for(lens: PSLens, source: Optional[list], view: Optional[list]) -> tuple[Any, Any, bool]:
+    """The samples for a ``_Ctx``, ``None`` standing for a whole carrier, and whether both sides are whole."""
     for side, domain, samples in (("source", lens.source, source), ("view", lens.view, view)):
-        if samples is None:
-            samples = domain.elements
-            if samples is None:
-                raise UniverseMismatchError(f"{side} of {lens.name!r} is not enumerable; supply {side} samples")
-        else:
-            for x in samples:
-                if not domain.contains(x):
-                    raise UniverseMismatchError(f"sample {x!r} is outside the {side} carrier")
-        sides.append(list(samples))
-    return sides[0], sides[1], source is None and view is None
+        if samples is None and domain.elements is None:
+            raise UniverseMismatchError(f"{side} of {lens.name!r} is not enumerable; supply {side} samples")
+    return source, view, source is None and view is None
 
 
 def check_law(
@@ -454,7 +448,8 @@ def check_laws(
     (:meth:`IPoset.rows`) where it has them, and otherwise each ordered
     pair asked of the domain once.  Values are located in the
     universe through a hash where they are hashable and by structural
-    equality otherwise, so domains need no hashing contract.  The reports
+    equality otherwise, so domains need no hashing contract; a value new
+    to the universe is asked ``contains`` once, as it enters.  The reports
     are the ones :func:`check_law` gives law by law, each with its own
     counterexample dict.
     """
@@ -492,7 +487,8 @@ def recheck_counterexample(
     ``put-determines-get`` takes a maximum over the whole universe, so it
     is rerun on ``source`` and ``view`` instead.  Like :func:`check_laws`,
     raises ``ValueError("broken lens ...")`` when ``get`` or ``put``
-    leaves its carrier.
+    leaves its carrier; a witness value outside its carrier is a
+    :class:`UniverseMismatchError` naming the variable.
     """
     if report.holds or report.counterexample is None:
         raise ValueError("report carries no counterexample")

@@ -121,8 +121,8 @@ def _check_ids(ids: Iterable) -> None:
             raise ValueError(f"task id {k!r} is not a bare token in UTF-8")
 
 
-def _check_table(table: Mapping, label: str) -> dict:
-    table = dict(table)
+def _check_table(table: Mapping, label: str) -> Mapping:
+    """``table`` itself, once its ids are task ids and its values records."""
     _check_ids(table)
     if not all(isinstance(r, TaskRecord) for r in table.values()):
         raise ValueError(f"{label} is not a valid task table")
@@ -149,7 +149,7 @@ class Delta:
     moves: dict
 
     def __init__(self, adds: Mapping = (), deletes: Iterable = (), moves: Mapping = ()):
-        adds, moves = _check_table(adds, "adds"), _check_table(moves, "moves")
+        adds, moves = _check_table(dict(adds), "adds"), _check_table(dict(moves), "moves")
         if isinstance(deletes, str):
             raise ValueError(f"deletes must be a collection of task ids, not the string {deletes!r}")
         deletes = frozenset(deletes)

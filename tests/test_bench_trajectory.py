@@ -140,3 +140,33 @@ def test_summary_pairs_runs_by_seed_and_order_and_counts_the_pairs_won(tmp_path,
     # lower is better, and a tie is not a win
     assert rows["| op_ms_p50"] == "| op_ms_p50 | 1 [1, 1] | 0.9 [0.85, 0.95] | -10.0% | 0.0% | 2/3 |"
     assert rows["| peak_rss_mb"] == "| peak_rss_mb | 30.95 [30.95, 30.95] | 30.95 [30.95, 30.95] | +0.0% | 0.0% | 0/3 |"
+
+
+def test_summary_totals_each_tree_s_failed_and_attempted_over_its_paired_runs(tmp_path, capsys):
+    points = [
+        {**_point("parent", 1, 10, 100, 1.0), "attempted": 40},
+        {**_point("change", 1, 11, 120, 0.9), "attempted": 50, "failed": 2, "correct": False},
+        {**_point("parent", 2, 12, 110, 1.0), "attempted": 60},
+        {**_point("change", 2, 13, 105, 1.0), "attempted": 70, "failed": 1, "correct": False},
+        {**_point("parent", 2, 99, 1000, 9.0), "attempted": 1000, "failed": 9, "correct": False},  # no partner
+    ]
+    path = tmp_path / "BENCH_synthetic.json"
+    path.write_text(json.dumps(points))
+    assert trajectory.main(["--summary", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # a blank line ends the table before the totals, as Markdown needs
+    assert lines[-3:] == ["", "failed/attempted over the paired runs: parent 0/100, change 3/120", ""]
+    assert lines[-4].startswith("| peak_rss_mb | ")
+
+
+def test_check_refuses_a_run_whose_correct_disagrees_with_its_failures(tmp_path, capsys):
+    point = {**trajectory.parse_run(CANNED), "tree": "head"}
+    assert trajectory.problems([point, {**point, "failed": 3, "correct": False}]) == []
+    assert trajectory.problems([{**point, "failed": 3}, {**point, "correct": False}]) == [
+        "[0] 'correct' is True but 'failed' is 3",
+        "[1] 'correct' is False but 'failed' is 0",
+    ]
+    bad = tmp_path / "BENCH_bad.json"
+    bad.write_text(json.dumps([{**point, "failed": 1}]))
+    assert trajectory.main(["--check", str(bad)]) == 1
+    assert capsys.readouterr().out == f"{bad}: [0] 'correct' is True but 'failed' is 1\n"

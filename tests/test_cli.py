@@ -378,6 +378,30 @@ def test_a_session_keeps_its_source_when_the_caller_changes_the_dict_it_passed(t
     assert saved.read_bytes() == dump_tasks(session.source).encode() == dump_tasks({"a": one}).encode()
 
 
+@pytest.mark.parametrize(
+    "source, error",
+    [
+        ({"a b": TaskRecord(False, "x", TODAY)}, "task id 'a b' is not a bare token in UTF-8"),
+        ({"a\udcff": TaskRecord(False, "x", TODAY)}, "task id 'a\\udcff' is not a bare token in UTF-8"),
+        (
+            pslens.tasks.Table({"a": TaskRecord(False, "x", TODAY), 7: TaskRecord(False, "y", TODAY)}),
+            "task id 7 is not a bare token in UTF-8",
+        ),
+        ({"a": ("false", "x", TODAY)}, "source is not a valid task table"),
+    ],
+    ids=["space", "lone-surrogate", "table-int-id", "not-a-record"],
+)
+def test_a_new_session_refuses_a_source_that_would_not_load_back(source, error):
+    # unchecked, the space id saved as `task a b false "x" 2025-04-01`, which load refuses
+    with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+        new_session("plain", TODAY, source)
+
+
+def test_a_new_session_adopts_a_checked_table_without_a_copy():
+    table = pslens.tasks.Table(ROUND_TRIP_SOURCE)
+    assert new_session("plain", TODAY, table).source is table
+
+
 def test_put_with_nothing_staged_is_identity():
     session = load_initial(new_session("plain", TODAY))
     before = session.source

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from pslens.iposet import ElementIndex, FiniteIPoset, IPoset, IPosetError, discrete, lift_omega, powerset_iposet
 from pslens.laws import (
+    _COMPOSITES,
+    _SCANNERS,
     LawId,
     LawReport,
     ProbeReport,
+    UniverseMismatchError,
     _Ctx,
     _scan,
     _universe_for,
@@ -542,6 +545,80 @@ def test_a_lens_that_leaves_its_carrier_is_a_broken_lens(check, message):
     with pytest.raises(ValueError) as info:
         check()
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Membership is asked once, where a value enters its universe
+# ---------------------------------------------------------------------------
+
+
+class AskingDomain(CountingDomain):
+    """A ``CountingDomain`` that records each value it is asked ``contains`` of."""
+
+    def __init__(self, inner, tabled=True):
+        super().__init__(inner, tabled)
+        self.asked = []
+
+    def contains(self, x):
+        self.asked.append(x)
+        return self.inner.contains(x)
+
+
+def asking(lens, tabled=True):
+    return dataclasses.replace(lens, source=AskingDomain(lens.source, tabled), view=AskingDomain(lens.view, tabled))
+
+
+def test_a_sampled_check_asks_contains_once_per_value_that_enters():
+    # identity puts 'c' into a source universe sampled without it, and gets 'a' into the view's
+    cases = [(identity_lens(discrete(["a", "b", "c"])), ["a", "b", "a"], ["c", "b", "c"]), *sampled_task_cases()]
+    grown = 0
+    for lens, source, view in cases:
+        subject = asking(lens)
+        assert check_laws(subject, source=source, view=view) == check_laws(lens, source=source, view=view)
+        c = _Ctx(lens, *_universe_for(lens, source, view))
+        for law in LawId:
+            if law not in _COMPOSITES:
+                _scan(c, law.value)
+        # the distinct samples, then each new get or put result, each asked once as it enters
+        assert subject.source.asked == c.S.values and subject.view.asked == c.V.values, lens.name
+        grown += len(c.S.values) - c.S.n + len(c.V.values) - c.V.n
+    assert grown >= 2
+
+
+@pytest.mark.parametrize("tabled", [True, False])
+def test_a_whole_carrier_is_never_asked_contains(tabled):
+    lenses = [product_and_compose_lens(), COLLAPSE] + [f.lens for f in fixture_lenses().values()]
+    for lens in lenses:
+        subject = asking(lens, tabled)
+        assert check_laws(subject) == check_laws(lens), lens.name
+        assert subject.source.asked == subject.view.asked == [], lens.name
+    lens = asking(identity_lens(discrete(["a", "b", "c"])), tabled)
+    check_laws(lens, source=["b", "a", "c"])  # the view is its whole carrier
+    assert lens.source.asked == ["b", "a", "c"] and lens.view.asked == []
+
+
+FILTER = filter_ongoing("plain")
+FOREIGN_WITNESSES = [
+    (fixture_lenses()["bad"].lens, LawId.PS_STABILITY, "s'", "nonsense", "source"),
+    (FILTER, LawId.CLASSICAL_ACCEPTABILITY, "s", "not a table", "source"),
+    (FILTER, LawId.PS_ACCEPTABILITY, "v", ("not", "a delta"), "view"),
+    (FILTER, LawId.STABILITY, "s0", {"a": "not a record"}, "source"),
+]
+
+
+@pytest.mark.parametrize(
+    "lens, law, var, value, side", FOREIGN_WITNESSES, ids=["table", "abstract-s", "abstract-v", "abstract-s0"]
+)
+def test_recheck_refuses_a_witness_outside_the_carrier(lens, law, var, value, side):
+    # every quantified variable holds a carrier element but ``var``
+    source = lens.source.elements or [{}]
+    view = lens.view.elements or [{}]
+    names = _SCANNERS[law.value][1]
+    witness = {name: (source if name[0] == "s" else view)[0] for name in names}
+    report = LawReport(law, False, {**witness, var: value}, "sampled")
+    with pytest.raises(UniverseMismatchError) as info:
+        recheck_counterexample(lens, report)
+    assert str(info.value) == f"witness {var}={value!r} is outside the {side} carrier"
 
 
 # ---------------------------------------------------------------------------

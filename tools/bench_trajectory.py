@@ -18,7 +18,8 @@ first.  A run becomes one object: the bench's header fields
 The exit code is 1 when a run exits nonzero; a run whose output holds
 no header, pass count or result is reported on stderr and left out.
 
-Check files against that schema (exit code 1 on the first bad file):
+Check files against that schema (exit code 1 on the first bad file).  A run
+is also refused when ``correct`` disagrees with ``failed == 0``:
 
     python3 tools/bench_trajectory.py --check BENCH_*.json
 
@@ -34,7 +35,8 @@ and quartiles over its paired runs (trees in order of first appearance)
 and, for each later tree, its median's change from the first tree's, the
 first tree's interquartile range relative to its median, and in how
 many pairs the later tree did better (strictly, in the metric's
-``better`` direction in ``BENCHMARK.json``).
+``better`` direction in ``BENCHMARK.json``).  A line under each table gives
+each tree's total ``failed`` and ``attempted`` over its paired runs.
 
 Standard library only; the bench itself is not changed or imported.
 """
@@ -100,6 +102,8 @@ def problems(points) -> list[str]:
         for name, m in metrics.items():
             if not (isinstance(m, dict) and isinstance(m.get("value"), (int, float)) and isinstance(m.get("unit"), str)):
                 out.append(f"[{k}] metric {name!r} is not a value with a unit")
+        if type(p.get("correct")) is bool and type(p.get("failed")) is int and p["correct"] != (p["failed"] == 0):
+            out.append(f"[{k}] 'correct' is {p['correct']} but 'failed' is {p['failed']}")
         if p.get("trace") == 0:
             out += [f"[{k}] end-to-end metric {name!r} is missing" for name in names if name not in metrics]
         if extra := set(p) - set(HEADER) - set(RUN) - set(RESULT):
@@ -140,7 +144,9 @@ def summary(points: list) -> list[str]:
                 won = f"{sum(sign * (b - a) > 0 for a, b in zip(values[0], v))}/{len(v)}" if name in better else ""
                 cells += [f"{q[1] / base[1] - 1:+.1%}", f"{(base[2] - base[0]) / base[1]:.1%}", won]
             out.append(f"| {name} | " + " | ".join(cells) + " |")
-        out.append("")
+        totals = [f"{t} {sum(r['failed'] for r in rs)}/{sum(r['attempted'] for r in rs)}"
+                  for t, rs in zip(trees, zip(*pairs))]
+        out += ["", "failed/attempted over the paired runs: " + ", ".join(totals), ""]
     return out
 
 
